@@ -7,7 +7,6 @@ statements, and essential-support bounds that constrain how concentrated a
 nonzero function can be in the time-frequency plane.
 """
 
-from tfu._kernels import BACKEND as KERNEL_BACKEND
 from tfu.core import (
     DEFAULT_GRID,
     DEFAULT_LAYOUT,
@@ -71,7 +70,6 @@ __all__ = [
     "DEFAULT_LAYOUT",
     "DIVERGENCE_RADII",
     "GrowthReport",
-    "KERNEL_BACKEND",
     "SampledSignal",
     "SignalLayout",
     "SupportMode",

@@ -1,9 +1,9 @@
-"""Pure-numpy reduction kernels, bit-identical to the compiled ones.
+"""Reduction kernels with a fixed operation order.
 
 The cascade is a fixed perfect binary tree: the input is zero-padded to the
 next power of two and adjacent pairs are added level by level. Padding with
 zeros does not perturb IEEE-754 sums, and the tree fixes the operand order,
-so repeated runs (and both backends) return the same double.
+so repeated runs return the same double.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ def cascade_sum(values: np.ndarray) -> float:
 def prefix_count(masses: np.ndarray, threshold: float) -> int:
     """First prefix length whose running sum reaches threshold, or -1.
 
-    The running sum is the plain left-to-right accumulation (np.cumsum),
-    matching the compiled kernel's loop exactly.
+    The running sum is the plain left-to-right accumulation (np.cumsum).
     """
     if threshold <= 0.0:
         return 0
