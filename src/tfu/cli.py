@@ -7,18 +7,20 @@ Subcommands:
     tfu bounds --mode <variant> --p <p> --eps <e> [--d <d>]
 
 Configs are INI files: one section per scenario, flat keys (see the bundled
-"paper-suite" config for the full vocabulary). `run` writes one JSON report
-per scenario plus CSV tables for sweeps, and exits 0 only if every enabled
-assertion passed (2 on assertion failure, 1 on configuration or runtime
-errors; partial results are still written on assertion failure).
+"paper-suite" config). SCENARIO_KEYS and the check registry CHECKS declare
+each key once, with its parser (tfu.specs) and default; load_config parses
+every value before any scenario runs, and a bad value aborts naming its
+"[section] key". A check is a function of a ScenarioContext and of its own
+keys; the context computes what the checks of one scenario share on first
+use and is released when the scenario's run returns.
 
-Function specs are colon-separated: "gaussian:a=2", "gaussian:a=1:amp=1",
-"hermite:n=2", optionally with "z=" (translation) and "w=" (modulation).
-Gaussian amplitude defaults to unit L2 norm.
-
-Scenario runs are independent and may execute concurrently; TFU_THREADS
-caps the worker count. Report files are written atomically, and with
---no-timestamp two runs of the same config are byte-identical.
+`run` writes one JSON report per scenario plus CSV tables for sweeps, and
+exits 0 only if every enabled assertion passed (2 on assertion failure, 1
+on configuration or runtime errors; the other scenarios' reports and
+summary.json are still written). Scenario runs are independent and may
+execute concurrently; TFU_THREADS caps the worker count. Report files are
+written atomically, and with --no-timestamp two runs of the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -31,179 +33,337 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from tfu.core import DEFAULT_LAYOUT, SignalLayout, TFArray, TFGrid, discrete_fourier
+from tfu.core import DEFAULT_LAYOUT, SampledSignal, SignalLayout, TFArray, TFGrid, discrete_fourier
 from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
-from tfu.reference import (
-    AnalyticFunction,
-    fourier_closed_form,
-    gaussian,
-    gaussian_stft_field,
-    hermite,
-    sample,
-    unit_gaussian,
+from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, unit_gaussian
+from tfu.specs import (
+    _VARIANTS,
+    ConfigError,
+    FunctionSpec,
+    each,
+    finite_float,
+    finite_floats,
+    function_spec,
+    identity_tuple,
+    parse_function_spec,
+    parse_support_mode,
+    parse_weight_scan,
+    positive_int,
+    shift_pair,
+    signal_count,
+    split_list,
 )
-from tfu.stft import compute_stft, isometry_defect
-from tfu.support import SupportMode, SupportVariant, bound_sweep, lieb_ratio, lower_bound, sorted_cell_masses
-from tfu.weights import WeightFamily, WeightSpec, decay_fit, growth_scan
+from tfu.stft import compute_stft, energy_defect
+from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound, sorted_cell_masses
+from tfu.weights import DIVERGENCE_RADII, decay_fit, growth_scan
 
-
-class ConfigError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# function / mode / weight mini-grammars
-
-
-def parse_function_spec(spec: str) -> AnalyticFunction:
-    parts = [p for p in spec.strip().split(":") if p]
-    if not parts:
-        raise ConfigError("empty function spec")
-    kind, params = parts[0].lower(), {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise ConfigError(f"malformed function parameter {tok!r} in {spec!r}")
-        key, val = tok.split("=", 1)
-        params[key.strip()] = val.strip()
-    z = float(params.pop("z", 0.0))
-    w = float(params.pop("w", 0.0))
-    if kind == "gaussian":
-        a = float(params.pop("a", 1.0))
-        amp = params.pop("amp", "unit")
-        if params:
-            raise ConfigError(f"unknown gaussian parameter(s) {sorted(params)} in {spec!r}")
-        if amp == "unit":
-            return unit_gaussian(a, z=z, w=w)
-        return gaussian(a, amplitude=complex(amp), z=z, w=w)
-    if kind == "hermite":
-        n = int(params.pop("n", 0))
-        if params:
-            raise ConfigError(f"unknown hermite parameter(s) {sorted(params)} in {spec!r}")
-        return hermite(n, z=z, w=w)
-    raise ConfigError(f"unknown function kind {kind!r} in {spec!r}")
-
-
-_VARIANTS = {
-    "l1_fraction": SupportVariant.L1_FRACTION,
-    "lp_vs_l1p": SupportVariant.LP_VS_L1P,
-    "lp_vs_energy": SupportVariant.LP_VS_ENERGY,
-}
-
-_FAMILIES = {
-    "radial_half": WeightFamily.RADIAL_HALF,
-    "radial_full": WeightFamily.RADIAL_FULL,
-    "hyperbolic": WeightFamily.HYPERBOLIC,
-    "pair_hyperbolic": WeightFamily.PAIR_HYPERBOLIC,
-    "bonami": WeightFamily.BONAMI_DENOMINATOR,
-    "demange": WeightFamily.DEMANGE_DENOMINATOR,
-}
-
-
-def _parse_tokens(spec: str, what: str) -> tuple[str, dict[str, str]]:
-    toks = spec.split()
-    if not toks:
-        raise ConfigError(f"empty {what} spec")
-    params = {}
-    for tok in toks[1:]:
-        if "=" not in tok:
-            raise ConfigError(f"malformed {what} parameter {tok!r} in {spec!r}")
-        key, val = tok.split("=", 1)
-        params[key] = val
-    return toks[0].lower(), params
-
-
-@dataclass
-class WeightScanSpec:
-    """One growth-scan request: weight, field source, expectations."""
-
-    weight: WeightSpec
-    source: str  # stft | closed | pair | pair_exact
-    expect: str  # divergent | convergent
-    radii: tuple[float, ...]
-    slope: float | None = None
-    slope_tol: float = 0.0
-
-    @property
-    def label(self) -> str:
-        fam = {v: k for k, v in _FAMILIES.items()}[self.weight.family]
-        return f"{fam} p={self.weight.p:g} N={self.weight.N:g} field={self.source}"
-
-
-def parse_weight_scan(spec: str, default_radii: tuple[float, ...]) -> WeightScanSpec:
-    name, params = _parse_tokens(spec, "weight scan")
-    if name not in _FAMILIES:
-        raise ConfigError(f"unknown weight family {name!r} in {spec!r}")
-    weight = WeightSpec(
-        _FAMILIES[name], p=float(params.pop("p", 1.0)), N=float(params.pop("N", 0.0))
-    )
-    source = params.pop("field", "stft")
-    if source not in ("stft", "closed", "pair", "pair_exact"):
-        raise ConfigError(f"unknown field source {source!r} in {spec!r}")
-    expect = params.pop("expect", "divergent")
-    if expect not in ("divergent", "convergent"):
-        raise ConfigError(f"unknown verdict expectation {expect!r} in {spec!r}")
-    radii = default_radii
-    if "radii" in params:
-        radii = tuple(float(v) for v in params.pop("radii").split(":"))
-    slope = float(params["slope"]) if "slope" in params else None
-    params.pop("slope", None)
-    slope_tol = float(params.pop("slope_tol", 0.0))
-    if params:
-        raise ConfigError(f"unknown weight scan parameter(s) {sorted(params)} in {spec!r}")
-    return WeightScanSpec(weight, source, expect, radii, slope, slope_tol)
-
-
-def parse_support_mode(spec: str) -> tuple[SupportMode, str]:
-    name, params = _parse_tokens(spec, "support mode")
-    if name not in _VARIANTS:
-        raise ConfigError(f"unknown support variant {name!r} in {spec!r}")
-    mode = SupportMode(
-        _VARIANTS[name], p=float(params.pop("p", 2.0)), epsilon=float(params.pop("eps", 0.0))
-    )
-    expect = params.pop("expect", "holds")
-    if expect not in ("holds", "unsatisfiable"):
-        raise ConfigError(f"unknown support expectation {expect!r} in {spec!r}")
-    if params:
-        raise ConfigError(f"unknown support parameter(s) {sorted(params)} in {spec!r}")
-    return mode, expect
+#: Most subsets the greedy oracle may enumerate, oracle_fields times the sum
+#: over k <= oracle_max_subset of C(oracle_size^2, k): about 5 s at its rate
+#: of roughly 0.45 us a subset. The bundled suite enumerates 874,880.
+MAX_ORACLE_SUBSETS = 10**7
 
 
 # ---------------------------------------------------------------------------
-# config loading
-
-_BASE_KEYS = {"f", "g", "checks", "count", "step", "radii"}
-_CHECK_KEYS: dict[str, set[str]] = {
-    "isometry": {"isometry_tol"},
-    "closed_form": {"closed_form_tol"},
-    "identity": {"identity_tuples", "identity_tol"},
-    "rotation": {"rotation_z", "rotation_tol"},
-    "lieb": {"lieb_p", "lieb_dir_tol", "lieb_equality_tol"},
-    "weights": {"weights"},
-    "support": {"support"},
-    "decay": {"decay_tail", "decay_product_tol"},
-    "greedy_oracle": {"oracle_fields", "oracle_size", "oracle_max_subset", "oracle_seed"},
-}
-_ALL_KEYS = _BASE_KEYS | set().union(*_CHECK_KEYS.values())
+# scenarios and the per-scenario context
 
 
 @dataclass
 class Scenario:
     name: str
-    f_spec: str
-    g_spec: str
     layout: SignalLayout
-    checks: list[str]
-    options: dict[str, str] = field(default_factory=dict)
+    checks: tuple[str, ...]
+    options: dict[str, object]  # every key -> its parsed value or default
 
 
-def _split_list(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
+class _cached:
+    """functools.cached_property without its class-wide lock (Python < 3.12),
+    which would make scenarios on parallel threads wait for each other."""
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __get__(self, ctx: object, owner: type | None = None):
+        if ctx is None:
+            return self
+        value = ctx.__dict__[self.compute.__name__] = self.compute(ctx)
+        return value
+
+
+class ScenarioContext:
+    """What the checks of one scenario share. The samples are taken at once;
+    the fields and norms are computed on first use."""
+
+    def __init__(self, scn: Scenario) -> None:
+        self.name, self.layout = scn.name, scn.layout
+        self.f_spec: FunctionSpec = scn.options["f"]
+        self.g_spec: FunctionSpec = scn.options["g"]
+        self.f = sample(self.f_spec.fn, self.layout)
+        self.g = sample(self.g_spec.fn, self.layout)
+        self.grid = TFGrid.from_layout(self.layout)
+        self.unit_pair = self.f_spec.fn == self.g_spec.fn == unit_gaussian()
+
+    @_cached
+    def stft(self) -> TFArray:
+        """V_g f on the scenario's grid."""
+        return compute_stft(self.f, self.g, self.grid)
+
+    @_cached
+    def norms(self) -> tuple[float, float]:
+        """|f|_2 and |g|_2."""
+        return self.f.l2_norm(), self.g.l2_norm()
+
+    @_cached
+    def closed(self) -> TFArray:
+        """The exact Gaussian-pair STFT, which is V_g f only when unit_pair holds."""
+        return gaussian_stft_field(self.grid)
+
+    @_cached
+    def pair_exact(self) -> tuple[SampledSignal, SampledSignal]:
+        """f with closed-form samples of its Fourier transform."""
+        return self.f, sample(fourier_closed_form(self.f_spec.fn), self.layout.dual())
+
+
+# ---------------------------------------------------------------------------
+# checks: each returns its report entry and its CSV tables
+
+#: suffix -> (header, rows); _write_csv formats the cells
+Tables = dict[str, tuple[list[str], list[list]]]
+
+_SUPPORT_HEADER = ["variant", "p", "epsilon", "satisfiable", "cells", "measured_area"]
+_SUPPORT_HEADER += ["lower_bound", "bound_holds", "note"]
+
+
+def _all_passed(entries: Iterable[dict]) -> bool:
+    return all(e["passed"] for e in entries)
+
+
+def _isometry(ctx: ScenarioContext, isometry_tol: float) -> tuple[dict, Tables]:
+    defect = energy_defect(ctx.stft, *ctx.norms)
+    return {"defect": defect, "tolerance": isometry_tol, "passed": defect < isometry_tol}, {}
+
+
+def _closed_form(ctx: ScenarioContext, closed_form_tol: float) -> tuple[dict, Tables]:
+    if not ctx.unit_pair:
+        raise ConfigError(f"closed_form check in [{ctx.name}] requires the unit gaussian pair")
+    dev = float(np.max(np.abs(ctx.stft.values - ctx.closed.values)))
+    return {"max_abs_deviation": dev, "tolerance": closed_form_tol, "passed": dev < closed_form_tol}, {}
+
+
+def _identity(ctx: ScenarioContext, identity_tuples, identity_tol: float) -> tuple[dict, Tables]:
+    results = []
+    for specs in identity_tuples or ((ctx.f_spec, ctx.f_spec, ctx.g_spec, ctx.g_spec),):
+        defect = fundamental_identity_defect(*(sample(s.fn, ctx.layout) for s in specs), ctx.grid)
+        functions = [s.text for s in specs]
+        results.append({"functions": functions, "defect": defect, "passed": defect < identity_tol})
+    return {"tolerance": identity_tol, "tuples": results, "passed": _all_passed(results)}, {}
+
+
+def _rotation(ctx: ScenarioContext, rotation_z, rotation_tol: float) -> tuple[dict, Tables]:
+    results = []
+    for z, zeta in rotation_z:
+        defect = rotation_invariance_defect(build_auxiliary(ctx.f, ctx.g, ctx.grid, z, zeta))
+        results.append({"z": z, "zeta": zeta, "defect": defect, "passed": defect < rotation_tol})
+    return {"tolerance": rotation_tol, "shifts": results, "passed": _all_passed(results)}, {}
+
+
+def _lieb(ctx: ScenarioContext, lieb_p, lieb_dir_tol: float, lieb_equality_tol) -> tuple[dict, Tables]:
+    entries = []
+    for p in lieb_p:
+        ratio = lieb_ratio(ctx.stft, p, *ctx.norms)
+        if p > 2:
+            ok = ratio <= 1 + lieb_dir_tol
+        elif p < 2:
+            ok = ratio >= 1 - lieb_dir_tol
+        else:
+            ok = abs(ratio - 1) <= lieb_dir_tol
+        if lieb_equality_tol is not None:
+            ok = ok and abs(ratio - 1) <= lieb_equality_tol
+        entries.append({"p": p, "ratio": ratio, "passed": ok})
+    entry = {"direction_tolerance": lieb_dir_tol, "ratios": entries, "passed": _all_passed(entries)}
+    return entry, {"lieb": (["p", "ratio"], [[e["p"], e["ratio"]] for e in entries])}
+
+
+def _scan_target(ctx: ScenarioContext, source: str):
+    if source == "stft":
+        return ctx.stft
+    if source == "closed":
+        if not ctx.unit_pair:
+            raise ConfigError(f"field=closed in [{ctx.name}] requires the unit gaussian pair")
+        return ctx.closed
+    return ctx.f if source == "pair" else ctx.pair_exact
+
+
+def _weights(ctx: ScenarioContext, weights, radii) -> tuple[dict, Tables]:
+    if not weights:
+        raise ConfigError(f"weights check in [{ctx.name}] needs a 'weights' key")
+    entries, rows = [], []
+    for ws in weights:
+        report = growth_scan(_scan_target(ctx, ws.source), ws.weight, ws.radii or radii)
+        ok = report.verdict == ws.expect
+        if ws.slope is not None:
+            ok = ok and abs(report.fitted_exponent - ws.slope) <= ws.slope_tol
+        entries.append(
+            {
+                "scan": ws.label,
+                "expected": ws.expect,
+                "verdict": report.verdict,
+                "fitted_exponent": report.fitted_exponent,
+                "note": report.note,
+                "passed": ok,
+            }
+        )
+        for r, m in zip(report.radii, report.masses):
+            rows.append([ws.family, ws.weight.p, ws.weight.N, ws.source, r, m])
+    header = ["family", "p", "N", "field", "R", "mass"]
+    return {"scans": entries, "passed": _all_passed(entries)}, {"growth": (header, rows)}
+
+
+def _support(ctx: ScenarioContext, support) -> tuple[dict, Tables]:
+    if not support:
+        raise ConfigError(f"support check in [{ctx.name}] needs a 'support' key")
+    entries, rows = [], []
+    for mode, expect in support:
+        rep = greedy_essential_support(ctx.stft, mode, *ctx.norms)
+        if expect == "unsatisfiable":
+            ok = not rep.satisfiable
+        else:
+            ok = rep.satisfiable and bool(rep.bound_holds)
+        entry = {
+            "variant": mode.variant.value,
+            "p": mode.p,
+            "epsilon": mode.epsilon,
+            "satisfiable": rep.satisfiable,
+            "measured_area": rep.measured_area,
+            "lower_bound": rep.lower_bound,
+            "cells": rep.cells,
+            "note": rep.note,
+            "expected": expect,
+            "passed": ok,
+        }
+        entries.append(entry)
+        row = entry | {"bound_holds": rep.bound_holds}
+        rows.append([row[key] for key in _SUPPORT_HEADER])
+    return {"modes": entries, "passed": _all_passed(entries)}, {"support": (_SUPPORT_HEADER, rows)}
+
+
+def _decay(ctx: ScenarioContext, decay_tail: float, decay_product_tol: float) -> tuple[dict, Tables]:
+    a_time = decay_fit(ctx.f, decay_tail)
+    a_freq = decay_fit(discrete_fourier(ctx.f), decay_tail)
+    product = a_time * a_freq
+    entry = {"fit_time": a_time, "fit_frequency": a_freq, "product": product}
+    return entry | {"tolerance": decay_product_tol, "passed": abs(product - 1.0) <= decay_product_tol}, {}
+
+
+def _greedy_oracle(
+    ctx: ScenarioContext, oracle_fields: int, oracle_size: int, oracle_max_subset: int, oracle_seed: int
+) -> tuple[dict, Tables]:
+    ok = _greedy_matches_bruteforce(oracle_fields, oracle_size, oracle_max_subset, oracle_seed)
+    entry = {"fields": oracle_fields, "size": oracle_size, "max_subset": oracle_max_subset}
+    return entry | {"seed": oracle_seed, "passed": ok}, {}
+
+
+def _limit_oracle_subsets(opts: dict) -> None:
+    cells = opts["oracle_size"] ** 2
+    total = 0
+    for k in range(1, min(opts["oracle_max_subset"], cells) + 1):
+        total += opts["oracle_fields"] * math.comb(cells, k)
+        if total > MAX_ORACLE_SUBSETS:
+            raise ConfigError(
+                "oracle_fields, oracle_size, oracle_max_subset: the greedy oracle would "
+                f"enumerate more than {MAX_ORACLE_SUBSETS} subsets"
+            )
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+
+class Key(NamedTuple):
+    parse: Callable[[str], object]
+    default: object  # already parsed
+
+
+class Check(NamedTuple):
+    """A check's own keys and its run(ctx, **values) -> (entry, tables), where
+    values maps each key to its parsed value. validate, when given, rejects a
+    scenario's parsed options whose combination is out of bounds."""
+
+    keys: dict[str, Key]
+    run: Callable[..., tuple[dict, Tables]]
+    validate: Callable[[dict], None] | None = None
+
+
+CHECKS: dict[str, Check] = {
+    "isometry": Check({"isometry_tol": Key(finite_float, 1e-8)}, _isometry),
+    "closed_form": Check({"closed_form_tol": Key(finite_float, 1e-8)}, _closed_form),
+    "identity": Check(
+        {"identity_tuples": Key(each(identity_tuple), ()), "identity_tol": Key(finite_float, 1e-6)},
+        _identity,
+    ),
+    "rotation": Check(
+        {"rotation_z": Key(each(shift_pair), ((0.0, 0.0),)), "rotation_tol": Key(finite_float, 1e-6)},
+        _rotation,
+    ),
+    "lieb": Check(
+        {
+            "lieb_p": Key(finite_floats, (2.0,)),
+            "lieb_dir_tol": Key(finite_float, 1e-6),
+            "lieb_equality_tol": Key(finite_float, None),
+        },
+        _lieb,
+    ),
+    "weights": Check(
+        {"weights": Key(each(parse_weight_scan), ()), "radii": Key(finite_floats, DIVERGENCE_RADII)},
+        _weights,
+    ),
+    "support": Check({"support": Key(each(parse_support_mode), ())}, _support),
+    "decay": Check(
+        {"decay_tail": Key(finite_float, 0.25), "decay_product_tol": Key(finite_float, 1e-2)}, _decay
+    ),
+    "greedy_oracle": Check(
+        {
+            "oracle_fields": Key(positive_int, 20),
+            "oracle_size": Key(positive_int, 8),
+            "oracle_max_subset": Key(positive_int, 3),
+            "oracle_seed": Key(int, 20260809),
+        },
+        _greedy_oracle,
+        _limit_oracle_subsets,
+    ),
+}
+
+
+def _check_names(raw: str) -> tuple[str, ...]:
+    names = tuple(split_list(raw))
+    for name in names:
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check '{name}'")
+    return names
+
+
+_UNIT_GAUSSIAN = function_spec("gaussian:a=1")
+
+#: Keys every scenario has, whatever its checks.
+SCENARIO_KEYS: dict[str, Key] = {
+    "f": Key(function_spec, _UNIT_GAUSSIAN),
+    "g": Key(function_spec, _UNIT_GAUSSIAN),
+    "checks": Key(_check_names, ()),
+    "count": Key(signal_count, DEFAULT_LAYOUT.count),
+    "step": Key(finite_float, DEFAULT_LAYOUT.step),
+}
+
+_KEYS = SCENARIO_KEYS | {name: key for check in CHECKS.values() for name, key in check.keys.items()}
+
+
+# ---------------------------------------------------------------------------
+# config loading and scenario execution
 
 
 def load_config(path: Path) -> list[Scenario]:
@@ -217,294 +377,39 @@ def load_config(path: Path) -> list[Scenario]:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     scenarios = []
     for section in parser.sections():
-        opts = dict(parser.items(section))
-        for key in opts:
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"unknown key '{key}' in [{section}]")
-        checks = _split_list(opts.get("checks", ""))
-        for check in checks:
-            if check not in _CHECK_KEYS:
-                raise ConfigError(f"unknown check '{check}' in [{section}]")
-        if not checks:
+        opts = {name: key.default for name, key in _KEYS.items()}
+        for name, raw in parser.items(section):
+            if name not in _KEYS:
+                raise ConfigError(f"unknown key '{name}' in [{section}]")
+            try:
+                opts[name] = _KEYS[name].parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {name}: {exc}") from exc
+        if not opts["checks"]:
             raise ConfigError(f"scenario [{section}] enables no checks")
-        layout = SignalLayout(
-            count=int(opts.get("count", DEFAULT_LAYOUT.count)),
-            step=float(opts.get("step", DEFAULT_LAYOUT.step)),
-        )
-        scenarios.append(
-            Scenario(
-                name=section,
-                f_spec=opts.get("f", "gaussian:a=1"),
-                g_spec=opts.get("g", "gaussian:a=1"),
-                layout=layout,
-                checks=checks,
-                options=opts,
-            )
-        )
+        try:
+            for name in opts["checks"]:
+                if CHECKS[name].validate is not None:
+                    CHECKS[name].validate(opts)
+            layout = SignalLayout(count=opts["count"], step=opts["step"])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+        scenarios.append(Scenario(section, layout, opts["checks"], opts))
     if not scenarios:
         raise ConfigError(f"config {path} defines no scenarios")
     return scenarios
 
 
-# ---------------------------------------------------------------------------
-# scenario execution
-
-
-def _is_unit_gaussian_pair(scn: Scenario) -> bool:
-    def is_unit(spec: str) -> bool:
-        fn = parse_function_spec(spec)
-        return (
-            fn.kind == "gaussian"
-            and fn.width == 1.0
-            and fn.translation == 0.0
-            and fn.modulation == 0.0
-            and abs(fn.amplitude - 2**0.25) < 1e-15
-        )
-
-    return is_unit(scn.f_spec) and is_unit(scn.g_spec)
-
-
-@dataclass
-class ScenarioResult:
-    name: str
-    passed: bool
-    report: dict
-    csv_tables: dict[str, tuple[list[str], list[list[str]]]]  # suffix -> (header, rows)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def run_scenario(scn: Scenario) -> ScenarioResult:
-    f_fn = parse_function_spec(scn.f_spec)
-    g_fn = parse_function_spec(scn.g_spec)
-    f = sample(f_fn, scn.layout)
-    g = sample(g_fn, scn.layout)
-    grid = TFGrid.from_layout(scn.layout)
-    opts = scn.options
-    default_radii = tuple(float(v) for v in _split_list(opts.get("radii", "1 2 3 4 5 6")))
+def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
+    """The scenario's report and CSV tables."""
+    ctx = ScenarioContext(scn)
     checks: dict[str, dict] = {}
-    tables: dict[str, tuple[list[str], list[list[str]]]] = {}
-
-    for check in scn.checks:
-        if check == "isometry":
-            tol = float(opts.get("isometry_tol", 1e-8))
-            defect = isometry_defect(f, g, grid)
-            checks[check] = {"defect": defect, "tolerance": tol, "passed": defect < tol}
-
-        elif check == "closed_form":
-            if not _is_unit_gaussian_pair(scn):
-                raise ConfigError(
-                    f"closed_form check in [{scn.name}] requires the unit gaussian pair"
-                )
-            tol = float(opts.get("closed_form_tol", 1e-8))
-            v = compute_stft(f, g, grid)
-            dev = float(np.max(np.abs(v.values - gaussian_stft_field(grid).values)))
-            checks[check] = {"max_abs_deviation": dev, "tolerance": tol, "passed": dev < tol}
-
-        elif check == "identity":
-            tol = float(opts.get("identity_tol", 1e-6))
-            raw = opts.get("identity_tuples", "")
-            tuples = []
-            if raw:
-                for group in raw.split(";"):
-                    specs = [tok.strip() for tok in group.split(",") if tok.strip()]
-                    if len(specs) != 4:
-                        raise ConfigError(
-                            f"identity tuple needs 4 function specs, got {len(specs)} in [{scn.name}]"
-                        )
-                    tuples.append(specs)
-            else:
-                tuples.append([scn.f_spec, scn.f_spec, scn.g_spec, scn.g_spec])
-            results = []
-            for specs in tuples:
-                sigs = [sample(parse_function_spec(sp), scn.layout) for sp in specs]
-                defect = fundamental_identity_defect(*sigs, grid)
-                results.append({"functions": specs, "defect": defect, "passed": defect < tol})
-            checks[check] = {
-                "tolerance": tol,
-                "tuples": results,
-                "passed": all(r["passed"] for r in results),
-            }
-
-        elif check == "rotation":
-            tol = float(opts.get("rotation_tol", 1e-6))
-            raw = opts.get("rotation_z", "0 0")
-            results = []
-            for group in raw.split(";"):
-                vals = [float(tok) for tok in group.split()]
-                if len(vals) != 2:
-                    raise ConfigError(f"rotation_z entries need 2 numbers in [{scn.name}]")
-                aux = build_auxiliary(f, g, grid, vals[0], vals[1])
-                defect = rotation_invariance_defect(aux)
-                results.append({"z": vals[0], "zeta": vals[1], "defect": defect, "passed": defect < tol})
-            checks[check] = {
-                "tolerance": tol,
-                "shifts": results,
-                "passed": all(r["passed"] for r in results),
-            }
-
-        elif check == "lieb":
-            ps = [float(v) for v in _split_list(opts.get("lieb_p", "2"))]
-            dir_tol = float(opts.get("lieb_dir_tol", 1e-6))
-            eq_tol = opts.get("lieb_equality_tol")
-            v = compute_stft(f, g, grid)
-            fn, gn = f.l2_norm(), g.l2_norm()
-            entries, rows = [], []
-            for p in ps:
-                ratio = lieb_ratio(v, p, fn, gn)
-                if p > 2:
-                    ok = ratio <= 1 + dir_tol
-                elif p < 2:
-                    ok = ratio >= 1 - dir_tol
-                else:
-                    ok = abs(ratio - 1) <= dir_tol
-                if eq_tol is not None:
-                    ok = ok and abs(ratio - 1) <= float(eq_tol)
-                entries.append({"p": p, "ratio": ratio, "passed": ok})
-                rows.append([_fmt(p), _fmt(ratio)])
-            tables["lieb"] = (["p", "ratio"], rows)
-            checks[check] = {
-                "direction_tolerance": dir_tol,
-                "ratios": entries,
-                "passed": all(e["passed"] for e in entries),
-            }
-
-        elif check == "weights":
-            raw = opts.get("weights", "")
-            if not raw.strip():
-                raise ConfigError(f"weights check in [{scn.name}] needs a 'weights' key")
-            scans = [parse_weight_scan(s, default_radii) for s in raw.split(";") if s.strip()]
-            entries = []
-            rows = []
-            v_num = None
-            fam_inv = {v_: k for k, v_ in _FAMILIES.items()}
-            for ws in scans:
-                if ws.source == "stft":
-                    if v_num is None:
-                        v_num = compute_stft(f, g, grid)
-                    target: object = v_num
-                elif ws.source == "closed":
-                    if not _is_unit_gaussian_pair(scn):
-                        raise ConfigError(
-                            f"field=closed in [{scn.name}] requires the unit gaussian pair"
-                        )
-                    target = gaussian_stft_field(grid)
-                elif ws.source == "pair":
-                    target = f
-                else:  # pair_exact
-                    fhat = sample(fourier_closed_form(f_fn), scn.layout.dual())
-                    target = (f, fhat)
-                report = growth_scan(target, ws.weight, ws.radii)
-                ok = report.verdict == ws.expect
-                if ws.slope is not None:
-                    ok = ok and abs(report.fitted_exponent - ws.slope) <= ws.slope_tol
-                entries.append(
-                    {
-                        "scan": ws.label,
-                        "expected": ws.expect,
-                        "verdict": report.verdict,
-                        "fitted_exponent": report.fitted_exponent,
-                        "note": report.note,
-                        "passed": ok,
-                    }
-                )
-                fam = fam_inv[ws.weight.family]
-                for r, m in zip(report.radii, report.masses):
-                    rows.append(
-                        [fam, _fmt(ws.weight.p), _fmt(ws.weight.N), ws.source, _fmt(r), _fmt(m)]
-                    )
-            tables["growth"] = (["family", "p", "N", "field", "R", "mass"], rows)
-            checks[check] = {"scans": entries, "passed": all(e["passed"] for e in entries)}
-
-        elif check == "support":
-            raw = opts.get("support", "")
-            if not raw.strip():
-                raise ConfigError(f"support check in [{scn.name}] needs a 'support' key")
-            parsed = [parse_support_mode(s) for s in raw.split(";") if s.strip()]
-            reports = bound_sweep(f, g, grid, [m for m, _ in parsed])
-            entries, rows = [], []
-            var_inv = {v_: k for k, v_ in _VARIANTS.items()}
-            for (mode, expect), rep in zip(parsed, reports):
-                if expect == "unsatisfiable":
-                    ok = not rep.satisfiable
-                else:
-                    ok = rep.satisfiable and bool(rep.bound_holds)
-                entries.append(
-                    {
-                        "variant": var_inv[mode.variant],
-                        "p": mode.p,
-                        "epsilon": mode.epsilon,
-                        "satisfiable": rep.satisfiable,
-                        "measured_area": rep.measured_area,
-                        "lower_bound": rep.lower_bound,
-                        "cells": rep.cells,
-                        "note": rep.note,
-                        "expected": expect,
-                        "passed": ok,
-                    }
-                )
-                rows.append(
-                    [
-                        var_inv[mode.variant],
-                        _fmt(mode.p),
-                        _fmt(mode.epsilon),
-                        str(rep.satisfiable),
-                        str(rep.cells),
-                        "" if rep.measured_area is None else _fmt(rep.measured_area),
-                        _fmt(rep.lower_bound),
-                        "" if rep.bound_holds is None else str(rep.bound_holds),
-                        rep.note,
-                    ]
-                )
-            tables["support"] = (
-                [
-                    "variant",
-                    "p",
-                    "epsilon",
-                    "satisfiable",
-                    "cells",
-                    "measured_area",
-                    "lower_bound",
-                    "bound_holds",
-                    "note",
-                ],
-                rows,
-            )
-            checks[check] = {"modes": entries, "passed": all(e["passed"] for e in entries)}
-
-        elif check == "decay":
-            tail = float(opts.get("decay_tail", 0.25))
-            tol = float(opts.get("decay_product_tol", 1e-2))
-            a_time = decay_fit(f, tail)
-            a_freq = decay_fit(discrete_fourier(f), tail)
-            product = a_time * a_freq
-            checks[check] = {
-                "fit_time": a_time,
-                "fit_frequency": a_freq,
-                "product": product,
-                "tolerance": tol,
-                "passed": abs(product - 1.0) <= tol,
-            }
-
-        elif check == "greedy_oracle":
-            n_fields = int(opts.get("oracle_fields", 20))
-            size = int(opts.get("oracle_size", 8))
-            kmax = int(opts.get("oracle_max_subset", 3))
-            seed = int(opts.get("oracle_seed", 20260809))
-            ok = _greedy_matches_bruteforce(n_fields, size, kmax, seed)
-            checks[check] = {
-                "fields": n_fields,
-                "size": size,
-                "max_subset": kmax,
-                "seed": seed,
-                "passed": ok,
-            }
-
-    passed = all(entry["passed"] for entry in checks.values())
-    report = {"name": scn.name, "passed": passed, "checks": checks}
-    return ScenarioResult(name=scn.name, passed=passed, report=report, csv_tables=tables)
+    tables: Tables = {}
+    for name in scn.checks:
+        check = CHECKS[name]
+        checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
+        tables.update(check_tables)
+    return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
 
 
 def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -> bool:
@@ -550,13 +455,20 @@ def _write_json(path: Path, obj: dict) -> None:
     _atomic_write(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _cell(value: object) -> str:
+    """A CSV cell: floats with 17 significant digits, None empty."""
+    if value is None:
+        return ""
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_cell(v) for v in row] for row in rows)
     _atomic_write(path, buf.getvalue())
 
 
@@ -618,13 +530,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     workers = int(os.environ.get("TFU_THREADS", "0")) or min(4, len(scenarios))
     workers = max(1, min(workers, len(scenarios)))
     errors: list[str] = []
-    results: dict[str, ScenarioResult] = {}
+    reports: dict[str, dict] = {}
 
-    def work(scn: Scenario) -> tuple[str, ScenarioResult | None, str | None]:
+    def work(scn: Scenario) -> tuple[str, tuple[dict, Tables] | None, str | None]:
         try:
             return scn.name, run_scenario(scn), None
         except (ConfigError, ValueError) as exc:
             return scn.name, None, str(exc)
+        except Exception as exc:  # a fault in one scenario must not lose the others' reports
+            return scn.name, None, f"{type(exc).__name__}: {exc}"
 
     if workers == 1:
         outcomes = [work(s) for s in scenarios]
@@ -636,32 +550,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         if error is not None:
             errors.append(f"[{name}] {error}")
             continue
-        results[name] = result
-        report = dict(result.report)
+        report, tables = result
+        reports[name] = report
         if not args.no_timestamp:
-            report["timestamp"] = datetime.now(timezone.utc).isoformat()
+            report = report | {"timestamp": datetime.now(timezone.utc).isoformat()}
         _write_json(out_dir / f"{name}.json", report)
-        for suffix, (header, rows) in result.csv_tables.items():
+        for suffix, (header, rows) in tables.items():
             _write_csv(out_dir / f"{name}__{suffix}.csv", header, rows)
 
     summary = {
         "config": config.name,
-        "scenarios": [
-            {"name": s.name, "passed": results[s.name].passed}
-            for s in scenarios
-            if s.name in results
-        ],
+        "scenarios": [{"name": name, "passed": r["passed"]} for name, r in reports.items()],
         "errors": errors,
-        "passed": not errors and all(r.passed for r in results.values()),
+        "passed": not errors and _all_passed(reports.values()),
     }
     if not args.no_timestamp:
         summary["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_json(out_dir / "summary.json", summary)
 
-    for s in scenarios:
-        if s.name in results:
-            status = "pass" if results[s.name].passed else "FAIL"
-            print(f"{status}  {s.name}")
+    for name, report in reports.items():
+        print(f"{'pass' if report['passed'] else 'FAIL'}  {name}")
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     if errors:
@@ -670,7 +578,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export_stft(args: argparse.Namespace) -> int:
-    layout = SignalLayout(count=args.count, step=args.step)
+    layout = SignalLayout(count=signal_count(args.count), step=args.step)
     f = sample(parse_function_spec(args.f), layout)
     g = sample(parse_function_spec(args.g), layout)
     v = compute_stft(f, g, TFGrid.from_layout(layout))
@@ -729,10 +637,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,9 +66,14 @@ def isometry_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> float:
     The continuous identity makes the two sides equal; the returned defect
     is pure discretization plus rounding.
     """
-    norms_sq = (f.l2_norm() * g.l2_norm()) ** 2
+    return energy_defect(compute_stft(f, g, grid), f.l2_norm(), g.l2_norm())
+
+
+def energy_defect(v: TFArray, fn: float, gn: float) -> float:
+    """isometry_defect for an already computed field V_g f and the L2 norms
+    fn = |f|_2, gn = |g|_2."""
+    norms_sq = (fn * gn) ** 2
     if norms_sq == 0.0:
         raise ValueError("degenerate pair: zero L2 norm")
-    v = compute_stft(f, g, grid)
     energy = quadrature_sum(v, lambda z: np.abs(z) ** 2)
     return abs(energy - norms_sq) / norms_sq

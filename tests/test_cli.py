@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tfu
-from tfu import cli
+from tfu import cli, specs
 
 
 def write_config(tmp_path, text):
@@ -209,3 +211,94 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])  # missing --out
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# failure containment and load-time limits
+
+
+def test_run_scenario_fault_keeps_other_reports(tmp_path, capsys):
+    # (fn * gn)^4 underflows to 0 in lieb_ratio's denominator
+    config = write_config(
+        tmp_path,
+        "[a]\nchecks = isometry\n"
+        "[z]\nf = gaussian:a=1:amp=1e-100\nchecks = lieb\nlieb_p = 4\n",
+    )
+    out = tmp_path / "out"
+    rc = cli.main(["run", config, "--out", str(out), "--no-timestamp"])
+    assert rc == 1
+    assert read_json(out / "a.json")["passed"]
+    summary = read_json(out / "summary.json")
+    assert summary["scenarios"] == [{"name": "a", "passed": True}]
+    assert summary["errors"] == ["[z] ZeroDivisionError: float division by zero"]
+    assert "error: [z] ZeroDivisionError: float division by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "key, template",
+    [
+        ("isometry_tol", "{}"),
+        ("step", "{}"),
+        ("lieb_p", "2, {}"),
+        ("rotation_z", "0 {}"),
+        ("f", "gaussian:a={}"),
+        ("weights", "radial_half p={}"),
+        ("support", "l1_fraction p=2 eps={}"),
+    ],
+)
+def test_load_config_rejects_non_finite_numbers(tmp_path, key, template, value):
+    config = write_config(tmp_path, f"[s]\nchecks = isometry\n{key} = {template.format(value)}\n")
+    with pytest.raises(cli.ConfigError, match=rf"^\[s\] {key}: .*not a finite number"):
+        cli.load_config(config)
+
+
+def test_count_limit_is_computed_from_field_bytes():
+    assert specs.MAX_COUNT >= 2048
+    assert 16 * specs.MAX_COUNT**2 <= specs.MAX_FIELD_BYTES < 16 * (specs.MAX_COUNT + 1) ** 2
+
+
+def test_load_config_rejects_oversized_count(tmp_path):
+    config = write_config(tmp_path, "[s]\nchecks = isometry\ncount = 65536\n")
+    with pytest.raises(cli.ConfigError, match=r"^\[s\] count: 65536 samples exceed the limit"):
+        cli.load_config(config)
+
+
+def test_export_stft_rejects_oversized_count_before_sampling(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("sampled despite the count limit")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+    argv = ["export-stft", "--f", "gaussian:a=1", "--g", "gaussian:a=1", "--out", str(tmp_path / "v.csv")]
+    assert cli.main(argv + ["--count", "65536"]) == 1
+    assert "65536 samples exceed the limit" in capsys.readouterr().err
+
+
+def test_load_config_caps_greedy_oracle_subsets(tmp_path):
+    # the bundled suite's 20 * (C(64,1) + C(64,2) + C(64,3)) = 874,880 subsets load
+    suite = cli.load_config(cli._resolve_config("paper-suite"))
+    assert suite[-1].options["oracle_size"] == 8 and suite[-1].options["oracle_fields"] == 20
+    config = write_config(tmp_path, "[s]\nchecks = greedy_oracle\noracle_size = 64\n")
+    with pytest.raises(cli.ConfigError, match=r"^\[s\] oracle_fields, oracle_size, oracle_max_subset"):
+        cli.load_config(config)
+
+
+def test_scenario_computes_its_stft_once(tmp_path, monkeypatch):
+    calls = []
+    compute = cli.compute_stft
+    monkeypatch.setattr(cli, "compute_stft", lambda *a: calls.append(1) or compute(*a))
+    config = write_config(
+        tmp_path,
+        "[s]\nchecks = isometry, closed_form, lieb, weights, support\n"
+        "weights = radial_half p=1\nsupport = l1_fraction p=2 eps=0.1\n",
+    )
+    (scn,) = cli.load_config(config)
+    report, _ = cli.run_scenario(scn)
+    assert report["passed"] and len(calls) == 1
+
+
+def test_readme_check_table_lists_the_registry():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, flags=re.MULTILINE)
+    table = {check: set(re.findall(r"`(\w+)`", keys)) for check, keys in rows}
+    assert table == {name: set(check.keys) for name, check in cli.CHECKS.items()}
