@@ -136,8 +136,7 @@ class ScenarioContext:
 #: suffix -> (header, rows); _write_csv formats the cells
 Tables = dict[str, tuple[list[str], list[list]]]
 
-_SUPPORT_HEADER = ["variant", "p", "epsilon", "satisfiable", "cells", "measured_area"]
-_SUPPORT_HEADER += ["lower_bound", "bound_holds", "note"]
+_SUPPORT_HEADER = "variant p epsilon satisfiable cells measured_area lower_bound bound_holds note".split()
 
 
 def _all_passed(entries: Iterable[dict]) -> bool:
@@ -269,11 +268,11 @@ def _greedy_oracle(
     return entry | {"seed": oracle_seed, "passed": ok}, {}
 
 
-def _limit_oracle_subsets(opts: dict) -> None:
-    cells = opts["oracle_size"] ** 2
+def _limit_oracle_subsets(oracle_fields: int, oracle_size: int, oracle_max_subset: int, **_) -> None:
+    cells = oracle_size**2
     total = 0
-    for k in range(1, min(opts["oracle_max_subset"], cells) + 1):
-        total += opts["oracle_fields"] * math.comb(cells, k)
+    for k in range(1, min(oracle_max_subset, cells) + 1):
+        total += oracle_fields * math.comb(cells, k)
         if total > MAX_ORACLE_SUBSETS:
             raise ConfigError(
                 "oracle_fields, oracle_size, oracle_max_subset: the greedy oracle would "
@@ -292,12 +291,15 @@ class Key(NamedTuple):
 
 class Check(NamedTuple):
     """A check's own keys and its run(ctx, **values) -> (entry, tables), where
-    values maps each key to its parsed value. validate, when given, rejects a
-    scenario's parsed options whose combination is out of bounds."""
+    values maps each key to its parsed value. validate(**values), when given,
+    rejects values whose combination is out of bounds, at load time."""
 
     keys: dict[str, Key]
     run: Callable[..., tuple[dict, Tables]]
-    validate: Callable[[dict], None] | None = None
+    validate: Callable[..., None] | None = None
+
+    def values_in(self, opts: dict[str, object]) -> dict[str, object]:
+        return {key: opts[key] for key in self.keys}
 
 
 CHECKS: dict[str, Check] = {
@@ -388,9 +390,9 @@ def load_config(path: Path) -> list[Scenario]:
         if not opts["checks"]:
             raise ConfigError(f"scenario [{section}] enables no checks")
         try:
-            for name in opts["checks"]:
-                if CHECKS[name].validate is not None:
-                    CHECKS[name].validate(opts)
+            for check in (CHECKS[name] for name in opts["checks"]):
+                if check.validate is not None:
+                    check.validate(**check.values_in(opts))
             layout = SignalLayout(count=opts["count"], step=opts["step"])
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
@@ -407,7 +409,7 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
     tables: Tables = {}
     for name in scn.checks:
         check = CHECKS[name]
-        checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
+        checks[name], check_tables = check.run(ctx, **check.values_in(scn.options))
         tables.update(check_tables)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
 
