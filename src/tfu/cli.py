@@ -256,16 +256,28 @@ def _decay(ctx: ScenarioContext, decay_tail: float, decay_product_tol: float) ->
     a_time = decay_fit(ctx.f, decay_tail)
     a_freq = decay_fit(discrete_fourier(ctx.f), decay_tail)
     product = a_time * a_freq
-    entry = {"fit_time": a_time, "fit_frequency": a_freq, "product": product}
-    return entry | {"tolerance": decay_product_tol, "passed": abs(product - 1.0) <= decay_product_tol}, {}
+    entry = {
+        "fit_time": a_time,
+        "fit_frequency": a_freq,
+        "product": product,
+        "tolerance": decay_product_tol,
+        "passed": abs(product - 1.0) <= decay_product_tol,
+    }
+    return entry, {}
 
 
 def _greedy_oracle(
     ctx: ScenarioContext, oracle_fields: int, oracle_size: int, oracle_max_subset: int, oracle_seed: int
 ) -> tuple[dict, Tables]:
     ok = _greedy_matches_bruteforce(oracle_fields, oracle_size, oracle_max_subset, oracle_seed)
-    entry = {"fields": oracle_fields, "size": oracle_size, "max_subset": oracle_max_subset}
-    return entry | {"seed": oracle_seed, "passed": ok}, {}
+    entry = {
+        "fields": oracle_fields,
+        "size": oracle_size,
+        "max_subset": oracle_max_subset,
+        "seed": oracle_seed,
+        "passed": ok,
+    }
+    return entry, {}
 
 
 def _limit_oracle_subsets(oracle_fields: int, oracle_size: int, oracle_max_subset: int, **_) -> None:
