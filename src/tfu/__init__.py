@@ -56,7 +56,7 @@ from tfu.weights import (
     WeightSpec,
     decay_fit,
     growth_scan,
-    pair_weighted_mass,
+    pair_field,
     weighted_mass,
 )
 
@@ -97,7 +97,7 @@ __all__ = [
     "isometry_defect",
     "lieb_ratio",
     "lower_bound",
-    "pair_weighted_mass",
+    "pair_field",
     "pairwise_sum",
     "poly_gaussian",
     "quadrature_sum",

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from tfu.core import DEFAULT_LAYOUT, SampledSignal, SignalLayout, TFArray, TFGrid, discrete_fourier
+from tfu.core import DEFAULT_LAYOUT, SignalLayout, TFArray, TFGrid, discrete_fourier
 from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
 from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, unit_gaussian
 from tfu.specs import (
@@ -62,7 +62,7 @@ from tfu.specs import (
 )
 from tfu.stft import compute_stft, energy_defect
 from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound, sorted_cell_masses
-from tfu.weights import DIVERGENCE_RADII, decay_fit, growth_scan
+from tfu.weights import DIVERGENCE_RADII, decay_fit, growth_scan, pair_field
 
 #: Most subsets the greedy oracle may enumerate, oracle_fields times the sum
 #: over k <= oracle_max_subset of C(oracle_size^2, k): about 5 s at its rate
@@ -125,9 +125,14 @@ class ScenarioContext:
         return gaussian_stft_field(self.grid)
 
     @_cached
-    def pair_exact(self) -> tuple[SampledSignal, SampledSignal]:
-        """f with closed-form samples of its Fourier transform."""
-        return self.f, sample(fourier_closed_form(self.f_spec.fn), self.layout.dual())
+    def pair(self) -> TFArray:
+        """f(x) fhat(xi) with the numeric transform of f."""
+        return pair_field(self.f)
+
+    @_cached
+    def pair_exact(self) -> TFArray:
+        """f(x) fhat(xi) with closed-form samples of the transform of f."""
+        return pair_field(self.f, sample(fourier_closed_form(self.f_spec.fn), self.layout.dual()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +194,10 @@ def _lieb(ctx: ScenarioContext, lieb_p, lieb_dir_tol: float, lieb_equality_tol) 
     return entry, {"lieb": (["p", "ratio"], [[e["p"], e["ratio"]] for e in entries])}
 
 
-def _scan_target(ctx: ScenarioContext, source: str):
-    if source == "stft":
-        return ctx.stft
-    if source == "closed":
-        if not ctx.unit_pair:
-            raise ConfigError(f"field=closed in [{ctx.name}] requires the unit gaussian pair")
-        return ctx.closed
-    return ctx.f if source == "pair" else ctx.pair_exact
+def _scan_target(ctx: ScenarioContext, source: str) -> TFArray:
+    if source == "closed" and not ctx.unit_pair:
+        raise ConfigError(f"field=closed in [{ctx.name}] requires the unit gaussian pair")
+    return getattr(ctx, source)
 
 
 def _weights(ctx: ScenarioContext, weights, radii) -> tuple[dict, Tables]:

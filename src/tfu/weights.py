@@ -104,26 +104,45 @@ DIVERGENCE_RADII = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 CONVERGENCE_RADII = (4.0, 5.0, 6.0, 7.0, 7.4, 7.7, 7.95, 8.0)
 
 
-def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:
-    """Quadrature of |field|^p * weight over the half-open square of radius R."""
-    grid = field.grid
-    if R > grid.half_extent * (1 + 1e-12):
-        raise ValueError(f"R={R} exceeds grid half-extent {grid.half_extent}")
+def _square(grid: TFGrid, R: float) -> np.ndarray:
+    """Mask of the half-open square -R <= x < R, -R <= xi < R."""
     x = grid.x_nodes()
     xi = grid.xi_nodes()
-    mx = (x >= -R) & (x < R)
-    mxi = (xi >= -R) & (xi < R)
-    # Evaluate only inside the square (corner weights can overflow outside),
-    # then scatter into the full-grid zero array so every R shares one
-    # reduction tree; monotonicity in R is then exact.
+    return ((x >= -R) & (x < R))[:, None] & ((xi >= -R) & (xi < R))[None, :]
+
+
+def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
+    """Truncated masses of one integrand at each of the radii.
+
+    The integrand is evaluated once, inside the largest square (corner
+    weights can overflow outside it), and each radius reduces the full-grid
+    array with the outside of its square zeroed, so every radius shares one
+    reduction tree and monotonicity in R is exact.
+    """
+    grid = field.grid
+    top = max(radii)
+    if top > grid.half_extent * (1 + 1e-12):
+        raise ValueError(f"R={top} exceeds grid half-extent {grid.half_extent}")
+    x = grid.x_nodes()
+    xi = grid.xi_nodes()
+    mx = (x >= -top) & (x < top)
+    mxi = (xi >= -top) & (xi < top)
     integrand = np.zeros(grid.shape)
     sub = np.abs(field.values[np.ix_(mx, mxi)])
     integrand[np.ix_(mx, mxi)] = sub**w.p * w.evaluate(x[mx][:, None], xi[mxi][None, :])
-    return grid.cell_measure * _checked_cascade(integrand)
+    return tuple(
+        grid.cell_measure * _checked_cascade(np.where(_square(grid, r), integrand, 0.0)) for r in radii
+    )
+
+
+def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:
+    """Quadrature of |field|^p * weight over the half-open square of radius R."""
+    return _masses(field, w, (R,))[0]
 
 
 def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
-    """The rank-one field f(x) fhat(xi) on the signal-by-dual grid.
+    """The rank-one field f(x) fhat(xi) on the signal-by-dual grid, the
+    field of the product weights.
 
     fhat defaults to discrete_fourier(f). Exact closed-form samples can be
     passed instead when far-tail fidelity matters: the FFT's absolute noise
@@ -139,36 +158,17 @@ def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
     return TFArray(grid=grid, values=np.outer(f.samples, fhat.samples))
 
 
-def pair_weighted_mass(
-    f: SampledSignal, w: WeightSpec, R: float, fhat: SampledSignal | None = None
-) -> float:
-    """Truncated weighted mass of |f(x) fhat(xi)|^p, direct 2-D quadrature."""
-    return weighted_mass(pair_field(f, fhat), w, R)
+def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
+    """Classify the weighted integral of |field|^p as convergent/divergent.
 
-
-def growth_scan(
-    target: TFArray | SampledSignal | tuple[SampledSignal, SampledSignal],
-    w: WeightSpec,
-    radii: tuple[float, ...],
-) -> GrowthReport:
-    """Classify the weighted integral of the target as convergent/divergent.
-
-    target is a plane field, a signal (paired with its transform), or an
-    explicit (f, fhat) pair.
+    For the product weights, pass the field pair_field(f, fhat).
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 4:
         raise ValueError(f"growth scan needs at least 4 radii, got {len(radii)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    if isinstance(target, TFArray):
-        field = target
-    elif isinstance(target, SampledSignal):
-        field = pair_field(target)
-    else:
-        f, fhat = target
-        field = pair_field(f, fhat)
-    masses = tuple(weighted_mass(field, w, r) for r in radii)
+    masses = _masses(field, w, radii)
 
     tail = len(radii) // 2
     ftail = [(r, m) for r, m in zip(radii[tail:], masses[tail:]) if m > 0]

@@ -83,7 +83,7 @@ def test_criterion_05_divergence_suite(
     ok = ok and scan.verdict == "divergent" and abs(scan.fitted_exponent - 2.0) <= 0.1
     scan = tfu.growth_scan(closed_field, WeightSpec(WeightFamily.HYPERBOLIC, p=1), DIVERGENCE_RADII)
     ok = ok and scan.verdict == "divergent" and abs(scan.fitted_exponent - 1.0) <= 0.15
-    pair = exact_transform_pair
+    pair = tfu.pair_field(*exact_transform_pair)
     scan = tfu.growth_scan(pair, WeightSpec(WeightFamily.PAIR_HYPERBOLIC, p=1), DIVERGENCE_RADII)
     ok = ok and scan.verdict == "divergent" and abs(scan.fitted_exponent - 1.0) <= 0.15
     scan = tfu.growth_scan(pair, WeightSpec(WeightFamily.RADIAL_FULL, p=2), DIVERGENCE_RADII)
@@ -105,13 +105,13 @@ def test_criterion_05_divergence_suite(
             (WeightFamily.RADIAL_FULL, 1.0),
             (WeightFamily.RADIAL_FULL, 2.0),
         ):
-            verdict = tfu.growth_scan(f, WeightSpec(family, p=p), DIVERGENCE_RADII).verdict
+            verdict = tfu.growth_scan(tfu.pair_field(f), WeightSpec(family, p=p), DIVERGENCE_RADII).verdict
             ok = ok and verdict == "divergent"
     report("05 divergence suite (slopes anchored, bank-wide verdicts)", ok)
 
 
 def test_criterion_06_denominator_thresholds(closed_field, exact_transform_pair):
-    pair = exact_transform_pair
+    pair = tfu.pair_field(*exact_transform_pair)
     bon2 = tfu.growth_scan(pair, WeightSpec(WeightFamily.BONAMI_DENOMINATOR, N=2.0), CONVERGENCE_RADII)
     bon05 = tfu.growth_scan(pair, WeightSpec(WeightFamily.BONAMI_DENOMINATOR, N=0.5), CONVERGENCE_RADII)
     dem2 = tfu.growth_scan(closed_field, WeightSpec(WeightFamily.DEMANGE_DENOMINATOR, N=2.0), CONVERGENCE_RADII)

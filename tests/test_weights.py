@@ -95,19 +95,19 @@ def test_pair_hyperbolic_strip_growth(exact_transform_pair):
     # |f fhat| exp(2 pi |x xi|) = sqrt(2) exp(-pi (|x|-|xi|)^2): linear growth
     f, fhat = exact_transform_pair
     w = spec(WeightFamily.PAIR_HYPERBOLIC)
-    report = tfu.growth_scan((f, fhat), w, DIVERGENCE_RADII)
+    report = tfu.growth_scan(tfu.pair_field(f, fhat), w, DIVERGENCE_RADII)
     assert report.verdict == "divergent"
     assert report.fitted_exponent == pytest.approx(1.0, abs=0.15)
 
 
 def test_pair_radial_full_squared_is_constant(exact_transform_pair):
     # |f(x) fhat(xi)|^2 exp(2 pi (x^2+xi^2)) = 2 for the unit Gaussian
-    f, fhat = exact_transform_pair
+    pair = tfu.pair_field(*exact_transform_pair)
     w = spec(WeightFamily.RADIAL_FULL, p=2.0)
     for r in (2.0, 4.0, 6.0):
-        mass = tfu.pair_weighted_mass(f, w, r, fhat=fhat)
+        mass = tfu.weighted_mass(pair, w, r)
         assert mass == pytest.approx(2.0 * (2 * r) ** 2, rel=1e-10)
-    report = tfu.growth_scan((f, fhat), w, DIVERGENCE_RADII)
+    report = tfu.growth_scan(pair, w, DIVERGENCE_RADII)
     assert report.verdict == "divergent"
     assert report.fitted_exponent == pytest.approx(2.0, abs=0.1)
 
@@ -117,15 +117,15 @@ def test_pair_mass_default_transform_agrees_at_small_radius(exact_transform_pair
     # so the contract path (discrete_fourier) matches the exact one
     f, fhat = exact_transform_pair
     w = spec(WeightFamily.BONAMI_DENOMINATOR, N=2.0)
-    numeric = tfu.pair_weighted_mass(f, w, 2.0)
-    exact = tfu.pair_weighted_mass(f, w, 2.0, fhat=fhat)
+    numeric = tfu.weighted_mass(tfu.pair_field(f), w, 2.0)
+    exact = tfu.weighted_mass(tfu.pair_field(f, fhat), w, 2.0)
     assert numeric == pytest.approx(exact, rel=1e-9)
 
 
 def test_bonami_threshold_dichotomy(exact_transform_pair):
-    f, fhat = exact_transform_pair
-    conv = tfu.growth_scan((f, fhat), spec(WeightFamily.BONAMI_DENOMINATOR, N=2.0), CONVERGENCE_RADII)
-    div = tfu.growth_scan((f, fhat), spec(WeightFamily.BONAMI_DENOMINATOR, N=0.5), CONVERGENCE_RADII)
+    pair = tfu.pair_field(*exact_transform_pair)
+    conv = tfu.growth_scan(pair, spec(WeightFamily.BONAMI_DENOMINATOR, N=2.0), CONVERGENCE_RADII)
+    div = tfu.growth_scan(pair, spec(WeightFamily.BONAMI_DENOMINATOR, N=0.5), CONVERGENCE_RADII)
     assert conv.verdict == "convergent"
     assert div.verdict == "divergent"
 
@@ -161,8 +161,8 @@ def test_scan_requires_increasing_radii(closed_field):
 def test_scan_flags_borderline_slow_divergence(exact_transform_pair):
     # just past the N = d dichotomy the increments stay large while the
     # slope flattens; such scans keep the divergent verdict but get flagged
-    f, fhat = exact_transform_pair
-    report = tfu.growth_scan((f, fhat), spec(WeightFamily.BONAMI_DENOMINATOR, N=1.2), CONVERGENCE_RADII)
+    pair = tfu.pair_field(*exact_transform_pair)
+    report = tfu.growth_scan(pair, spec(WeightFamily.BONAMI_DENOMINATOR, N=1.2), CONVERGENCE_RADII)
     assert report.verdict == "divergent"
     assert report.note == "borderline"
 
