@@ -17,6 +17,7 @@ satisfiable=False report rather than an error.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,21 @@ class SupportReport:
 
 
 def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
-    """quadrature(|V|^p) / ((2/p)^d (fn gn)^p), d = 1 for these grids."""
+    """quadrature(|V|^p) / ((2/p)^d (fn gn)^p), d = 1 for these grids.
+
+    |V| and fn gn are both multiplied by s = 2^-round(log2 fn + log2 gn),
+    which brings fn gn near 1, so neither power underflows or overflows
+    for tiny or huge norms. The scaling is exact, and s = 1 for unit-norm
+    pairs.
+    """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if fn <= 0 or gn <= 0:
         raise ValueError("degenerate pair: zero L2 norm")
-    total = quadrature_sum(v, lambda z: np.abs(z) ** p)
-    return total / ((2.0 / p) * (fn * gn) ** p)
+    k = round(math.log2(fn) + math.log2(gn))
+    kf = round(math.log2(fn))  # fn and gn are scaled apart, so fn gn never underflows
+    total = quadrature_sum(v, lambda z: np.ldexp(np.abs(z), -k) ** p)
+    return total / ((2.0 / p) * (math.ldexp(fn, -kf) * math.ldexp(gn, kf - k)) ** p)
 
 
 def lower_bound(mode: SupportMode, d: int = 1) -> float:

@@ -40,6 +40,19 @@ def test_gaussian_pair_extremal_at_p_four(unit_pair, grid):
     assert tfu.lieb_ratio(v, 4.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("amplitude", [1e-100, 1e100])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 6.0])
+def test_ratio_survives_extreme_norms(layout, grid, unit_pair, amplitude, p):
+    # (fn gn)^p and |V|^p under- or overflow for such amplitudes; the ratio
+    # does not depend on the amplitude
+    f = tfu.sample(tfu.gaussian(1.0, amplitude=2**0.25 * amplitude), layout)
+    g = unit_pair[1]
+    ratio = tfu.lieb_ratio(tfu.compute_stft(f, g, grid), p, f.l2_norm(), g.l2_norm())
+    unit = tfu.lieb_ratio(tfu.compute_stft(*unit_pair, grid), p, g.l2_norm(), g.l2_norm())
+    assert ratio == pytest.approx(unit, rel=1e-13)
+    assert ratio == pytest.approx(1.0, abs=1e-6)
+
+
 def test_ratio_directions_for_hermite_window(layout, grid, bank_stfts):
     v = bank_stfts["g1-h1"]
     assert tfu.lieb_ratio(v, 4.0, 1.0, 1.0) <= 1.0
