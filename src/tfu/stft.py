@@ -14,9 +14,7 @@ import math
 
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _centered_fft, quadrature_sum
-
-_STEP_RTOL = 1e-12
+from tfu.core import _STEP_RTOL, SampledSignal, TFArray, TFGrid, _centered_fft, quadrature_sum
 
 
 def _column_shifts(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> np.ndarray:
