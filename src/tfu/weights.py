@@ -9,15 +9,20 @@ Each weight family multiplies |field|^p before plane quadrature:
     bonami_denominator   exp(2 pi |x xi|) / (1 + |x| + |xi|)^N
     demange_denominator  exp(pi |x xi|)   / (1 + |x| + |xi|)^N
 
+The integrand is formed in the log domain, exp(p log|field| + log w), so a
+weight far beyond the float range meets the field's decay before anything
+is exponentiated, and a zero of the field contributes exactly 0. Masses
+of a signal's product f(x) fhat(xi) are those of the field pair_field(f).
+
 Truncation is the half-open square -R <= x < R, -R <= xi < R, mirroring the
 grid's own half-open convention; when R is a lattice multiple the square's
 discrete measure is exactly (2R)^2. A growth scan evaluates the truncated
-mass at increasing radii, fits the tail slope of log I against log R, and
-classifies the integral as convergent only when both the terminal relative
-increment and the fitted slope are small. The scan radii therefore shape
-the test's sensitivity: divergence detection works on coarse radii, while
-convergence detection needs the tail sampled finely near the grid edge
-(see DIVERGENCE_RADII and CONVERGENCE_RADII).
+mass at increasing radii from one integrand, fits the tail slope of log I
+against log R, and classifies the integral as convergent only when both the
+terminal relative increment and the fitted slope are small. The scan radii
+therefore shape the test's sensitivity: divergence detection works on
+coarse radii, while convergence detection needs the tail sampled finely
+near the grid edge (see DIVERGENCE_RADII and CONVERGENCE_RADII).
 """
 
 from __future__ import annotations
@@ -57,20 +62,19 @@ class WeightSpec:
         if not self.N >= 0.0:
             raise ValueError(f"denominator power N must be >= 0, got {self.N}")
 
-    def evaluate(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        xi = np.asarray(xi, dtype=np.float64)
+    def log_weight(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The logarithm of the weight at (x, xi), broadcast."""
         fam = self.family
         if fam is WeightFamily.RADIAL_HALF:
-            return np.exp(np.pi * self.p * (x**2 + xi**2) / 2)
+            return np.pi * self.p * (x**2 + xi**2) / 2
         if fam is WeightFamily.RADIAL_FULL:
-            return np.exp(np.pi * self.p * (x**2 + xi**2))
+            return np.pi * self.p * (x**2 + xi**2)
         if fam is WeightFamily.HYPERBOLIC:
-            return np.exp(np.pi * self.p * np.abs(x * xi))
+            return np.pi * self.p * np.abs(x * xi)
         if fam is WeightFamily.PAIR_HYPERBOLIC:
-            return np.exp(2 * np.pi * self.p * np.abs(x * xi))
+            return 2 * np.pi * self.p * np.abs(x * xi)
         expo = 2 * np.pi if fam is WeightFamily.BONAMI_DENOMINATOR else np.pi
-        return np.exp(expo * np.abs(x * xi)) / (1 + np.abs(x) + np.abs(xi)) ** self.N
+        return expo * np.abs(x * xi) - self.N * np.log1p(np.abs(x) + np.abs(xi))
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,11 @@ def _square(grid: TFGrid, R: float) -> np.ndarray:
 
 
 def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
-    """Truncated masses of one integrand at each of the radii.
+    """Truncated masses of one integrand, exp(p log|field| + log w), at each
+    of the radii.
 
-    The integrand is evaluated once, inside the largest square (corner
-    weights can overflow outside it), and each radius reduces the full-grid
+    The integrand is exponentiated once, inside the largest square (corner
+    values can overflow outside it), and each radius reduces the full-grid
     array with the outside of its square zeroed, so every radius shares one
     reduction tree and monotonicity in R is exact.
     """
@@ -123,13 +128,10 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     top = max(radii)
     if top > grid.half_extent * (1 + 1e-12):
         raise ValueError(f"R={top} exceeds grid half-extent {grid.half_extent}")
-    x = grid.x_nodes()
-    xi = grid.xi_nodes()
-    mx = (x >= -top) & (x < top)
-    mxi = (xi >= -top) & (xi < top)
-    integrand = np.zeros(grid.shape)
-    sub = np.abs(field.values[np.ix_(mx, mxi)])
-    integrand[np.ix_(mx, mxi)] = sub**w.p * w.evaluate(x[mx][:, None], xi[mxi][None, :])
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero |field| contributes 0
+        log_integrand = w.p * np.log(np.abs(field.values))
+    log_integrand += w.log_weight(grid.x_nodes()[:, None], grid.xi_nodes()[None, :])
+    integrand = np.exp(np.where(_square(grid, top), log_integrand, -np.inf))
     return tuple(
         grid.cell_measure * _checked_cascade(np.where(_square(grid, r), integrand, 0.0)) for r in radii
     )
