@@ -73,10 +73,9 @@ class SupportReport:
 def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
     """quadrature(|V|^p) / ((2/p)^d (fn gn)^p), d = 1 for these grids.
 
-    |V| and fn gn are both multiplied by s = 2^-round(log2 fn + log2 gn),
-    which brings fn gn near 1, so neither power underflows or overflows
-    for tiny or huge norms. The scaling is exact, and s = 1 for unit-norm
-    pairs.
+    |V| and fn gn are both scaled by s = 2^-round(log2 fn + log2 gn), so no
+    power under- or overflows for tiny or huge norms; s is exact, and 1 for
+    unit-norm pairs.
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")

@@ -9,10 +9,9 @@ Each weight family multiplies |field|^p before plane quadrature:
     bonami_denominator   exp(2 pi |x xi|) / (1 + |x| + |xi|)^N
     demange_denominator  exp(pi |x xi|)   / (1 + |x| + |xi|)^N
 
-The integrand is formed in the log domain, exp(p log|field| + log w), so a
-weight far beyond the float range meets the field's decay before anything
-is exponentiated, and a zero of the field contributes exactly 0. Masses
-of a signal's product f(x) fhat(xi) are those of the field pair_field(f).
+The integrand is exp(p log|field| + log w): a weight beyond the float range
+meets the field's decay before anything is exponentiated, and a zero of the
+field contributes 0. A signal's product f(x) fhat(xi) is pair_field(f).
 
 Truncation is the half-open square -R <= x < R, -R <= xi < R, mirroring the
 grid's own half-open convention; when R is a lattice multiple the square's
@@ -108,16 +107,8 @@ DIVERGENCE_RADII = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 CONVERGENCE_RADII = (4.0, 5.0, 6.0, 7.0, 7.4, 7.7, 7.95, 8.0)
 
 
-def _square(grid: TFGrid, R: float) -> np.ndarray:
-    """Mask of the half-open square -R <= x < R, -R <= xi < R."""
-    x = grid.x_nodes()
-    xi = grid.xi_nodes()
-    return ((x >= -R) & (x < R))[:, None] & ((xi >= -R) & (xi < R))[None, :]
-
-
 def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
-    """Truncated masses of one integrand, exp(p log|field| + log w), at each
-    of the radii.
+    """Truncated masses of exp(p log|field| + log w) at the increasing radii.
 
     The integrand is exponentiated once, inside the largest square (corner
     values can overflow outside it), and each radius reduces the full-grid
@@ -125,16 +116,18 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     reduction tree and monotonicity in R is exact.
     """
     grid = field.grid
-    top = max(radii)
+    top = radii[-1]
     if top > grid.half_extent * (1 + 1e-12):
         raise ValueError(f"R={top} exceeds grid half-extent {grid.half_extent}")
+    x, xi = grid.x_nodes()[:, None], grid.xi_nodes()[None, :]
     with np.errstate(divide="ignore"):  # log 0 = -inf: a zero |field| contributes 0
-        log_integrand = w.p * np.log(np.abs(field.values))
-    log_integrand += w.log_weight(grid.x_nodes()[:, None], grid.xi_nodes()[None, :])
-    integrand = np.exp(np.where(_square(grid, top), log_integrand, -np.inf))
-    return tuple(
-        grid.cell_measure * _checked_cascade(np.where(_square(grid, r), integrand, 0.0)) for r in radii
-    )
+        log_integrand = w.p * np.log(np.abs(field.values)) + w.log_weight(x, xi)
+
+    def square(r: float) -> np.ndarray:  # the half-open square -r <= x, xi < r
+        return (x >= -r) & (x < r) & (xi >= -r) & (xi < r)
+
+    integrand = np.exp(np.where(square(top), log_integrand, -np.inf))
+    return tuple(grid.cell_measure * _checked_cascade(np.where(square(r), integrand, 0.0)) for r in radii)
 
 
 def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:
@@ -143,8 +136,7 @@ def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:
 
 
 def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
-    """The rank-one field f(x) fhat(xi) on the signal-by-dual grid, the
-    field of the product weights.
+    """The rank-one field f(x) fhat(xi) on the signal-by-dual grid.
 
     fhat defaults to discrete_fourier(f). Exact closed-form samples can be
     passed instead when far-tail fidelity matters: the FFT's absolute noise
@@ -161,10 +153,8 @@ def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
 
 
 def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
-    """Classify the weighted integral of |field|^p as convergent/divergent.
-
-    For the product weights, pass the field pair_field(f, fhat).
-    """
+    """Classify the weighted integral of |field|^p as convergent/divergent;
+    a signal's product f(x) fhat(xi) is scanned as pair_field(f, fhat)."""
     radii = tuple(float(r) for r in radii)
     if len(radii) < 4:
         raise ValueError(f"growth scan needs at least 4 radii, got {len(radii)}")
