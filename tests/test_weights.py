@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tfu
 from tfu.core import TFArray, TFGrid
@@ -52,6 +57,15 @@ def test_hyperbolic_mass_grows_linearly(closed_field):
     assert slope == pytest.approx(1.0, abs=0.15)
     oracle = fitted_slope(fine_grid_field(), w, DIVERGENCE_RADII)
     assert slope == pytest.approx(oracle, abs=0.02)
+
+
+def test_radial_full_mass_at_grid_edge_matches_fsum(closed_field):
+    # |V|^2 exp(2 pi (x^2+xi^2)) = exp(pi (x^2+xi^2)), about 1e175 at the
+    # corner, although the weight alone (about 1e349) is beyond the float range
+    w = spec(WeightFamily.RADIAL_FULL, p=2.0)
+    x = closed_field.grid.x_nodes()
+    oracle = math.fsum(math.exp(math.pi * (a * a + b * b)) for a in x for b in x) / 256
+    assert tfu.weighted_mass(closed_field, w, 8.0) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_mass_rejects_radius_beyond_grid(closed_field):
@@ -137,6 +151,26 @@ def test_demange_threshold_dichotomy(closed_field):
     assert div.verdict == "divergent"
 
 
+@pytest.mark.parametrize(
+    "family, p, strip",
+    [(WeightFamily.BONAMI_DENOMINATOR, 2.0, 1.0), (WeightFamily.DEMANGE_DENOMINATOR, 1.0, 0.5)],
+)
+def test_denominator_scans_to_grid_edge(closed_field, family, p, strip):
+    # |V|^p exp(c |x xi|) = exp(-strip pi (|x| - |xi|)^2) on the Gaussian-pair
+    # STFT: a diagonal strip, whose mass over (1+|x|+|xi|)^N converges iff N > 1
+    x = closed_field.grid.x_nodes()
+    for N, verdict in ((2.0, "convergent"), (0.5, "divergent")):
+        report = tfu.growth_scan(closed_field, spec(family, p=p, N=N), CONVERGENCE_RADII)
+        assert report.verdict == verdict
+        oracle = math.fsum(
+            math.exp(-strip * math.pi * (abs(a) - abs(b)) ** 2) / (1 + abs(a) + abs(b)) ** N
+            for a in x
+            for b in x
+        )
+        assert report.radii[-1] == 8.0
+        assert report.masses[-1] == pytest.approx(oracle / 256, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # growth scans
 
@@ -177,6 +211,40 @@ def test_zero_signal_scan_is_convergent(grid):
 def test_growth_report_requires_monotone_masses():
     with pytest.raises(ValueError, match="nondecreasing"):
         tfu.GrowthReport(radii=(1.0, 2.0), masses=(2.0, 1.0), fitted_exponent=0.0, verdict="divergent")
+
+
+# ---------------------------------------------------------------------------
+# properties over generated fields
+
+#: Half-extent 6: no weight exceeds e^678 here, so for |field| <= 1e3 the
+#: linear product |field|^p w is finite everywhere.
+SMALL_GRID = TFGrid(x_step=0.75, xi_step=0.75, x_count=16, xi_count=16)
+
+fields = arrays(
+    np.float64, SMALL_GRID.shape, elements=st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+).map(lambda a: TFArray(grid=SMALL_GRID, values=a.astype(complex)))
+weight_specs = st.builds(
+    WeightSpec, st.sampled_from(list(WeightFamily)), p=st.floats(1.0, 3.0), N=st.floats(0.0, 3.0)
+)
+derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@derandomized
+@given(fields, weight_specs, st.lists(st.floats(0.1, 6.0), min_size=2, max_size=8, unique=True))
+def test_mass_nondecreasing_in_radius(field, w, radii):
+    masses = [tfu.weighted_mass(field, w, r) for r in sorted(radii)]
+    assert all(a <= b for a, b in zip(masses, masses[1:]))
+
+
+@derandomized
+@given(fields, weight_specs, st.floats(0.1, 6.0))
+def test_log_domain_mass_equals_linear_product(field, w, R):
+    grid = field.grid
+    x, xi = grid.x_nodes()[:, None], grid.xi_nodes()[None, :]
+    inside = (x >= -R) & (x < R) & (xi >= -R) & (xi < R)
+    linear = np.where(inside, np.abs(field.values) ** w.p * np.exp(w.log_weight(x, xi)), 0.0)
+    expected = grid.cell_measure * tfu.pairwise_sum(linear)
+    assert tfu.weighted_mass(field, w, R) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
