@@ -126,7 +126,7 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     def square(r: float) -> np.ndarray:  # the half-open square -r <= x, xi < r
         return (x >= -r) & (x < r) & (xi >= -r) & (xi < r)
 
-    integrand = np.exp(np.where(square(top), log_integrand, -np.inf))
+    integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
     return tuple(grid.cell_measure * _checked_cascade(np.where(square(r), integrand, 0.0)) for r in radii)
 
 
