@@ -120,13 +120,13 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     if top > grid.half_extent * (1 + 1e-12):
         raise ValueError(f"R={top} exceeds grid half-extent {grid.half_extent}")
     x, xi = grid.x_nodes()[:, None], grid.xi_nodes()[None, :]
-    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero |field| contributes 0
-        log_integrand = w.p * np.log(np.abs(field.values)) + w.log_weight(x, xi)
 
     def square(r: float) -> np.ndarray:  # the half-open square -r <= x, xi < r
         return (x >= -r) & (x < r) & (xi >= -r) & (xi < r)
 
-    integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
+        log_integrand = w.p * np.log(np.abs(field.values)) + w.log_weight(x, xi)
+        integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
     return tuple(grid.cell_measure * _checked_cascade(np.where(square(r), integrand, 0.0)) for r in radii)
 
 

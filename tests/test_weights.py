@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_radial_full_mass_at_grid_edge_matches_fsum(closed_field):
     x = closed_field.grid.x_nodes()
     oracle = math.fsum(math.exp(math.pi * (a * a + b * b)) for a in x for b in x) / 256
     assert tfu.weighted_mass(closed_field, w, 8.0) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_infinite_mass_is_rejected_without_warning(closed_field):
+    # |V|^4 exp(4 pi (x^2+xi^2)) = exp(2 pi (x^2+xi^2)) is about 1e349 at the
+    # corner: a true overflow, reported as an error rather than a RuntimeWarning
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite integrand value at node"):
+        warnings.simplefilter("error")
+        tfu.weighted_mass(closed_field, spec(WeightFamily.RADIAL_FULL, p=4.0), 8.0)
 
 
 def test_mass_rejects_radius_beyond_grid(closed_field):
