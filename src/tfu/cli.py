@@ -65,9 +65,13 @@ from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower
 from tfu.weights import DIVERGENCE_RADII, decay_fit, growth_scan, pair_field
 
 #: Most subsets the greedy oracle may enumerate, oracle_fields times the sum
-#: over k <= oracle_max_subset of C(oracle_size^2, k): about 5 s at its rate
-#: of roughly 0.45 us a subset. The bundled suite enumerates 874,880.
+#: over k <= oracle_max_subset of C(oracle_size^2, k): at most about 3 s, at
+#: roughly 0.3 us a subset for one field, 0.03 us for twelve, which share one
+#: enumeration. The bundled suite enumerates 874,880.
 MAX_ORACLE_SUBSETS = 10**7
+#: k-subsets per index chunk of the greedy oracle; k * 2^16 indices take at
+#: most 3 MiB for the subset counts MAX_ORACLE_SUBSETS allows (k <= 6).
+_ORACLE_CHUNK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +434,27 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
 def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -> bool:
     """Greedy prefix mass vs exhaustive max over subsets, exact comparison.
 
-    Both sides sum cell values in the same canonical order (descending
-    value, row-major tie-break), so equality is bitwise.
+    The greedy side is the running sum np.cumsum(masses) that prefix_count
+    searches. Each k-subset of cells is summed left to right in sorted
+    order, so the first k cells, one of the subsets, sum to the prefix bit
+    for bit, and the prefix is the maximum exactly when no subset exceeds it.
     """
     rng = np.random.default_rng(seed)
     grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=size, xi_count=size)
-    for _ in range(n_fields):
-        arr = TFArray(grid=grid, values=rng.random((size, size)).astype(complex))
-        _, masses = sorted_cell_masses(arr, p=1.0)
-        vals = list(masses)
-        for k in range(1, kmax + 1):
-            greedy = 0.0
-            for x in vals[:k]:
-                greedy += x
-            best = -math.inf
-            for combo in itertools.combinations(range(len(vals)), k):
-                s = 0.0
-                for i in combo:  # combo is increasing, i.e. canonical order
-                    s += vals[i]
-                if s > best:
-                    best = s
-            if best != greedy:
-                return False
+    cells = size * size
+    masses = np.empty((n_fields, cells))
+    for row in masses:
+        row[:] = sorted_cell_masses(TFArray(grid=grid, values=rng.random((size, size)).astype(complex)), p=1.0)
+    for k in range(1, min(kmax, cells) + 1):
+        indices = itertools.chain.from_iterable(itertools.combinations(range(cells), k))
+        while (chunk := np.fromiter(itertools.islice(indices, k * _ORACLE_CHUNK), np.intp)).size:
+            columns = chunk.reshape(-1, k).T
+            for m in masses:
+                sums = m[columns[0]]
+                for column in columns[1:]:
+                    sums += m[column]
+                if np.any(sums > np.cumsum(m[:k])[-1]):
+                    return False
     return True
 
 

@@ -4,11 +4,12 @@ The ratio check compares quadrature of |V|^p against (2/p)^d (|f| |g|)^p;
 the ratio is 1 at p = 2 for every pair, at most 1 for p > 2, at least 1
 for p < 2, with Gaussian pairs extremal at every p.
 
-Essential-support estimation is greedy: cells are sorted by |V| descending
-(ties broken by row-major index, so the output is deterministic) and
-accumulated until the requested mass threshold is met. Because the
-integrand per unit area is maximal along that order, the greedy prefix has
-minimal area among all cell sets meeting the threshold. The measured area
+Essential-support estimation is greedy: the cells' masses are sorted by
+|V| descending and accumulated left to right (np.cumsum) until the
+requested mass threshold is met. Tied cells have equal masses, so their
+order changes no prefix sum. Because the integrand per unit area is maximal
+along that order, the greedy prefix has minimal area among all cell sets
+meeting the threshold. The measured area
 is compared against the closed-form lower bound of the matching mode; a
 threshold that even the full grid cannot meet yields an explicit
 satisfiable=False report rather than an error.
@@ -99,13 +100,11 @@ def lower_bound(mode: SupportMode, d: int = 1) -> float:
     return 1 - eps
 
 
-def sorted_cell_masses(v: TFArray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cells ordered by |V| descending (row-major tie-break) and their
-    cell_measure-weighted |V|^p masses in that canonical order."""
-    flat = np.abs(v.values).ravel()
-    order = np.argsort(-flat, kind="stable")
-    masses = v.grid.cell_measure * flat[order] ** p
-    return order, masses
+def sorted_cell_masses(v: TFArray, p: float) -> np.ndarray:
+    """The cells' cell_measure-weighted |V|^p masses, by |V| descending."""
+    # contiguous: a reversed view of np.sort can change the last bits of ** p
+    descending = -np.sort(-np.abs(v.values).ravel())
+    return v.grid.cell_measure * descending**p
 
 
 def greedy_essential_support(
@@ -126,8 +125,7 @@ def greedy_essential_support(
     else:
         mass_p = mode.p
         threshold = (1 - mode.epsilon) * (fn * gn) ** mode.p
-    _, masses = sorted_cell_masses(v, mass_p)
-    count = _kernels.prefix_count(np.ascontiguousarray(masses), threshold)
+    count = _kernels.prefix_count(sorted_cell_masses(v, mass_p), threshold)
     bound = lower_bound(mode, d=1)
     if count < 0:
         return SupportReport(

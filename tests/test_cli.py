@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -280,6 +282,44 @@ def test_load_config_caps_greedy_oracle_subsets(tmp_path):
     config = write_config(tmp_path, "[s]\nchecks = greedy_oracle\noracle_size = 64\n")
     with pytest.raises(cli.ConfigError, match=r"^\[s\] oracle_fields, oracle_size, oracle_max_subset"):
         cli.load_config(config)
+
+
+def plain_greedy_oracle(n_fields, size, kmax, seed):
+    """The greedy oracle one float at a time: every k-subset of the sorted
+    masses summed in sorted order, against the running sum of the first k."""
+    rng = np.random.default_rng(seed)
+    grid = tfu.TFGrid(x_step=1.0, xi_step=1.0, x_count=size, xi_count=size)
+    for _ in range(n_fields):
+        field = tfu.TFArray(grid=grid, values=rng.random((size, size)).astype(complex))
+        vals = list(cli.sorted_cell_masses(field, p=1.0))
+        for k in range(1, min(kmax, len(vals)) + 1):
+            greedy = 0.0
+            for x in vals[:k]:
+                greedy += x
+            best = -math.inf
+            for combo in itertools.combinations(range(len(vals)), k):
+                s = 0.0
+                for i in combo:
+                    s += vals[i]
+                best = max(best, s)
+            if best != greedy:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("ascending", [False, True], ids=["descending", "ascending"])
+@pytest.mark.parametrize(
+    "n_fields, size, kmax, seed",
+    [(2, 8, 2, 20260809), (3, 4, 5, 1), (4, 6, 3, 11), (1, 4, 6, 3), (2, 2, 4, 7), (1, 2, 6, 5)],
+)
+def test_greedy_oracle_matches_plain_python(monkeypatch, n_fields, size, kmax, seed, ascending):
+    monkeypatch.setattr(cli, "_ORACLE_CHUNK", 7)  # chunks end inside every k > 1
+    if ascending:  # a selector whose prefix is not the optimum
+        descending = cli.sorted_cell_masses
+        monkeypatch.setattr(cli, "sorted_cell_masses", lambda v, p: np.sort(descending(v, p)))
+    expected = plain_greedy_oracle(n_fields, size, kmax, seed)
+    assert expected is not ascending
+    assert cli._greedy_matches_bruteforce(n_fields, size, kmax, seed) is expected
 
 
 def test_scenario_computes_its_stft_once(tmp_path, monkeypatch):
