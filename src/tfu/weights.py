@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _checked_cascade, discrete_fourier
+from tfu.core import SampledSignal, TFArray, TFGrid, _checked_cascade, discrete_fourier, pairwise_sum
 
 
 class WeightFamily(enum.Enum):
@@ -111,9 +111,10 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     """Truncated masses of exp(p log|field| + log w) at the increasing radii.
 
     The integrand is exponentiated once, inside the largest square (corner
-    values can overflow outside it), and each radius reduces the full-grid
-    array with the outside of its square zeroed, so every radius shares one
-    reduction tree and monotonicity in R is exact.
+    values can overflow outside it), and checked for finiteness once. Each
+    radius reduces the full-grid array with the outside of its square
+    zeroed, so every radius shares one reduction tree and monotonicity in R
+    is exact; the largest square's array is the integrand itself.
     """
     grid = field.grid
     top = radii[-1]
@@ -127,7 +128,9 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
         log_integrand = w.p * np.log(np.abs(field.values)) + w.log_weight(x, xi)
         integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
-    return tuple(grid.cell_measure * _checked_cascade(np.where(square(r), integrand, 0.0)) for r in radii)
+    top_sum = _checked_cascade(integrand)
+    sums = [pairwise_sum(np.where(square(r), integrand, 0.0)) for r in radii[:-1]]
+    return tuple(grid.cell_measure * total for total in (*sums, top_sum))
 
 
 def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:

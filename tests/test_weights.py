@@ -71,10 +71,16 @@ def test_radial_full_mass_at_grid_edge_matches_fsum(closed_field):
 
 def test_infinite_mass_is_rejected_without_warning(closed_field):
     # |V|^4 exp(4 pi (x^2+xi^2)) = exp(2 pi (x^2+xi^2)) is about 1e349 at the
-    # corner: a true overflow, reported as an error rather than a RuntimeWarning
-    with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite integrand value at node"):
-        warnings.simplefilter("error")
-        tfu.weighted_mass(closed_field, spec(WeightFamily.RADIAL_FULL, p=4.0), 8.0)
+    # corner: a true overflow, reported as an error rather than a RuntimeWarning,
+    # alone and as the last radius of a scan
+    w = spec(WeightFamily.RADIAL_FULL, p=4.0)
+    for masses in (
+        lambda: tfu.weighted_mass(closed_field, w, 8.0),
+        lambda: tfu.growth_scan(closed_field, w, (5.0, 6.0, 7.0, 8.0)),
+    ):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite integrand value at node"):
+            warnings.simplefilter("error")
+            masses()
 
 
 def test_mass_rejects_radius_beyond_grid(closed_field):
