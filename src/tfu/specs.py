@@ -129,15 +129,7 @@ def shift_pair(raw: str) -> tuple[float, ...]:
 
 _VARIANTS = {variant.value: variant for variant in SupportVariant}
 
-_FAMILIES = {
-    "radial_half": WeightFamily.RADIAL_HALF,
-    "radial_full": WeightFamily.RADIAL_FULL,
-    "hyperbolic": WeightFamily.HYPERBOLIC,
-    "pair_hyperbolic": WeightFamily.PAIR_HYPERBOLIC,
-    "bonami": WeightFamily.BONAMI_DENOMINATOR,
-    "demange": WeightFamily.DEMANGE_DENOMINATOR,
-}
-_FAMILY_NAMES = {family: name for name, family in _FAMILIES.items()}
+_FAMILIES = {family.value: family for family in WeightFamily}
 
 
 def _parse_tokens(spec: str, what: str) -> tuple[str, dict[str, str]]:
@@ -166,7 +158,7 @@ class WeightScanSpec:
 
     @property
     def family(self) -> str:
-        return _FAMILY_NAMES[self.weight.family]
+        return self.weight.family.value
 
     @property
     def label(self) -> str:

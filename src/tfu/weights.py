@@ -6,8 +6,8 @@ Each weight family multiplies |field|^p before plane quadrature:
     radial_full          exp(pi p (x^2 + xi^2))
     hyperbolic           exp(pi p |x xi|)
     pair_hyperbolic      exp(2 pi p |x xi|)
-    bonami_denominator   exp(2 pi |x xi|) / (1 + |x| + |xi|)^N
-    demange_denominator  exp(pi |x xi|)   / (1 + |x| + |xi|)^N
+    bonami               exp(2 pi |x xi|) / (1 + |x| + |xi|)^N
+    demange              exp(pi |x xi|)   / (1 + |x| + |xi|)^N
 
 The integrand is exp(p log|field| + log w): a weight beyond the float range
 meets the field's decay before anything is exponentiated, and a zero of the
@@ -40,11 +40,8 @@ class WeightFamily(enum.Enum):
     RADIAL_FULL = "radial_full"
     HYPERBOLIC = "hyperbolic"
     PAIR_HYPERBOLIC = "pair_hyperbolic"
-    BONAMI_DENOMINATOR = "bonami_denominator"
-    DEMANGE_DENOMINATOR = "demange_denominator"
-
-
-_DENOMINATOR_FAMILIES = (WeightFamily.BONAMI_DENOMINATOR, WeightFamily.DEMANGE_DENOMINATOR)
+    BONAMI_DENOMINATOR = "bonami"
+    DEMANGE_DENOMINATOR = "demange"
 
 
 @dataclass(frozen=True)
