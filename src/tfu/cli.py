@@ -558,11 +558,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         except Exception as exc:  # a fault in one scenario must not lose the others' reports
             return scn.name, None, f"{type(exc).__name__}: {exc}"
 
-    if workers == 1:
-        outcomes = [work(s) for s in scenarios]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, scenarios))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(work, scenarios))
 
     for name, result, error in outcomes:
         if error is not None:
