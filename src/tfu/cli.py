@@ -444,7 +444,8 @@ def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -
     cells = size * size
     masses = np.empty((n_fields, cells))
     for row in masses:
-        row[:] = sorted_cell_masses(TFArray(grid=grid, values=rng.random((size, size)).astype(complex)), p=1.0)
+        field = TFArray(grid=grid, values=rng.random((size, size)).astype(complex))
+        row[:] = sorted_cell_masses(field, p=1.0)
     for k in range(1, min(kmax, cells) + 1):
         indices = itertools.chain.from_iterable(itertools.combinations(range(cells), k))
         while (chunk := np.fromiter(itertools.islice(indices, k * _ORACLE_CHUNK), np.intp)).size:

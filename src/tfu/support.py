@@ -9,10 +9,10 @@ Essential-support estimation is greedy: the cells' masses are sorted by
 requested mass threshold is met. Tied cells have equal masses, so their
 order changes no prefix sum. Because the integrand per unit area is maximal
 along that order, the greedy prefix has minimal area among all cell sets
-meeting the threshold. The measured area
-is compared against the closed-form lower bound of the matching mode; a
-threshold that even the full grid cannot meet yields an explicit
-satisfiable=False report rather than an error.
+meeting the threshold. The measured area is compared against the
+closed-form lower bound of the matching mode; a threshold that even the
+full grid cannot meet yields an explicit satisfiable=False report rather
+than an error.
 """
 
 from __future__ import annotations
