@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from tfu.core import DEFAULT_LAYOUT, SignalLayout, TFArray, TFGrid, discrete_fourier
+from tfu.core import DEFAULT_LAYOUT, SignalLayout, TFArray, TFGrid, _cached, discrete_fourier
 from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
 from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, unit_gaussian
 from tfu.specs import (
@@ -55,6 +55,7 @@ from tfu.specs import (
     parse_function_spec,
     parse_support_mode,
     parse_weight_scan,
+    positive_even_int,
     positive_int,
     shift_pair,
     signal_count,
@@ -84,20 +85,6 @@ class Scenario:
     layout: SignalLayout
     checks: tuple[str, ...]
     options: dict[str, object]  # every key -> its parsed value or default
-
-
-class _cached:
-    """functools.cached_property without its class-wide lock (Python < 3.12),
-    which would make scenarios on parallel threads wait for each other."""
-
-    def __init__(self, compute: Callable) -> None:
-        self.compute = compute
-
-    def __get__(self, ctx: object, owner: type | None = None):
-        if ctx is None:
-            return self
-        value = ctx.__dict__[self.compute.__name__] = self.compute(ctx)
-        return value
 
 
 class ScenarioContext:
@@ -349,7 +336,7 @@ CHECKS: dict[str, Check] = {
     "greedy_oracle": Check(
         {
             "oracle_fields": Key(positive_int, 20),
-            "oracle_size": Key(positive_int, 8),
+            "oracle_size": Key(positive_even_int, 8),  # the side of a TFGrid
             "oracle_max_subset": Key(positive_int, 3),
             "oracle_seed": Key(int, 20260809),
         },
@@ -444,7 +431,7 @@ def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -
     cells = size * size
     masses = np.empty((n_fields, cells))
     for row in masses:
-        field = TFArray(grid=grid, values=rng.random((size, size)).astype(complex))
+        field = TFArray._fresh(grid, rng.random((size, size)).astype(complex))
         row[:] = sorted_cell_masses(field, p=1.0)
     for k in range(1, min(kmax, cells) + 1):
         indices = itertools.chain.from_iterable(itertools.combinations(range(cells), k))
@@ -518,7 +505,7 @@ def import_tfarray(path: str | Path) -> TFArray:
     xi_step = float(xi[1] - xi[0])
     grid = TFGrid(x_step=x_step, xi_step=xi_step, x_count=x.size, xi_count=xi.size)
     values = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, xi.size)
-    return TFArray(grid=grid, values=values)
+    return TFArray._fresh(grid, values)
 
 
 # ---------------------------------------------------------------------------

@@ -183,44 +183,115 @@ class TFGrid:
 DEFAULT_GRID = TFGrid.from_layout(DEFAULT_LAYOUT)
 
 
+class _cached:
+    """functools.cached_property without its class-wide lock (Python < 3.12),
+    which would make threads computing on different instances wait for each
+    other. The value is stored in the instance's __dict__, so frozen
+    dataclasses can use it too."""
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __get__(self, obj: object, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class TFArray:
-    """Complex field sampled on a TFGrid; entries are validated finite."""
+    """Complex field sampled on a TFGrid; entries are validated finite.
+
+    The constructor copies values, so later changes to the caller's array
+    change nothing. |V| and its descending sort are computed once per field,
+    on first use, and shared by every functional of the field.
+    """
 
     grid: TFGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape != self.grid.shape:
-            raise ValueError(f"values shape {arr.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))
-            j, k = (int(v) for v in bad[0])
-            raise ValueError(f"non-finite field value at node ({j}, {k})")
-        arr = arr.copy()
+        arr = np.array(self.values, dtype=np.complex128)
+        _check_field(self.grid, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _fresh(cls, grid: TFGrid, values: np.ndarray) -> "TFArray":
+        """A TFArray that takes over values, an array the library has just
+        computed and keeps no other reference to; complex128 is not copied."""
+        values = np.asarray(values, dtype=np.complex128)
+        _check_field(grid, values)
+        values.setflags(write=False)
+        a = object.__new__(cls)
+        object.__setattr__(a, "grid", grid)
+        object.__setattr__(a, "values", values)
+        return a
+
+    @_cached
+    def magnitude(self) -> np.ndarray:
+        """|V| at every node."""
+        mag = np.abs(self.values)
+        mag.setflags(write=False)
+        return mag
+
+    @_cached
+    def descending(self) -> np.ndarray:
+        """|V| of all nodes, flattened and sorted descending (contiguous: a
+        reversed view of np.sort can change the last bits of a power)."""
+        desc = -np.sort(-self.magnitude.ravel())
+        desc.setflags(write=False)
+        return desc
+
+
+def _check_field(grid: TFGrid, arr: np.ndarray) -> None:
+    if arr.shape != grid.shape:
+        raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
+    if not np.isfinite(arr.ravel().view(np.float64)).all():  # the real view is the faster test
+        bad = np.argwhere(~np.isfinite(arr))
+        j, k = (int(v) for v in bad[0])
+        raise ValueError(f"non-finite field value at node ({j}, {k})")
+
+
+def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
+    """a ** p for magnitudes a >= 0, bit for bit, without glibc's slow path
+    for results that underflow.
+
+    For p > 2 the power is taken only where a >= 2^(-1080/p); below that
+    a^p < 2^-1080, under half the smallest subnormal, so a ** p rounds to
+    +0, which is written instead. At p <= 2 the gate costs more than it
+    saves, and this is plain a ** p.
+    """
+    if p <= 2:
+        return a**p
+    out = np.zeros(a.shape)
+    return np.power(a, p, out=out, where=a >= 2.0 ** (-1080 / p))
 
 
 def quadrature_sum(a: TFArray, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
     """cell_measure * sum of integrand(values) over all nodes.
 
     The reduction is the fixed pairwise cascade in row-major leaf order, so
-    repeated evaluations are bit-identical. The integrand must map complex
-    values to finite reals; a non-finite result anywhere aborts with the
-    offending node.
+    repeated evaluations are bit-identical. The integrand must map the
+    complex field array to a real array of the same shape; a non-finite
+    result anywhere aborts with the offending node.
     """
-    vals = integrand(a.values)
-    vals = np.asarray(vals)
-    if vals.shape != a.values.shape:  # scalar-only callables
-        vals = np.vectorize(integrand)(a.values)
+    vals = np.asarray(integrand(a.values))
+    if vals.shape != a.values.shape:
+        raise ValueError(
+            f"integrand returned shape {vals.shape}, not the field's shape {a.values.shape}"
+        )
     if np.iscomplexobj(vals):
         if np.any(vals.imag != 0):
             raise ValueError("integrand must be real-valued")
         vals = vals.real
-    vals = np.asarray(vals, dtype=np.float64)
-    return a.grid.cell_measure * _checked_cascade(vals)
+    return _plane_sum(a.grid, vals)
+
+
+def _plane_sum(grid: TFGrid, real_field: np.ndarray) -> float:
+    """cell_measure * the cascade sum of a real field on the grid, checked finite."""
+    return grid.cell_measure * _checked_cascade(np.asarray(real_field, dtype=np.float64))
 
 
 def _checked_cascade(real_field: np.ndarray) -> float:
@@ -232,15 +303,24 @@ def _checked_cascade(real_field: np.ndarray) -> float:
 
 
 def _centered_fft(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
-    """Riemann-sum Fourier transform on an origin-centered lattice.
+    """Riemann-sum Fourier transform on an origin-centered lattice, in place.
 
-    For even N the index shuffles make the FFT compute exactly
-    step * sum_k v_k exp(-2 pi i (k - N/2)(m - N/2) / N), i.e. continuous-FT
-    samples on the dual lattice.
+    values must already be in ifftshift order along axis (index k holds
+    lattice point (k + N/2) mod N), be complex128 and writable, and belong
+    to the caller no longer: it is transformed in place and returned. For
+    even N the result is step * sum_k v_k exp(-2 pi i (k - N/2)(m - N/2) / N),
+    i.e. continuous-FT samples on the dual lattice, the same bits as
+    step * fftshift(fft(ifftshift(v))). fftshift and the step scaling are
+    one pass through a half-size temporary.
     """
-    shifted = np.fft.ifftshift(values, axes=axis)
-    out = np.fft.fft(shifted, axis=axis)
-    return step * np.fft.fftshift(out, axes=axis)
+    out = np.fft.fft(values, axis=axis, out=values)
+    h = out.shape[axis] // 2
+    low = (slice(None),) * (axis % out.ndim) + (slice(None, h),)
+    high = (slice(None),) * (axis % out.ndim) + (slice(h, None),)
+    upper = np.multiply(out[low], step)
+    np.multiply(out[high], step, out=out[low])
+    out[high] = upper
+    return out
 
 
 def _boundary_unsound(magnitudes: np.ndarray, boundary: float, tol: float) -> bool:
@@ -263,12 +343,17 @@ def discrete_fourier(s: SampledSignal) -> SampledSignal:
             "truncation unsound: boundary magnitude "
             f"{edge:.3e} exceeds {BOUNDARY_DECAY_TOL_1D:g} of peak {float(np.max(mag)):.3e}"
         )
-    return SampledSignal(_centered_fft(s.samples, s.step), s.layout.dual_step)
+    return SampledSignal(_centered_fft(np.fft.ifftshift(s.samples), s.step), s.layout.dual_step)
 
 
 def fourier_2d(a: TFArray) -> TFArray:
-    """Continuous 2-D Fourier transform of the field, on the dual TFGrid."""
-    mag = np.abs(a.values)
+    """Continuous 2-D Fourier transform of the field, on the dual TFGrid.
+
+    One ifftshift copy over both axes feeds the axis-1 transform; its
+    output is still in ifftshift order along axis 0, which is what the
+    axis-0 transform takes.
+    """
+    mag = a.magnitude
     frame = max(
         float(np.max(mag[0, :])),
         float(np.max(mag[-1, :])),
@@ -280,6 +365,7 @@ def fourier_2d(a: TFArray) -> TFArray:
             "truncation unsound: boundary magnitude "
             f"{frame:.3e} exceeds {BOUNDARY_DECAY_TOL_2D:g} of peak {float(np.max(mag)):.3e}"
         )
-    inner = _centered_fft(a.values, a.grid.xi_step, axis=1)
+    shifted = np.fft.ifftshift(a.values)
+    inner = _centered_fft(shifted, a.grid.xi_step, axis=1)
     outer = _centered_fft(inner, a.grid.x_step, axis=0)
-    return TFArray(grid=a.grid.dual(), values=outer)
+    return TFArray._fresh(a.grid.dual(), outer)

@@ -74,11 +74,11 @@ def build_auxiliary(
     """Construct F_Z from a single STFT evaluation and its point reflection."""
     _require_square(grid)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
-    x, xi = grid.meshgrid()
-    phase = np.exp(2j * np.pi * x * xi)
-    return AuxiliaryField(
-        base=TFArray(grid=grid, values=phase * v * point_reflection(v)), z=z, zeta=zeta
-    )
+    field = 2j * np.pi * grid.x_nodes()[:, None] * grid.xi_nodes()[None, :]
+    np.exp(field, out=field)  # the phase exp(2 pi i x xi)
+    field *= v
+    field *= point_reflection(v)
+    return AuxiliaryField(base=TFArray._fresh(grid, field), z=z, zeta=zeta)
 
 
 def rotation_invariance_defect(a: AuxiliaryField) -> float:
@@ -86,7 +86,7 @@ def rotation_invariance_defect(a: AuxiliaryField) -> float:
     _require_self_dual(a.base.grid)
     transformed = fourier_2d(a.base).values
     rotated = quarter_rotation(a.base.values)
-    scale = float(np.max(np.abs(a.base.values)))
+    scale = float(np.max(a.base.magnitude))
     return float(np.max(np.abs(transformed - rotated))) / scale
 
 
@@ -100,12 +100,13 @@ def fundamental_identity_defect(
     """Normalized max-abs gap between the two sides of the product identity."""
     _require_square(grid)
     _require_self_dual(grid)
-    v1 = compute_stft(f1, g1, grid).values
-    v2 = compute_stft(f2, g2, grid).values
-    lhs = fourier_2d(TFArray(grid=grid, values=v1 * np.conj(v2))).values
-    a = compute_stft(f1, f2, grid).values
-    b = compute_stft(g1, g2, grid).values
-    rhs = quarter_rotation(a * np.conj(b))
+
+    def product(f: SampledSignal, g: SampledSignal, h: SampledSignal, k: SampledSignal) -> np.ndarray:
+        """V_g f * conj(V_k h); neither field outlives the product."""
+        return compute_stft(f, g, grid).values * np.conj(compute_stft(h, k, grid).values)
+
+    lhs = fourier_2d(TFArray._fresh(grid, product(f1, g1, f2, g2))).values
+    rhs = quarter_rotation(product(f1, f2, g1, g2))
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     if scale == 0.0:
         return 0.0

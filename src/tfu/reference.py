@@ -161,7 +161,7 @@ def gaussian_stft_field(grid: TFGrid) -> TFArray:
     bottoms out at the double-precision noise floor instead.
     """
     x, xi = grid.meshgrid()
-    return TFArray(grid=grid, values=gaussian_stft_closed_form(x, xi))
+    return TFArray._fresh(grid, gaussian_stft_closed_form(x, xi))
 
 
 def hermite_fourier_eigenvalue(n: int) -> complex:

@@ -47,6 +47,13 @@ def positive_int(raw: str) -> int:
     return value
 
 
+def positive_even_int(raw: str) -> int:
+    value = positive_int(raw)
+    if value % 2:
+        raise ConfigError(f"{raw!r} is not a positive even integer")
+    return value
+
+
 def signal_count(raw: str | int) -> int:
     """A sample count whose STFT field fits in MAX_FIELD_BYTES."""
     value = int(raw)

@@ -13,8 +13,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from tfu.core import _STEP_RTOL, SampledSignal, TFArray, TFGrid, _centered_fft, quadrature_sum
+from tfu.core import (
+    _STEP_RTOL,
+    SampledSignal,
+    TFArray,
+    TFGrid,
+    _abs_power,
+    _centered_fft,
+    _plane_sum,
+)
 
 
 def _column_shifts(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> np.ndarray:
@@ -42,20 +51,34 @@ def _column_shifts(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> np.ndarr
 
 
 def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
-    """Sampled V_g f on the grid; row j is the x_j column, column k is xi_k."""
+    """Sampled V_g f on the grid; row j is the x_j column, column k is xi_k.
+
+    Row j's column product f_i conj(g_{i - s_j}) is written straight into
+    ifftshift order (sample i at index (i + n/2) mod n), which the in-place
+    centered FFT takes. The shifted windows are rows of a sliding view of
+    the zero-padded conj(g), so the products are two masked multiplies; the
+    nodes outside the window stay +0, as do rows whose window is shifted out.
+    """
     shifts = _column_shifts(f, g, grid)
-    n = f.count
+    n, h = f.count, f.count // 2
     product = np.zeros((grid.x_count, n), dtype=np.complex128)
-    gconj = np.conj(g.samples)
-    for j, s in enumerate(shifts):
-        s = int(s)
-        if s >= n or s <= -n:
-            continue  # window fully shifted out: column is zero
-        if s >= 0:
-            product[j, s:] = f.samples[s:] * gconj[: n - s]
-        else:
-            product[j, : n + s] = f.samples[: n + s] * gconj[-s:]
-    return TFArray(grid=grid, values=_centered_fft(product, f.step, axis=1))
+    rows = np.nonzero(np.abs(shifts) < n)[0]  # the others' windows are shifted out
+    j0, j1 = int(rows[0]), int(rows[-1]) + 1
+    padded = np.zeros(3 * n, dtype=np.complex128)
+    padded[n : 2 * n] = np.conj(g.samples)
+    inside = np.zeros(3 * n, dtype=bool)
+    inside[n : 2 * n] = True
+    # the view's row m is padded[m : m + n]; row j of the block needs m = n - s_j
+    stride = int(shifts[1] - shifts[0])
+    start = n - int(shifts[j0])
+    stop = start - stride * (j1 - j0)
+    windows = slice(start, stop if stop >= 0 else None, -stride)
+    gconj = sliding_window_view(padded, n)[windows]
+    mask = sliding_window_view(inside, n)[windows]
+    block, fs = product[j0:j1], f.samples
+    np.multiply(fs[h:], gconj[:, h:], out=block[:, :h], where=mask[:, h:])
+    np.multiply(fs[:h], gconj[:, :h], out=block[:, h:], where=mask[:, :h])
+    return TFArray._fresh(grid, _centered_fft(product, f.step, axis=1))
 
 
 def isometry_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> float:
@@ -73,5 +96,5 @@ def energy_defect(v: TFArray, fn: float, gn: float) -> float:
     norms_sq = (fn * gn) ** 2
     if norms_sq == 0.0:
         raise ValueError("degenerate pair: zero L2 norm")
-    energy = quadrature_sum(v, lambda z: np.abs(z) ** 2)
+    energy = _plane_sum(v.grid, _abs_power(v.magnitude, 2))
     return abs(energy - norms_sq) / norms_sq

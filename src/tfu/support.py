@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tfu import _kernels
-from tfu.core import SampledSignal, TFArray, TFGrid, quadrature_sum
+from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _plane_sum
 from tfu.stft import compute_stft
 
 
@@ -84,7 +84,8 @@ def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
         raise ValueError("degenerate pair: zero L2 norm")
     k = round(math.log2(fn) + math.log2(gn))
     kf = round(math.log2(fn))  # fn and gn are scaled apart, so fn gn never underflows
-    total = quadrature_sum(v, lambda z: np.ldexp(np.abs(z), -k) ** p)
+    scaled = np.ldexp(v.magnitude, -k) if k else v.magnitude
+    total = _plane_sum(v.grid, _abs_power(scaled, p))
     return total / ((2.0 / p) * (math.ldexp(fn, -kf) * math.ldexp(gn, kf - k)) ** p)
 
 
@@ -102,9 +103,7 @@ def lower_bound(mode: SupportMode, d: int = 1) -> float:
 
 def sorted_cell_masses(v: TFArray, p: float) -> np.ndarray:
     """The cells' cell_measure-weighted |V|^p masses, by |V| descending."""
-    # contiguous: a reversed view of np.sort can change the last bits of ** p
-    descending = -np.sort(-np.abs(v.values).ravel())
-    return v.grid.cell_measure * descending**p
+    return v.grid.cell_measure * _abs_power(v.descending, p)
 
 
 def greedy_essential_support(
@@ -120,7 +119,7 @@ def greedy_essential_support(
         threshold = (1 - mode.epsilon) * fn * gn
     elif mode.variant is SupportVariant.LP_VS_L1P:
         mass_p = mode.p
-        l1 = quadrature_sum(v, np.abs)
+        l1 = _plane_sum(v.grid, v.magnitude)
         threshold = (1 - mode.epsilon) * l1**mode.p
     else:
         mass_p = mode.p

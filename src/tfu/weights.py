@@ -123,7 +123,9 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
         return (x >= -r) & (x < r) & (xi >= -r) & (xi < r)
 
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
-        log_integrand = w.p * np.log(np.abs(field.values)) + w.log_weight(x, xi)
+        log_integrand = np.log(field.magnitude)
+        log_integrand *= w.p
+        log_integrand += w.log_weight(x, xi)
         integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
     top_sum = _checked_cascade(integrand)
     sums = [pairwise_sum(np.where(square(r), integrand, 0.0)) for r in radii[:-1]]
@@ -149,7 +151,7 @@ def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
     grid = TFGrid(
         x_step=f.step, xi_step=fhat.step, x_count=f.count, xi_count=fhat.count
     )
-    return TFArray(grid=grid, values=np.outer(f.samples, fhat.samples))
+    return TFArray._fresh(grid, np.outer(f.samples, fhat.samples))
 
 
 def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:

@@ -284,6 +284,15 @@ def test_load_config_caps_greedy_oracle_subsets(tmp_path):
         cli.load_config(config)
 
 
+def test_load_config_rejects_odd_oracle_size(tmp_path):
+    # the oracle's fields live on a size x size TFGrid, whose counts are even
+    config = write_config(
+        tmp_path, "[a]\nchecks = isometry\n[s]\nchecks = greedy_oracle\noracle_size = 3\n"
+    )
+    with pytest.raises(cli.ConfigError, match=r"^\[s\] oracle_size: '3' is not a positive even integer"):
+        cli.load_config(config)
+
+
 def plain_greedy_oracle(n_fields, size, kmax, seed):
     """The greedy oracle one float at a time: every k-subset of the sorted
     masses summed in sorted order, against the running sum of the first k."""

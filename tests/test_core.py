@@ -46,7 +46,9 @@ def test_quadrature_repeat_bit_identical(grid):
 
 def test_quadrature_scalar_integrand(grid):
     field = make_grid_field(lambda x, xi: x * 0j, grid)
-    assert tfu.quadrature_sum(field, lambda z: 1.0) == pytest.approx(256.0)
+    assert tfu.quadrature_sum(field, lambda z: np.ones(z.shape)) == pytest.approx(256.0)
+    with pytest.raises(ValueError, match="integrand returned shape \\(\\), not the field's shape"):
+        tfu.quadrature_sum(field, lambda z: 1.0)
 
 
 # ---------------------------------------------------------------------------
