@@ -19,12 +19,7 @@ from tfu.core import (
     pairwise_sum,
     quadrature_sum,
 )
-from tfu.identity import (
-    AuxiliaryField,
-    build_auxiliary,
-    fundamental_identity_defect,
-    rotation_invariance_defect,
-)
+from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
 from tfu.reference import (
     AnalyticFunction,
     fourier_closed_form,
@@ -64,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticFunction",
-    "AuxiliaryField",
     "CONVERGENCE_RADII",
     "DEFAULT_GRID",
     "DEFAULT_LAYOUT",

@@ -36,8 +36,7 @@ _STEP_RTOL = 1e-12
 
 def pairwise_sum(values: np.ndarray) -> float:
     """Deterministic cascade sum of a real array (any shape)."""
-    buf = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    return _kernels.cascade_sum(buf)
+    return _kernels.cascade_sum(values)
 
 
 @dataclass(frozen=True)
@@ -248,10 +247,15 @@ class TFArray:
 def _check_field(grid: TFGrid, arr: np.ndarray) -> None:
     if arr.shape != grid.shape:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-    if not np.isfinite(arr.ravel().view(np.float64)).all():  # the real view is the faster test
-        bad = np.argwhere(~np.isfinite(arr))
-        j, k = (int(v) for v in bad[0])
-        raise ValueError(f"non-finite field value at node ({j}, {k})")
+    _require_finite(arr, "field")
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise naming the first node, in row-major order, where a float64 or
+    complex128 array is not finite."""
+    if not np.isfinite(arr.ravel().view(np.float64)).all():  # for complex, the real view is the faster test
+        idx = tuple(int(v) for v in np.argwhere(~np.isfinite(arr))[0])
+        raise ValueError(f"non-finite {what} value at node {idx}")
 
 
 def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
@@ -291,15 +295,32 @@ def quadrature_sum(a: TFArray, integrand: Callable[[np.ndarray], np.ndarray]) ->
 
 def _plane_sum(grid: TFGrid, real_field: np.ndarray) -> float:
     """cell_measure * the cascade sum of a real field on the grid, checked finite."""
-    return grid.cell_measure * _checked_cascade(np.asarray(real_field, dtype=np.float64))
+    real_field = np.asarray(real_field, dtype=np.float64)
+    _require_finite(real_field, "integrand")
+    return grid.cell_measure * pairwise_sum(real_field)
 
 
-def _checked_cascade(real_field: np.ndarray) -> float:
-    if not np.all(np.isfinite(real_field)):
-        bad = np.argwhere(~np.isfinite(real_field))
-        idx = tuple(int(v) for v in bad[0])
-        raise ValueError(f"non-finite integrand value at node {idx}")
-    return pairwise_sum(real_field)
+def _norm_scale(fn: float, gn: float) -> tuple[int, float]:
+    """k = round(log2 fn + log2 gn) and fn gn 2^-k, for L2 norms fn, gn > 0.
+
+    Functionals that compare |V_g f|^p with (fn gn)^p do not change when
+    both are scaled by 2^-k, which is exact and keeps every power in range
+    for tiny or huge norms; k is 0 for unit-norm pairs. fn and gn are
+    scaled apart, so their product never under- or overflows.
+    """
+    if fn <= 0 or gn <= 0:
+        raise ValueError("degenerate pair: zero L2 norm")
+    k = round(math.log2(fn) + math.log2(gn))
+    kf = round(math.log2(fn))
+    return k, math.ldexp(fn, -kf) * math.ldexp(gn, kf - k)
+
+
+def _scaled_power_sum(v: TFArray, p: float, fn: float, gn: float) -> tuple[float, float]:
+    """cell_measure * sum of (|V| 2^-k)^p and (fn gn 2^-k)^p, with k from
+    _norm_scale: the two sides of an Lp comparison, in range."""
+    k, norm = _norm_scale(fn, gn)
+    scaled = np.ldexp(v.magnitude, -k) if k else v.magnitude
+    return _plane_sum(v.grid, _abs_power(scaled, p)), norm**p
 
 
 def _centered_fft(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
@@ -323,26 +344,28 @@ def _centered_fft(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray
     return out
 
 
-def _boundary_unsound(magnitudes: np.ndarray, boundary: float, tol: float) -> bool:
+def _require_decayed(magnitudes: np.ndarray, tol: float) -> None:
+    """Refuse magnitudes whose largest value on the boundary (the first and
+    last index along each axis) exceeds tol times their peak: the implicit
+    zero extension would misrepresent the transform."""
     peak = float(np.max(magnitudes))
-    if peak == 0.0:
-        return False
-    return boundary > tol * peak
+    edge = max(
+        float(np.max(np.take(magnitudes, i, axis=axis)))
+        for axis in range(magnitudes.ndim)
+        for i in (0, -1)
+    )
+    if peak != 0.0 and edge > tol * peak:
+        raise ValueError(
+            f"truncation unsound: boundary magnitude {edge:.3e} exceeds {tol:g} of peak {peak:.3e}"
+        )
 
 
 def discrete_fourier(s: SampledSignal) -> SampledSignal:
     """Samples of the continuous Fourier transform on the dual lattice.
 
-    Requires the signal to have decayed at its window boundary; otherwise
-    the implicit zero extension would misrepresent the transform.
+    Requires the signal to have decayed at its window boundary.
     """
-    mag = np.abs(s.samples)
-    edge = max(float(mag[0]), float(mag[-1]))
-    if _boundary_unsound(mag, edge, BOUNDARY_DECAY_TOL_1D):
-        raise ValueError(
-            "truncation unsound: boundary magnitude "
-            f"{edge:.3e} exceeds {BOUNDARY_DECAY_TOL_1D:g} of peak {float(np.max(mag)):.3e}"
-        )
+    _require_decayed(np.abs(s.samples), BOUNDARY_DECAY_TOL_1D)
     return SampledSignal(_centered_fft(np.fft.ifftshift(s.samples), s.step), s.layout.dual_step)
 
 
@@ -353,18 +376,7 @@ def fourier_2d(a: TFArray) -> TFArray:
     output is still in ifftshift order along axis 0, which is what the
     axis-0 transform takes.
     """
-    mag = a.magnitude
-    frame = max(
-        float(np.max(mag[0, :])),
-        float(np.max(mag[-1, :])),
-        float(np.max(mag[:, 0])),
-        float(np.max(mag[:, -1])),
-    )
-    if _boundary_unsound(mag, frame, BOUNDARY_DECAY_TOL_2D):
-        raise ValueError(
-            "truncation unsound: boundary magnitude "
-            f"{frame:.3e} exceeds {BOUNDARY_DECAY_TOL_2D:g} of peak {float(np.max(mag)):.3e}"
-        )
+    _require_decayed(a.magnitude, BOUNDARY_DECAY_TOL_2D)
     shifted = np.fft.ifftshift(a.values)
     inner = _centered_fft(shifted, a.grid.xi_step, axis=1)
     outer = _centered_fft(inner, a.grid.x_step, axis=0)

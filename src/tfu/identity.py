@@ -19,8 +19,6 @@ wraps to itself; all admitted fields have decayed to rounding level there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from tfu.core import SampledSignal, TFArray, TFGrid, fourier_2d
@@ -59,34 +57,24 @@ def quarter_rotation(values: np.ndarray) -> np.ndarray:
     return values[i, :].T
 
 
-@dataclass(frozen=True)
-class AuxiliaryField:
-    """F_Z for one shift Z = (z, zeta), kept with its construction data."""
-
-    base: TFArray
-    z: float
-    zeta: float
-
-
-def build_auxiliary(
-    f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float
-) -> AuxiliaryField:
-    """Construct F_Z from a single STFT evaluation and its point reflection."""
+def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
+    """F_Z for the shift Z = (z, zeta), from a single STFT evaluation and its
+    point reflection."""
     _require_square(grid)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
     field = 2j * np.pi * grid.x_nodes()[:, None] * grid.xi_nodes()[None, :]
     np.exp(field, out=field)  # the phase exp(2 pi i x xi)
     field *= v
     field *= point_reflection(v)
-    return AuxiliaryField(base=TFArray._fresh(grid, field), z=z, zeta=zeta)
+    return TFArray._fresh(grid, field)
 
 
-def rotation_invariance_defect(a: AuxiliaryField) -> float:
-    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z|."""
-    _require_self_dual(a.base.grid)
-    transformed = fourier_2d(a.base).values
-    rotated = quarter_rotation(a.base.values)
-    scale = float(np.max(a.base.magnitude))
+def rotation_invariance_defect(a: TFArray) -> float:
+    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z."""
+    _require_self_dual(a.grid)
+    transformed = fourier_2d(a).values
+    rotated = quarter_rotation(a.values)
+    scale = float(np.max(a.magnitude))
     return float(np.max(np.abs(transformed - rotated))) / scale
 
 

@@ -60,10 +60,8 @@ class AnalyticFunction:
             raise ValueError(f"unknown analytic function kind {self.kind!r}")
         if self.kind in (GAUSSIAN, POLY_GAUSSIAN) and not self.width > 0:
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-        if self.kind == HERMITE and not 0 <= self.order <= MAX_HERMITE_ORDER:
-            raise ValueError(
-                f"hermite order must lie in [0, {MAX_HERMITE_ORDER}], got {self.order}"
-            )
+        if self.kind == HERMITE:
+            _check_hermite_order(self.order)
         if self.kind == POLY_GAUSSIAN and len(self.coeffs) == 0:
             raise ValueError("poly_gaussian needs at least one coefficient")
 
@@ -83,10 +81,14 @@ class AnalyticFunction:
         return self.amplitude * base
 
 
-def hermite_function(n: int, t: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite function h_n, n <= 8."""
+def _check_hermite_order(n: int) -> None:
     if not 0 <= n <= MAX_HERMITE_ORDER:
         raise ValueError(f"hermite order must lie in [0, {MAX_HERMITE_ORDER}], got {n}")
+
+
+def hermite_function(n: int, t: np.ndarray) -> np.ndarray:
+    """Orthonormal Hermite function h_n, n <= 8."""
+    _check_hermite_order(n)
     t = np.asarray(t, dtype=np.float64)
     u = math.sqrt(2 * math.pi) * t
     poly = np.polynomial.polynomial.polyval(u, np.asarray(_HERMITE_COEFFS[n], float))
@@ -166,8 +168,7 @@ def gaussian_stft_field(grid: TFGrid) -> TFArray:
 
 def hermite_fourier_eigenvalue(n: int) -> complex:
     """Fourier eigenvalue of h_n: (-i)^n."""
-    if not 0 <= n <= MAX_HERMITE_ORDER:
-        raise ValueError(f"hermite order must lie in [0, {MAX_HERMITE_ORDER}], got {n}")
+    _check_hermite_order(n)
     return (-1j) ** n
 
 
@@ -180,18 +181,9 @@ def fourier_closed_form(fn: AnalyticFunction) -> AnalyticFunction:
     """
     phase = complex(np.exp(2j * np.pi * fn.translation * fn.modulation))
     if fn.kind == GAUSSIAN:
-        return replace(
-            fn,
-            width=1.0 / fn.width,
-            amplitude=fn.amplitude * phase / math.sqrt(fn.width),
-            translation=fn.modulation,
-            modulation=-fn.translation,
-        )
-    if fn.kind == HERMITE:
-        return replace(
-            fn,
-            amplitude=fn.amplitude * phase * hermite_fourier_eigenvalue(fn.order),
-            translation=fn.modulation,
-            modulation=-fn.translation,
-        )
-    raise NotImplementedError(f"no closed-form transform for kind {fn.kind!r}")
+        fn = replace(fn, width=1.0 / fn.width, amplitude=fn.amplitude * phase / math.sqrt(fn.width))
+    elif fn.kind == HERMITE:
+        fn = replace(fn, amplitude=fn.amplitude * phase * hermite_fourier_eigenvalue(fn.order))
+    else:
+        raise NotImplementedError(f"no closed-form transform for kind {fn.kind!r}")
+    return replace(fn, translation=fn.modulation, modulation=-fn.translation)

@@ -79,16 +79,23 @@ def each(parse: Callable[[str], object]) -> Callable[[str], tuple]:
     return lambda raw: tuple(parse(item) for item in raw.split(";") if item.strip())
 
 
-def parse_function_spec(spec: str) -> AnalyticFunction:
-    parts = [p for p in spec.strip().split(":") if p]
-    if not parts:
-        raise ConfigError("empty function spec")
-    kind, params = parts[0].lower(), {}
-    for tok in parts[1:]:
+def _parse_tokens(spec: str, what: str, sep: str | None = None) -> tuple[str, dict[str, str]]:
+    """The lowercased name and the key=value parameters of a spec whose
+    tokens are split by sep (None: whitespace); empty tokens are skipped."""
+    toks = [tok for tok in spec.strip().split(sep) if tok]
+    if not toks:
+        raise ConfigError(f"empty {what} spec")
+    params = {}
+    for tok in toks[1:]:
         if "=" not in tok:
-            raise ConfigError(f"malformed function parameter {tok!r} in {spec!r}")
+            raise ConfigError(f"malformed {what} parameter {tok!r} in {spec!r}")
         key, val = tok.split("=", 1)
         params[key.strip()] = val.strip()
+    return toks[0].lower(), params
+
+
+def parse_function_spec(spec: str) -> AnalyticFunction:
+    kind, params = _parse_tokens(spec, "function", sep=":")
     z = finite_float(params.pop("z", "0"))
     w = finite_float(params.pop("w", "0"))
     if kind == "gaussian":
@@ -139,17 +146,6 @@ _VARIANTS = {variant.value: variant for variant in SupportVariant}
 _FAMILIES = {family.value: family for family in WeightFamily}
 
 
-def _parse_tokens(spec: str, what: str) -> tuple[str, dict[str, str]]:
-    toks = spec.split()
-    if not toks:
-        raise ConfigError(f"empty {what} spec")
-    params = {}
-    for tok in toks[1:]:
-        if "=" not in tok:
-            raise ConfigError(f"malformed {what} parameter {tok!r} in {spec!r}")
-        key, val = tok.split("=", 1)
-        params[key] = val
-    return toks[0].lower(), params
 
 
 @dataclass

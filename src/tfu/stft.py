@@ -20,9 +20,8 @@ from tfu.core import (
     SampledSignal,
     TFArray,
     TFGrid,
-    _abs_power,
     _centered_fft,
-    _plane_sum,
+    _scaled_power_sum,
 )
 
 
@@ -92,9 +91,7 @@ def isometry_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> float:
 
 def energy_defect(v: TFArray, fn: float, gn: float) -> float:
     """isometry_defect for an already computed field V_g f and the L2 norms
-    fn = |f|_2, gn = |g|_2."""
-    norms_sq = (fn * gn) ** 2
-    if norms_sq == 0.0:
-        raise ValueError("degenerate pair: zero L2 norm")
-    energy = _plane_sum(v.grid, _abs_power(v.magnitude, 2))
+    fn = |f|_2, gn = |g|_2. Both sides are scaled by the same power of two
+    (see tfu.core._norm_scale), so tiny or huge norms give the same defect."""
+    energy, norms_sq = _scaled_power_sum(v, 2, fn, gn)
     return abs(energy - norms_sq) / norms_sq

@@ -18,13 +18,12 @@ than an error.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from tfu import _kernels
-from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _plane_sum
+from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled_power_sum
 from tfu.stft import compute_stft
 
 
@@ -74,19 +73,14 @@ class SupportReport:
 def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
     """quadrature(|V|^p) / ((2/p)^d (fn gn)^p), d = 1 for these grids.
 
-    |V| and fn gn are both scaled by s = 2^-round(log2 fn + log2 gn), so no
-    power under- or overflows for tiny or huge norms; s is exact, and 1 for
-    unit-norm pairs.
+    Both sides are scaled by the same power of two (see
+    tfu.core._norm_scale), so no power under- or overflows for tiny or huge
+    norms.
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if fn <= 0 or gn <= 0:
-        raise ValueError("degenerate pair: zero L2 norm")
-    k = round(math.log2(fn) + math.log2(gn))
-    kf = round(math.log2(fn))  # fn and gn are scaled apart, so fn gn never underflows
-    scaled = np.ldexp(v.magnitude, -k) if k else v.magnitude
-    total = _plane_sum(v.grid, _abs_power(scaled, p))
-    return total / ((2.0 / p) * (math.ldexp(fn, -kf) * math.ldexp(gn, kf - k)) ** p)
+    total, norm_p = _scaled_power_sum(v, p, fn, gn)
+    return total / ((2.0 / p) * norm_p)
 
 
 def lower_bound(mode: SupportMode, d: int = 1) -> float:
@@ -110,8 +104,7 @@ def greedy_essential_support(
     v: TFArray, mode: SupportMode, fn: float, gn: float
 ) -> SupportReport:
     """Minimal greedy cell set meeting the mode's mass threshold."""
-    if fn <= 0 or gn <= 0:
-        raise ValueError("degenerate pair: zero L2 norm")
+    _norm_scale(fn, gn)
     if not np.any(v.values):
         raise ValueError("field is identically zero")
     if mode.variant is SupportVariant.L1_FRACTION:

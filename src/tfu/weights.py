@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _checked_cascade, discrete_fourier, pairwise_sum
+from tfu.core import SampledSignal, TFArray, TFGrid, _plane_sum, discrete_fourier, pairwise_sum
 
 
 class WeightFamily(enum.Enum):
@@ -127,9 +127,9 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
         log_integrand *= w.p
         log_integrand += w.log_weight(x, xi)
         integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
-    top_sum = _checked_cascade(integrand)
-    sums = [pairwise_sum(np.where(square(r), integrand, 0.0)) for r in radii[:-1]]
-    return tuple(grid.cell_measure * total for total in (*sums, top_sum))
+    top_mass = _plane_sum(grid, integrand)
+    masses = [grid.cell_measure * pairwise_sum(np.where(square(r), integrand, 0.0)) for r in radii[:-1]]
+    return (*masses, top_mass)
 
 
 def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:

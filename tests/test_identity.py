@@ -12,7 +12,7 @@ def test_auxiliary_field_gaussian_zero_shift(unit_pair, grid):
     f, g = unit_pair
     aux = tfu.build_auxiliary(f, g, grid, 0.0, 0.0)
     x, xi = grid.meshgrid()
-    assert np.max(np.abs(aux.base.values - np.exp(-np.pi * (x**2 + xi**2)))) < 1e-12
+    assert np.max(np.abs(aux.values - np.exp(-np.pi * (x**2 + xi**2)))) < 1e-12
 
 
 def test_auxiliary_origin_magnitude_is_squared_stft(layout, grid):
@@ -22,10 +22,10 @@ def test_auxiliary_origin_magnitude_is_squared_stft(layout, grid):
     g = tfu.sample(tfu.unit_gaussian(), layout)
     k = grid.x_count // 2
     aux = tfu.build_auxiliary(f, g, grid, 1.0, 2.0)
-    origin = aux.base.values[k, k]
+    origin = aux.values[k, k]
     v00 = tfu.compute_stft(tfu.translate_modulate(f, 1.0, 2.0), g, grid).values[k, k]
     assert abs(origin) == pytest.approx(abs(v00) ** 2, rel=1e-12)
-    plain = tfu.build_auxiliary(f, g, grid, 1.0, 0.0).base.values[k, k]
+    plain = tfu.build_auxiliary(f, g, grid, 1.0, 0.0).values[k, k]
     assert abs(plain.imag) < 1e-15
     assert plain.real >= 0
 
@@ -34,7 +34,7 @@ def test_auxiliary_origin_value_gaussian_shift(unit_pair, grid):
     f, g = unit_pair
     aux = tfu.build_auxiliary(f, g, grid, 1.0, 0.0)
     k = grid.x_count // 2
-    assert aux.base.values[k, k] == pytest.approx(math.exp(-math.pi), abs=1e-10)
+    assert aux.values[k, k] == pytest.approx(math.exp(-math.pi), abs=1e-10)
 
 
 def test_auxiliary_inherits_gaussian_decay(unit_pair, grid):
@@ -42,7 +42,7 @@ def test_auxiliary_inherits_gaussian_decay(unit_pair, grid):
     x, xi = grid.meshgrid()
     for z, zeta in [(0.0, 0.0), (1.0, 1.0)]:
         aux = tfu.build_auxiliary(f, g, grid, z, zeta)
-        mag = np.abs(aux.base.values)
+        mag = np.abs(aux.values)
         peak = mag.max()
         for radius in (2.0, 4.0):
             outside = mag[x**2 + xi**2 > radius**2]
