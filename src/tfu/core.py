@@ -100,8 +100,14 @@ class SampledSignal:
         return self.layout.times()
 
     def l2_norm(self) -> float:
-        """sqrt(step * sum |samples|^2), via the deterministic cascade."""
-        return math.sqrt(self.step * pairwise_sum(np.abs(self.samples) ** 2))
+        """sqrt(step * sum |samples|^2), via the deterministic cascade.
+
+        The moduli are squared scaled by 2^-e, e the binary exponent of the
+        largest, and the root is scaled back: exact, and safe from under- and
+        overflow."""
+        mag = np.abs(self.samples)
+        e = math.frexp(float(np.max(mag)))[1]
+        return math.ldexp(math.sqrt(self.step * pairwise_sum(np.ldexp(mag, -e) ** 2)), e)
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,11 @@ def fundamental_identity_defect(
     _require_self_dual(grid)
 
     def product(f: SampledSignal, g: SampledSignal, h: SampledSignal, k: SampledSignal) -> np.ndarray:
-        """V_g f * conj(V_k h); neither field outlives the product."""
-        return compute_stft(f, g, grid).values * np.conj(compute_stft(h, k, grid).values)
+        """V_g f * conj(V_k h), computed as conj(V_k h) * V_g f in place; neither
+        field outlives the product. The operand order is fixed: the complex
+        multiply rounds a * b and b * a differently."""
+        conj_b = np.conj(compute_stft(h, k, grid).values)
+        return np.multiply(conj_b, compute_stft(f, g, grid).values, out=conj_b)
 
     lhs = fourier_2d(TFArray._fresh(grid, product(f1, g1, f2, g2))).values
     rhs = quarter_rotation(product(f1, f2, g1, g2))

@@ -18,6 +18,7 @@ than an error.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,30 @@ def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
 
 
 def lower_bound(mode: SupportMode, d: int = 1) -> float:
-    """Closed-form area lower bound for the mode, in dimension d."""
+    """Closed-form area lower bound for the mode, in dimension d.
+
+    Where a factor of base^a (1 - eps)^b overflows, the bound is the power
+    of two 2^(a log2 base + b log2 (1 - eps)), or ValueError beyond the
+    float range.
+    """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     p, eps = mode.p, mode.epsilon
     if mode.variant is SupportVariant.L1_FRACTION:
-        return (1 - eps) ** (p / (p - 1)) * (p / 2) ** (d / (p - 1))
-    if mode.variant is SupportVariant.LP_VS_L1P:
-        return 2 ** (2 * p * d / (2 - p)) * (1 - eps) ** (2 / (2 - p))
-    return 1 - eps
+        base, a, b = p / 2, d / (p - 1), p / (p - 1)
+    elif mode.variant is SupportVariant.LP_VS_L1P:
+        base, a, b = 2.0, 2 * p * d / (2 - p), 2 / (2 - p)
+    else:
+        return 1 - eps
+    try:
+        return base**a * (1 - eps) ** b
+    except OverflowError:
+        try:
+            return 2.0 ** (a * math.log2(base) + b * math.log2(1 - eps))
+        except OverflowError:
+            raise ValueError(
+                f"{mode.variant.value} bound for p={p:g}, eps={eps:g}, d={d} exceeds the float range"
+            ) from None
 
 
 def sorted_cell_masses(v: TFArray, p: float) -> np.ndarray:
@@ -103,20 +119,21 @@ def sorted_cell_masses(v: TFArray, p: float) -> np.ndarray:
 def greedy_essential_support(
     v: TFArray, mode: SupportMode, fn: float, gn: float
 ) -> SupportReport:
-    """Minimal greedy cell set meeting the mode's mass threshold."""
-    _norm_scale(fn, gn)
+    """Minimal greedy cell set meeting the mode's mass threshold.
+
+    Masses and threshold are those of the exactly scaled field 2^-k V, k
+    from tfu.core._norm_scale, which has the same support and keeps them in
+    range for tiny or huge norms.
+    """
+    k, norm = _norm_scale(fn, gn)
     if not np.any(v.values):
         raise ValueError("field is identically zero")
-    if mode.variant is SupportVariant.L1_FRACTION:
-        mass_p = 1.0
-        threshold = (1 - mode.epsilon) * fn * gn
-    elif mode.variant is SupportVariant.LP_VS_L1P:
-        mass_p = mode.p
-        l1 = _plane_sum(v.grid, v.magnitude)
-        threshold = (1 - mode.epsilon) * l1**mode.p
-    else:
-        mass_p = mode.p
-        threshold = (1 - mode.epsilon) * (fn * gn) ** mode.p
+    if k:
+        v = TFArray._fresh(v.grid, np.ldexp(v.values.view(np.float64), -k).view(np.complex128))
+    # masses |V|^mass_p against (1 - eps) reference^mass_p
+    mass_p = 1.0 if mode.variant is SupportVariant.L1_FRACTION else mode.p
+    reference = _plane_sum(v.grid, v.magnitude) if mode.variant is SupportVariant.LP_VS_L1P else norm
+    threshold = (1 - mode.epsilon) * reference**mass_p
     count = _kernels.prefix_count(sorted_cell_masses(v, mass_p), threshold)
     bound = lower_bound(mode, d=1)
     if count < 0:

@@ -105,6 +105,29 @@ def test_run_assertion_failure_exits_two_with_partial_results(tmp_path):
     assert not summary["passed"]
 
 
+def test_run_checks_are_amplitude_invariant(tmp_path):
+    # |f|_2^2, |V|^2, (|f| |g|)^p and the support thresholds under- or
+    # overflow at these amplitudes unless scaled
+    amplitudes = {"unit": "1", "tiny": "1e-200", "huge": "1e200", "small": "1e-100", "large": "1e100"}
+    config = write_config(
+        tmp_path,
+        "".join(
+            f"[{name}]\nf = gaussian:a=1:amp={amp}\nchecks = isometry, lieb, support\n"
+            "lieb_p = 1, 1.5, 2, 3, 4, 6\nsupport = lp_vs_energy p=4 eps=0.1 expect=unsatisfiable\n\n"
+            for name, amp in amplitudes.items()
+        ),
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out), "--no-timestamp"]) == 0
+    checks = {name: read_json(out / f"{name}.json")["checks"] for name in amplitudes}
+    unit = checks.pop("unit")
+    for name, c in checks.items():
+        assert c["isometry"]["defect"] == pytest.approx(unit["isometry"]["defect"], abs=1e-13), name
+        ratios = [e["ratio"] for e in c["lieb"]["ratios"]]
+        assert ratios == pytest.approx([e["ratio"] for e in unit["lieb"]["ratios"]], abs=1e-13), name
+        assert c["support"]["modes"] == unit["support"]["modes"], name
+
+
 def test_run_scenario_filter(tmp_path):
     config = write_config(
         tmp_path,
@@ -196,6 +219,14 @@ def test_bounds_command(capsys):
         tfu.SupportMode(tfu.SupportVariant.L1_FRACTION, p=4.0, epsilon=0.1), d=1
     )
     assert printed == expected
+
+
+def test_bounds_command_reports_out_of_range_bound(capsys):
+    rc = cli.main(["bounds", "--mode", "l1_fraction", "--p", "3", "--eps", "0", "--d", "100000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: l1_fraction bound for p=3, eps=0, d=100000")
+    assert err.count("\n") == 1
 
 
 def test_bounds_command_rejects_bad_p(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,15 @@ def test_signal_l2_norm_definition(layout):
     f = tfu.sample(tfu.unit_gaussian(), layout)
     manual = np.sqrt(layout.step * tfu.pairwise_sum(np.abs(f.samples) ** 2))
     assert f.l2_norm() == manual
+
+
+@pytest.mark.parametrize("e", [-700, 700])
+def test_signal_l2_norm_scales_exactly(layout, e):
+    # the squares of the 2^e-scaled samples under- or overflow; the norm is
+    # 2^e times the unscaled one, bit for bit
+    f = tfu.sample(tfu.unit_gaussian(), layout)
+    scaled = tfu.SampledSignal(np.ldexp(f.samples.view(np.float64), e).view(complex), layout.step)
+    assert scaled.l2_norm() == math.ldexp(f.l2_norm(), e)
 
 
 def test_signal_times_are_origin_centered(layout):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tfu
-from tfu.core import TFGrid
+from tfu.core import SignalLayout, TFGrid
+from tfu.identity import quarter_rotation
 
 
 def test_auxiliary_field_gaussian_zero_shift(unit_pair, grid):
@@ -125,3 +126,24 @@ def test_fundamental_identity_swap_symmetry(layout, grid):
     d = tfu.fundamental_identity_defect(f1, f2, g1, g2, grid)
     d_swapped = tfu.fundamental_identity_defect(f2, f1, g2, g1, grid)
     assert abs(d - d_swapped) < 1e-12
+
+
+def test_fundamental_identity_product_operand_order():
+    # At N = 64 a field takes 64 KiB, below the 256 KiB from which numpy
+    # evaluates a * np.conj(b) as conj(b) * a in place; the defect must be
+    # that of the fixed order conj(b) * a all the same. For this tuple the
+    # order a * conj(b) gives another defect.
+    layout = SignalLayout(64, 1 / 8)
+    grid = TFGrid.from_layout(layout)
+    f1, f2, g1, g2 = (
+        tfu.sample(fn, layout) for fn in (tfu.hermite(1), tfu.hermite(2), tfu.unit_gaussian(), tfu.hermite(1))
+    )
+
+    def product(f, g, h, k):
+        return np.conj(tfu.compute_stft(h, k, grid).values) * tfu.compute_stft(f, g, grid).values
+
+    lhs = tfu.fourier_2d(tfu.TFArray(grid, product(f1, g1, f2, g2))).values
+    rhs = quarter_rotation(product(f1, f2, g1, g2))
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    expected = float(np.max(np.abs(lhs - rhs))) / scale
+    assert tfu.fundamental_identity_defect(f1, f2, g1, g2, grid) == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tfu
+from tfu import cli
 from tfu.core import TFArray, TFGrid
 from tfu.support import SupportMode, SupportVariant, sorted_cell_masses
 
@@ -85,6 +86,42 @@ def test_bound_l1_fraction_high_precision_oracle():
     value = tfu.lower_bound(mode(SupportVariant.L1_FRACTION, 4.0, 0.1), d=1)
     assert value == pytest.approx(expected, rel=1e-15)
     assert value == pytest.approx(1.0947, abs=1e-4)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize(
+    "variant, p",
+    [
+        (SupportVariant.L1_FRACTION, 2.0),
+        (SupportVariant.L1_FRACTION, 3.5),
+        (SupportVariant.LP_VS_L1P, 1.0),
+        (SupportVariant.LP_VS_L1P, 1.5),
+        (SupportVariant.LP_VS_L1P, 1.9),
+    ],
+)
+def test_bound_keeps_closed_form_bits(variant, p, eps, d):
+    if variant is SupportVariant.L1_FRACTION:
+        expected = (1 - eps) ** (p / (p - 1)) * (p / 2) ** (d / (p - 1))
+    else:
+        expected = 2 ** (2 * p * d / (2 - p)) * (1 - eps) ** (2 / (2 - p))
+    assert tfu.lower_bound(mode(variant, p, eps), d=d) == expected
+
+
+def test_bound_with_overflowing_factor_is_finite():
+    # 2^(2pd/(2-p)) = 2^1194 overflows; the bound, 2^1194 * 0.5^200 = 2^994, does not
+    value = tfu.lower_bound(mode(SupportVariant.LP_VS_L1P, 1.99, 0.5), d=3)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(1.99)
+        expected = float(2 ** (6 * p / (2 - p)) * mpmath.mpf(0.5) ** (2 / (2 - p)))
+    assert value == pytest.approx(expected, rel=1e-12)
+    # 2^39998 * 0.1^20000 is about 2^-26440, which rounds to 0
+    assert tfu.lower_bound(mode(SupportVariant.LP_VS_L1P, 1.9999, 0.9), d=1) == 0.0
+
+
+def test_bound_beyond_float_range_is_refused():
+    with pytest.raises(ValueError, match="l1_fraction bound for p=3, eps=0, d=100000 exceeds"):
+        tfu.lower_bound(mode(SupportVariant.L1_FRACTION, 3.0, 0.0), d=100000)
 
 
 def test_bound_energy_variant():
@@ -227,3 +264,25 @@ def test_sweep_records_unsatisfiable_instead_of_raising(unit_pair, grid):
 def test_sweep_empty_modes(unit_pair, grid):
     f, g = unit_pair
     assert tfu.bound_sweep(f, g, grid, []) == []
+
+
+#: The support modes of the bundled suite.
+SUITE_MODES = [
+    m for scn in cli.load_config(cli._resolve_config("paper-suite")) for m, _ in scn.options["support"]
+]
+
+
+@pytest.mark.parametrize("amplitude", [1e-100, 1e100])
+def test_greedy_support_is_amplitude_invariant(layout, grid, unit_pair, amplitude):
+    # (fn gn)^p, |V|^p and the thresholds under- or overflow at these
+    # amplitudes unless scaled
+    g = unit_pair[1]
+
+    def verdicts(amp):
+        f = tfu.sample(tfu.gaussian(1.0, amplitude=amp), layout)
+        v = tfu.compute_stft(f, g, grid)
+        reports = [tfu.greedy_essential_support(v, m, f.l2_norm(), g.l2_norm()) for m in SUITE_MODES]
+        return [(r.cells, r.satisfiable) for r in reports]
+
+    assert len(SUITE_MODES) == 13
+    assert verdicts(amplitude) == verdicts(1.0)
