@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -450,15 +450,16 @@ def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -
 # output plumbing
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Call write on a temporary file beside path, then rename it over path."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        write(fh)
     os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2) + "\n")
+    _atomic_write(path, lambda fh: fh.write(json.dumps(obj, indent=2) + "\n"))
 
 
 def _cell(value: object) -> str:
@@ -469,29 +470,26 @@ def _cell(value: object) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
-    _atomic_write(path, buf.getvalue())
+    cells = ([_cell(v) for v in row] for row in [header, *rows])
+    _atomic_write(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(cells))
 
 
 def export_tfarray(v: TFArray, path: str | Path) -> None:
-    """CSV dump: header x,xi,re,im,abs; row-major; 17 significant digits."""
-    x = v.grid.x_nodes()
-    xi = v.grid.xi_nodes()
-    lines = ["x,xi,re,im,abs"]
-    vals = v.values
-    for j in range(v.grid.x_count):
-        for k in range(v.grid.xi_count):
-            z = vals[j, k]
-            lines.append(
-                f"{x[j]:.17g},{xi[k]:.17g},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}"
-            )
+    """CSV dump: header x,xi,re,im,abs; row-major; 17 significant digits;
+    abs is hypot(re, im). Written one x row at a time."""
+    block = np.empty((v.grid.xi_count, 5))
+    block[:, 1] = v.grid.xi_nodes()
+
+    def write(fh: TextIO) -> None:
+        fh.write("x,xi,re,im,abs\n")
+        for x, row in zip(v.grid.x_nodes(), v.values):
+            block[:, 0] = x
+            block[:, 2], block[:, 3] = row.real, row.imag
+            np.hypot(row.real, row.imag, out=block[:, 4])
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+
     try:
-        _atomic_write(Path(path), "\n".join(lines) + "\n")
+        _atomic_write(Path(path), write)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -533,8 +531,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = int(os.environ.get("TFU_THREADS", "0")) or min(4, len(scenarios))
-    workers = max(1, min(workers, len(scenarios)))
+    threads = os.environ.get("TFU_THREADS", "")
+    try:
+        workers = min(positive_int(threads) if threads else 4, len(scenarios))
+    except ValueError as exc:
+        raise ConfigError(f"TFU_THREADS: {exc}") from exc
     errors: list[str] = []
     reports: dict[str, dict] = {}
 
@@ -623,13 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--g", required=True, help="window function spec")
     p_exp.add_argument("--out", required=True, help="output CSV path")
     p_exp.add_argument("--count", type=int, default=DEFAULT_LAYOUT.count)
-    p_exp.add_argument("--step", type=float, default=DEFAULT_LAYOUT.step)
+    p_exp.add_argument("--step", type=finite_float, default=DEFAULT_LAYOUT.step)
     p_exp.set_defaults(func=cmd_export_stft)
 
     p_bnd = sub.add_parser("bounds", help="evaluate a closed-form support bound")
     p_bnd.add_argument("--mode", required=True, help="|".join(sorted(_VARIANTS)))
-    p_bnd.add_argument("--p", type=float, required=True)
-    p_bnd.add_argument("--eps", type=float, default=0.0)
+    p_bnd.add_argument("--p", type=finite_float, required=True)
+    p_bnd.add_argument("--eps", type=finite_float, default=0.0)
     p_bnd.add_argument("--d", type=int, default=1)
     p_bnd.set_defaults(func=cmd_bounds)
     return parser

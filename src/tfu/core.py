@@ -321,12 +321,16 @@ def _norm_scale(fn: float, gn: float) -> tuple[int, float]:
     return k, math.ldexp(fn, -kf) * math.ldexp(gn, kf - k)
 
 
+def _scaled(a: np.ndarray, k: int) -> np.ndarray:
+    """a 2^-k, exactly; a itself when k is 0."""
+    return np.ldexp(a, -k) if k else a
+
+
 def _scaled_power_sum(v: TFArray, p: float, fn: float, gn: float) -> tuple[float, float]:
     """cell_measure * sum of (|V| 2^-k)^p and (fn gn 2^-k)^p, with k from
     _norm_scale: the two sides of an Lp comparison, in range."""
     k, norm = _norm_scale(fn, gn)
-    scaled = np.ldexp(v.magnitude, -k) if k else v.magnitude
-    return _plane_sum(v.grid, _abs_power(scaled, p)), norm**p
+    return _plane_sum(v.grid, _abs_power(_scaled(v.magnitude, k), p)), norm**p
 
 
 def _centered_fft(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:

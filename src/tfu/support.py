@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tfu import _kernels
-from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled_power_sum
+from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
 from tfu.stft import compute_stft
 
 
@@ -111,9 +111,9 @@ def lower_bound(mode: SupportMode, d: int = 1) -> float:
             ) from None
 
 
-def sorted_cell_masses(v: TFArray, p: float) -> np.ndarray:
-    """The cells' cell_measure-weighted |V|^p masses, by |V| descending."""
-    return v.grid.cell_measure * _abs_power(v.descending, p)
+def sorted_cell_masses(v: TFArray, p: float, k: int = 0) -> np.ndarray:
+    """The cells' cell_measure-weighted (2^-k |V|)^p masses, by |V| descending."""
+    return v.grid.cell_measure * _abs_power(_scaled(v.descending, k), p)
 
 
 def greedy_essential_support(
@@ -123,18 +123,19 @@ def greedy_essential_support(
 
     Masses and threshold are those of the exactly scaled field 2^-k V, k
     from tfu.core._norm_scale, which has the same support and keeps them in
-    range for tiny or huge norms.
+    range for tiny or huge norms. The scaling is applied to the field's
+    shared |V| and its descending sort, so the field is sorted once for all
+    modes.
     """
     k, norm = _norm_scale(fn, gn)
     if not np.any(v.values):
         raise ValueError("field is identically zero")
-    if k:
-        v = TFArray._fresh(v.grid, np.ldexp(v.values.view(np.float64), -k).view(np.complex128))
-    # masses |V|^mass_p against (1 - eps) reference^mass_p
+    # masses (2^-k |V|)^mass_p against (1 - eps) reference^mass_p
     mass_p = 1.0 if mode.variant is SupportVariant.L1_FRACTION else mode.p
-    reference = _plane_sum(v.grid, v.magnitude) if mode.variant is SupportVariant.LP_VS_L1P else norm
+    l1p = mode.variant is SupportVariant.LP_VS_L1P
+    reference = _plane_sum(v.grid, _scaled(v.magnitude, k)) if l1p else norm
     threshold = (1 - mode.epsilon) * reference**mass_p
-    count = _kernels.prefix_count(sorted_cell_masses(v, mass_p), threshold)
+    count = _kernels.prefix_count(sorted_cell_masses(v, mass_p, k), threshold)
     bound = lower_bound(mode, d=1)
     if count < 0:
         return SupportReport(

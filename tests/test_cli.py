@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,14 @@ def test_run_small_config_byte_identical(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_run_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, "[s]\nchecks = isometry\n")
+    for threads in ("abc", "0", "-2"):
+        monkeypatch.setenv("TFU_THREADS", threads)
+        assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: TFU_THREADS: ")
+
+
 def test_run_timestamp_present_by_default(tmp_path):
     config = write_config(tmp_path, "[s]\nchecks = isometry\n")
     out = tmp_path / "out"
@@ -183,14 +192,42 @@ def test_export_small_array_layout(tmp_path):
     assert lines[1].startswith("-0.5,-0.5,1,2,")
 
 
+def binade_field(grid):
+    """Parts spread over every binade, subnormals and +-0 included; below
+    2^1021, so |V| does not overflow."""
+    rng = np.random.default_rng(20261018)
+    shape = (2, *grid.shape)
+    parts = np.ldexp(rng.uniform(1, 2, shape), rng.integers(-1076, 1021, shape))
+    parts.flat[::97] = 0.0
+    parts *= rng.choice([-1.0, 1.0], shape)
+    values = np.empty(grid.shape, dtype=complex)  # re + 1j * im would lose some -0 parts
+    values.real, values.imag = parts
+    return tfu.TFArray(grid=grid, values=values)
+
+
 def test_export_roundtrip_bit_exact(tmp_path, layout, grid):
     f = tfu.sample(tfu.unit_gaussian(), layout)
+    for v in (tfu.compute_stft(f, f, grid), binade_field(grid)):
+        path = tmp_path / "stft.csv"
+        cli.export_tfarray(v, path)
+        back = cli.import_tfarray(path)
+        assert np.array_equal(back.values, v.values)
+        assert back.grid.shape == v.grid.shape
+        # the abs column is Python's abs(complex), which np.abs misses in the last bit
+        re, im, mag = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3, 4)).T
+        assert np.array_equal(mag, [abs(complex(a, b)) for a, b in zip(re, im)])
+
+
+def test_export_peak_memory_is_below_the_field(tmp_path, layout, grid):
+    f = tfu.sample(tfu.unit_gaussian(), layout)
     v = tfu.compute_stft(f, f, grid)
-    path = tmp_path / "stft.csv"
-    cli.export_tfarray(v, path)
-    back = cli.import_tfarray(path)
-    assert np.array_equal(back.values, v.values)
-    assert back.grid.shape == v.grid.shape
+    tracemalloc.start()
+    try:
+        cli.export_tfarray(v, tmp_path / "stft.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v.values.nbytes  # 16 * 256^2 bytes = 1 MiB
 
 
 def test_export_stft_command_peak_at_origin(tmp_path):
@@ -233,6 +270,11 @@ def test_bounds_command_rejects_bad_p(capsys):
     rc = cli.main(["bounds", "--mode", "lp_vs_l1p", "--p", "2", "--eps", "0"])
     assert rc == 1
     assert "p out of range" in capsys.readouterr().err
+    for bad in ("inf", "nan"):  # l1_fraction used to print nan for p = inf
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--mode", "l1_fraction", "--p", bad, "--eps", "0.1"])
+        assert exc.value.code == 1
+        assert f"argument --p: invalid finite_float value: '{bad}'" in capsys.readouterr().err
 
 
 def test_bounds_command_rejects_bad_mode(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import tfu
 from tfu import cli
-from tfu.core import TFArray, TFGrid
+from tfu.core import TFArray, TFGrid, _norm_scale
 from tfu.support import SupportMode, SupportVariant, sorted_cell_masses
 
 
@@ -286,3 +286,22 @@ def test_greedy_support_is_amplitude_invariant(layout, grid, unit_pair, amplitud
 
     assert len(SUITE_MODES) == 13
     assert verdicts(amplitude) == verdicts(1.0)
+
+
+def test_greedy_support_sorts_the_callers_field(monkeypatch, layout, grid, unit_pair):
+    # at amplitude 1e100 the norm scale k is not 0; every mode must still
+    # take its masses from the caller's field, whose sort is shared
+    g = unit_pair[1]
+    f = tfu.sample(tfu.gaussian(1.0, amplitude=1e100), layout)
+    v = tfu.compute_stft(f, g, grid)
+    assert _norm_scale(f.l2_norm(), g.l2_norm())[0] != 0
+    received = []
+
+    def record(field, *args):
+        received.append(field)
+        return sorted_cell_masses(field, *args)
+
+    monkeypatch.setattr("tfu.support.sorted_cell_masses", record)
+    for m in SUITE_MODES:
+        tfu.greedy_essential_support(v, m, f.l2_norm(), g.l2_norm())
+    assert len(received) == 13 and all(field is v for field in received)
