@@ -8,11 +8,13 @@ Subcommands:
 
 Configs are INI files: one section per scenario, flat keys (see the bundled
 "paper-suite" config). SCENARIO_KEYS and the check registry CHECKS declare
-each key once, with its parser (tfu.specs) and default; load_config parses
-every value before any scenario runs, and a bad value aborts naming its
-"[section] key". A check is a function of a ScenarioContext and of its own
-keys; the context computes what the checks of one scenario share on first
-use and is released when the scenario's run returns.
+each key once, with its parser (tfu.specs) and default. Before any scenario
+runs, load_config parses every value, applies each enabled check's rules on
+the parsed values, and samples the scenario's signals to check that they
+decay at the window edge; a bad scenario aborts naming its "[section] key".
+A check is a function of a ScenarioContext and of its own keys; the context
+computes what the checks of one scenario share on first use and is released
+when the scenario's run returns.
 
 `run` writes one JSON report per scenario plus CSV tables for sweeps, and
 exits 0 only if every enabled assertion passed (2 on assertion failure, 1
@@ -29,7 +31,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -40,9 +41,18 @@ from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from tfu.core import DEFAULT_LAYOUT, SignalLayout, TFArray, TFGrid, _cached, discrete_fourier
+from tfu.core import (
+    BOUNDARY_DECAY_TOL_1D,
+    DEFAULT_LAYOUT,
+    SignalLayout,
+    TFArray,
+    TFGrid,
+    _cached,
+    _require_decayed,
+    discrete_fourier,
+)
 from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
-from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, unit_gaussian
+from tfu.reference import fourier_closed_form, gaussian_stft_field, sample
 from tfu.specs import (
     _VARIANTS,
     ConfigError,
@@ -55,7 +65,6 @@ from tfu.specs import (
     parse_function_spec,
     parse_support_mode,
     parse_weight_scan,
-    positive_even_int,
     positive_int,
     shift_pair,
     signal_count,
@@ -63,15 +72,14 @@ from tfu.specs import (
 )
 from tfu.stft import compute_stft, energy_defect
 from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound, sorted_cell_masses
-from tfu.weights import DIVERGENCE_RADII, decay_fit, growth_scan, pair_field
+from tfu.weights import decay_fit, growth_scan, pair_field
 
-#: Most subsets the greedy oracle may enumerate, oracle_fields times the sum
-#: over k <= oracle_max_subset of C(oracle_size^2, k): at most about 3 s, at
-#: roughly 0.3 us a subset for one field, 0.03 us for twelve, which share one
-#: enumeration. The bundled suite enumerates 874,880.
-MAX_ORACLE_SUBSETS = 10**7
+#: The greedy oracle's random fields, their side (a size x size TFGrid), the
+#: largest subset and the seed: 20 (C(64,1) + C(64,2) + C(64,3)) = 874,880
+#: subsets, enumerated once for all fields.
+_ORACLE = {"fields": 20, "size": 8, "max_subset": 3, "seed": 20260809}
 #: k-subsets per index chunk of the greedy oracle; k * 2^16 indices take at
-#: most 3 MiB for the subset counts MAX_ORACLE_SUBSETS allows (k <= 6).
+#: most 1.5 MiB for its k <= 3.
 _ORACLE_CHUNK = 2**16
 
 
@@ -98,7 +106,6 @@ class ScenarioContext:
         self.f = sample(self.f_spec.fn, self.layout)
         self.g = sample(self.g_spec.fn, self.layout)
         self.grid = TFGrid.from_layout(self.layout)
-        self.unit_pair = self.f_spec.fn == self.g_spec.fn == unit_gaussian()
 
     @_cached
     def stft(self) -> TFArray:
@@ -112,7 +119,8 @@ class ScenarioContext:
 
     @_cached
     def closed(self) -> TFArray:
-        """The exact Gaussian-pair STFT, which is V_g f only when unit_pair holds."""
+        """The exact Gaussian-pair STFT, which is V_g f for the unit pair that
+        load_config requires of the checks that use it."""
         return gaussian_stft_field(self.grid)
 
     @_cached
@@ -145,8 +153,6 @@ def _isometry(ctx: ScenarioContext, isometry_tol: float) -> tuple[dict, Tables]:
 
 
 def _closed_form(ctx: ScenarioContext, closed_form_tol: float) -> tuple[dict, Tables]:
-    if not ctx.unit_pair:
-        raise ConfigError(f"closed_form check in [{ctx.name}] requires the unit gaussian pair")
     dev = float(np.max(np.abs(ctx.stft.values - ctx.closed.values)))
     return {"max_abs_deviation": dev, "tolerance": closed_form_tol, "passed": dev < closed_form_tol}, {}
 
@@ -185,18 +191,10 @@ def _lieb(ctx: ScenarioContext, lieb_p, lieb_dir_tol: float, lieb_equality_tol) 
     return entry, {"lieb": (["p", "ratio"], [[e["p"], e["ratio"]] for e in entries])}
 
 
-def _scan_target(ctx: ScenarioContext, source: str) -> TFArray:
-    if source == "closed" and not ctx.unit_pair:
-        raise ConfigError(f"field=closed in [{ctx.name}] requires the unit gaussian pair")
-    return getattr(ctx, source)
-
-
-def _weights(ctx: ScenarioContext, weights, radii) -> tuple[dict, Tables]:
-    if not weights:
-        raise ConfigError(f"weights check in [{ctx.name}] needs a 'weights' key")
+def _weights(ctx: ScenarioContext, weights) -> tuple[dict, Tables]:
     entries, rows = [], []
     for ws in weights:
-        report = growth_scan(_scan_target(ctx, ws.source), ws.weight, ws.radii or radii)
+        report = growth_scan(getattr(ctx, ws.source), ws.weight, ws.radii)
         ok = report.verdict == ws.expect
         if ws.slope is not None:
             ok = ok and abs(report.fitted_exponent - ws.slope) <= ws.slope_tol
@@ -217,8 +215,6 @@ def _weights(ctx: ScenarioContext, weights, radii) -> tuple[dict, Tables]:
 
 
 def _support(ctx: ScenarioContext, support) -> tuple[dict, Tables]:
-    if not support:
-        raise ConfigError(f"support check in [{ctx.name}] needs a 'support' key")
     entries, rows = [], []
     for mode, expect in support:
         rep = greedy_essential_support(ctx.stft, mode, *ctx.norms)
@@ -244,9 +240,9 @@ def _support(ctx: ScenarioContext, support) -> tuple[dict, Tables]:
     return {"modes": entries, "passed": _all_passed(entries)}, {"support": (_SUPPORT_HEADER, rows)}
 
 
-def _decay(ctx: ScenarioContext, decay_tail: float, decay_product_tol: float) -> tuple[dict, Tables]:
-    a_time = decay_fit(ctx.f, decay_tail)
-    a_freq = decay_fit(discrete_fourier(ctx.f), decay_tail)
+def _decay(ctx: ScenarioContext, decay_product_tol: float) -> tuple[dict, Tables]:
+    a_time = decay_fit(ctx.f)
+    a_freq = decay_fit(discrete_fourier(ctx.f))
     product = a_time * a_freq
     entry = {
         "fit_time": a_time,
@@ -258,30 +254,49 @@ def _decay(ctx: ScenarioContext, decay_tail: float, decay_product_tol: float) ->
     return entry, {}
 
 
-def _greedy_oracle(
-    ctx: ScenarioContext, oracle_fields: int, oracle_size: int, oracle_max_subset: int, oracle_seed: int
-) -> tuple[dict, Tables]:
-    ok = _greedy_matches_bruteforce(oracle_fields, oracle_size, oracle_max_subset, oracle_seed)
-    entry = {
-        "fields": oracle_fields,
-        "size": oracle_size,
-        "max_subset": oracle_max_subset,
-        "seed": oracle_seed,
-        "passed": ok,
-    }
-    return entry, {}
+def _greedy_oracle(ctx: ScenarioContext) -> tuple[dict, Tables]:
+    return _ORACLE | {"passed": _greedy_matches_bruteforce(*_ORACLE.values())}, {}
 
 
-def _limit_oracle_subsets(oracle_fields: int, oracle_size: int, oracle_max_subset: int, **_) -> None:
-    cells = oracle_size**2
-    total = 0
-    for k in range(1, min(oracle_max_subset, cells) + 1):
-        total += oracle_fields * math.comb(cells, k)
-        if total > MAX_ORACLE_SUBSETS:
-            raise ConfigError(
-                "oracle_fields, oracle_size, oracle_max_subset: the greedy oracle would "
-                f"enumerate more than {MAX_ORACLE_SUBSETS} subsets"
-            )
+# ---------------------------------------------------------------------------
+# rules that a scenario's parsed options decide, applied at load
+
+
+def _require_unit_pair(opts: dict[str, object], what: str) -> None:
+    if not opts["f"].fn == opts["g"].fn == _UNIT_GAUSSIAN.fn:
+        raise ConfigError(f"{what} requires the unit gaussian pair f = g = gaussian:a=1")
+
+
+def _validate_closed_form(opts: dict[str, object]) -> None:
+    _require_unit_pair(opts, "checks: closed_form")
+
+
+def _validate_weights(opts: dict[str, object]) -> None:
+    if not opts["weights"]:
+        raise ConfigError("weights: the weights check needs at least one scan")
+    if any(ws.source == "closed" for ws in opts["weights"]):
+        _require_unit_pair(opts, "weights: field=closed")
+
+
+def _validate_support(opts: dict[str, object]) -> None:
+    if not opts["support"]:
+        raise ConfigError("support: the support check needs at least one mode")
+
+
+def _require_decayed_signals(opts: dict[str, object], layout: SignalLayout) -> None:
+    """Refuse f, g or an identity tuple's function that has not decayed at
+    the edge of the scenario's window, which the transforms would truncate."""
+    named = [("f", opts["f"]), ("g", opts["g"])]
+    named += [(f"identity_tuples: {s.text}", s) for row in opts["identity_tuples"] for s in row]
+    for what, spec in named:
+        try:
+            # u^2 may overflow far from the peak, which takes exp(-a pi u^2)
+            # to its limit 0; SampledSignal refuses any sample left non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = sample(spec.fn, layout).samples
+            _require_decayed(np.abs(samples), BOUNDARY_DECAY_TOL_1D)
+        except ValueError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +310,18 @@ class Key(NamedTuple):
 
 class Check(NamedTuple):
     """A check's own keys and its run(ctx, **values) -> (entry, tables), where
-    values maps each key to its parsed value. validate(**values), when given,
-    rejects values whose combination is out of bounds, at load time."""
+    values maps each key to its parsed value. validate(options), when given,
+    raises ValueError at load time for a scenario whose parsed options break
+    a rule of the check that needs no field computed."""
 
     keys: dict[str, Key]
     run: Callable[..., tuple[dict, Tables]]
-    validate: Callable[..., None] | None = None
-
-    def values_in(self, opts: dict[str, object]) -> dict[str, object]:
-        return {key: opts[key] for key in self.keys}
+    validate: Callable[[dict[str, object]], None] | None = None
 
 
 CHECKS: dict[str, Check] = {
     "isometry": Check({"isometry_tol": Key(finite_float, 1e-8)}, _isometry),
-    "closed_form": Check({"closed_form_tol": Key(finite_float, 1e-8)}, _closed_form),
+    "closed_form": Check({"closed_form_tol": Key(finite_float, 1e-8)}, _closed_form, _validate_closed_form),
     "identity": Check(
         {"identity_tuples": Key(each(identity_tuple), ()), "identity_tol": Key(finite_float, 1e-6)},
         _identity,
@@ -325,24 +338,10 @@ CHECKS: dict[str, Check] = {
         },
         _lieb,
     ),
-    "weights": Check(
-        {"weights": Key(each(parse_weight_scan), ()), "radii": Key(finite_floats, DIVERGENCE_RADII)},
-        _weights,
-    ),
-    "support": Check({"support": Key(each(parse_support_mode), ())}, _support),
-    "decay": Check(
-        {"decay_tail": Key(finite_float, 0.25), "decay_product_tol": Key(finite_float, 1e-2)}, _decay
-    ),
-    "greedy_oracle": Check(
-        {
-            "oracle_fields": Key(positive_int, 20),
-            "oracle_size": Key(positive_even_int, 8),  # the side of a TFGrid
-            "oracle_max_subset": Key(positive_int, 3),
-            "oracle_seed": Key(int, 20260809),
-        },
-        _greedy_oracle,
-        _limit_oracle_subsets,
-    ),
+    "weights": Check({"weights": Key(each(parse_weight_scan), ())}, _weights, _validate_weights),
+    "support": Check({"support": Key(each(parse_support_mode), ())}, _support, _validate_support),
+    "decay": Check({"decay_product_tol": Key(finite_float, 1e-2)}, _decay),
+    "greedy_oracle": Check({}, _greedy_oracle),
 }
 
 
@@ -383,21 +382,25 @@ def load_config(path: Path) -> list[Scenario]:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     scenarios = []
     for section in parser.sections():
+        # the reports are <section>.json and <section>__<table>.csv in --out
+        if section in (".", "..", "summary") or "\0" in section or os.path.basename(section) != section:
+            raise ConfigError(f"[{section}] scenario names must be single file names other than 'summary'")
         opts = {name: key.default for name, key in _KEYS.items()}
         for name, raw in parser.items(section):
             if name not in _KEYS:
-                raise ConfigError(f"unknown key '{name}' in [{section}]")
+                raise ConfigError(f"[{section}] unknown key '{name}'")
             try:
                 opts[name] = _KEYS[name].parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {name}: {exc}") from exc
         if not opts["checks"]:
-            raise ConfigError(f"scenario [{section}] enables no checks")
+            raise ConfigError(f"[{section}] enables no checks")
         try:
             for check in (CHECKS[name] for name in opts["checks"]):
                 if check.validate is not None:
-                    check.validate(**check.values_in(opts))
+                    check.validate(opts)
             layout = SignalLayout(count=opts["count"], step=opts["step"])
+            _require_decayed_signals(opts, layout)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
         scenarios.append(Scenario(section, layout, opts["checks"], opts))
@@ -413,7 +416,7 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
     tables: Tables = {}
     for name in scn.checks:
         check = CHECKS[name]
-        checks[name], check_tables = check.run(ctx, **check.values_in(scn.options))
+        checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
         tables.update(check_tables)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
 
@@ -502,8 +505,9 @@ def import_tfarray(path: str | Path) -> TFArray:
     x_step = float(x[1] - x[0])
     xi_step = float(xi[1] - xi[0])
     grid = TFGrid(x_step=x_step, xi_step=xi_step, x_count=x.size, xi_count=xi.size)
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, xi.size)
-    return TFArray._fresh(grid, values)
+    values = np.empty(len(data), dtype=np.complex128)  # re + 1j * im would turn some -0 parts into +0
+    values.real, values.imag = data[:, 2], data[:, 3]
+    return TFArray._fresh(grid, values.reshape(x.size, xi.size))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +546,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     def work(scn: Scenario) -> tuple[str, tuple[dict, Tables] | None, str | None]:
         try:
             return scn.name, run_scenario(scn), None
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             return scn.name, None, str(exc)
         except Exception as exc:  # a fault in one scenario must not lose the others' reports
             return scn.name, None, f"{type(exc).__name__}: {exc}"

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from tfu.reference import AnalyticFunction, gaussian, hermite, unit_gaussian
 from tfu.support import SupportMode, SupportVariant
-from tfu.weights import WeightFamily, WeightSpec
+from tfu.weights import DIVERGENCE_RADII, WeightFamily, WeightSpec
 
 
 class ConfigError(ValueError):
@@ -44,13 +44,6 @@ def positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise ConfigError(f"{raw!r} is not a positive integer")
-    return value
-
-
-def positive_even_int(raw: str) -> int:
-    value = positive_int(raw)
-    if value % 2:
-        raise ConfigError(f"{raw!r} is not a positive even integer")
     return value
 
 
@@ -146,8 +139,6 @@ _VARIANTS = {variant.value: variant for variant in SupportVariant}
 _FAMILIES = {family.value: family for family in WeightFamily}
 
 
-
-
 @dataclass
 class WeightScanSpec:
     """One growth-scan request: weight, field source, expectations."""
@@ -155,7 +146,7 @@ class WeightScanSpec:
     weight: WeightSpec
     source: str  # stft | closed | pair | pair_exact
     expect: str  # divergent | convergent
-    radii: tuple[float, ...] | None  # None: the scenario's default radii
+    radii: tuple[float, ...]
     slope: float | None = None
     slope_tol: float = 0.0
 
@@ -181,7 +172,7 @@ def parse_weight_scan(spec: str) -> WeightScanSpec:
     expect = params.pop("expect", "divergent")
     if expect not in ("divergent", "convergent"):
         raise ConfigError(f"unknown verdict expectation {expect!r} in {spec!r}")
-    radii = None
+    radii = DIVERGENCE_RADII
     if "radii" in params:
         radii = tuple(finite_float(v) for v in params.pop("radii").split(":"))
     slope = finite_float(params.pop("slope")) if "slope" in params else None

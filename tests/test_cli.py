@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tfu
 from tfu import cli, specs
@@ -81,7 +83,7 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     config = write_config(tmp_path, "[s]\nchecks = isometry\nfrequency = 3\n")
     rc = cli.main(["run", config, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "unknown key 'frequency' in [s]" in capsys.readouterr().err
+    assert "[s] unknown key 'frequency'" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_check(tmp_path, capsys):
@@ -207,11 +209,15 @@ def binade_field(grid):
 
 def test_export_roundtrip_bit_exact(tmp_path, layout, grid):
     f = tfu.sample(tfu.unit_gaussian(), layout)
-    for v in (tfu.compute_stft(f, f, grid), binade_field(grid)):
+    signed_zeros = tfu.TFArray(
+        grid=tfu.TFGrid(x_step=0.5, xi_step=0.5, x_count=2, xi_count=2),
+        values=np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [complex(-0.0, -0.0), 0.25]]),
+    )
+    for v in (tfu.compute_stft(f, f, grid), binade_field(grid), signed_zeros):
         path = tmp_path / "stft.csv"
         cli.export_tfarray(v, path)
         back = cli.import_tfarray(path)
-        assert np.array_equal(back.values, v.values)
+        assert np.array_equal(back.values.view(np.uint64), v.values.view(np.uint64))  # -0 is not +0
         assert back.grid.shape == v.grid.shape
         # the abs column is Python's abs(complex), which np.abs misses in the last bit
         re, im, mag = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3, 4)).T
@@ -348,22 +354,84 @@ def test_export_stft_rejects_oversized_count_before_sampling(tmp_path, monkeypat
     assert "65536 samples exceed the limit" in capsys.readouterr().err
 
 
-def test_load_config_caps_greedy_oracle_subsets(tmp_path):
-    # the bundled suite's 20 * (C(64,1) + C(64,2) + C(64,3)) = 874,880 subsets load
-    suite = cli.load_config(cli._resolve_config("paper-suite"))
-    assert suite[-1].options["oracle_size"] == 8 and suite[-1].options["oracle_fields"] == 20
-    config = write_config(tmp_path, "[s]\nchecks = greedy_oracle\noracle_size = 64\n")
-    with pytest.raises(cli.ConfigError, match=r"^\[s\] oracle_fields, oracle_size, oracle_max_subset"):
+RETIRED_KEYS = ["radii", "decay_tail", "oracle_fields", "oracle_size", "oracle_max_subset", "oracle_seed"]
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_load_config_refuses_retired_keys(tmp_path, key):
+    config = write_config(tmp_path, f"[s]\nchecks = isometry\n{key} = 1\n")
+    with pytest.raises(cli.ConfigError, match=rf"^\[s\] unknown key '{key}'"):
         cli.load_config(config)
 
 
-def test_load_config_rejects_odd_oracle_size(tmp_path):
-    # the oracle's fields live on a size x size TFGrid, whose counts are even
-    config = write_config(
-        tmp_path, "[a]\nchecks = isometry\n[s]\nchecks = greedy_oracle\noracle_size = 3\n"
-    )
-    with pytest.raises(cli.ConfigError, match=r"^\[s\] oracle_size: '3' is not a positive even integer"):
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("f = gaussian:a=2\nchecks = closed_form\n", "checks: closed_form requires the unit gaussian pair"),
+        (
+            "g = hermite:n=1\nchecks = weights\nweights = radial_half p=1; hyperbolic p=1 field=closed\n",
+            "weights: field=closed requires the unit gaussian pair",
+        ),
+        ("checks = weights\n", "weights: the weights check needs at least one scan"),
+        ("checks = support\nsupport = ;\n", "support: the support check needs at least one mode"),
+    ],
+)
+def test_load_config_applies_config_only_rules(tmp_path, body, message):
+    config = write_config(tmp_path, f"[a]\nchecks = isometry\n[s]\n{body}")
+    with pytest.raises(cli.ConfigError, match=rf"^\[s\] {message}"):
         cli.load_config(config)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("f", "gaussian:a=0.001"),  # ran, and failed its isometry and Lieb checks
+        ("g", "hermite:n=1:z=7.5"),
+        ("identity_tuples", "gaussian:a=1, gaussian:a=1, gaussian:a=0.001, gaussian:a=1"),
+    ],
+)
+def test_load_config_rejects_truncated_signals(tmp_path, key, value):
+    config = write_config(tmp_path, f"[s]\nchecks = isometry, identity\n{key} = {value}\n")
+    with pytest.raises(cli.ConfigError, match=rf"^\[s\] {key}: .*truncation unsound"):
+        cli.load_config(config)
+
+
+@pytest.mark.parametrize("name", ["summary", "../x", "a/b", ".."])
+def test_load_config_keeps_reports_inside_out(tmp_path, name):
+    # [summary] would overwrite summary.json, [../x] write x.json beside --out
+    config = write_config(tmp_path, f"[ok]\nchecks = isometry\n[{name}]\nchecks = isometry\n")
+    with pytest.raises(cli.ConfigError, match=rf"^\[{re.escape(name)}\] "):
+        cli.load_config(config)
+
+
+_TOKENS = (
+    ["inf", "nan", "1e400", "1e-320", "1e200", "", "0", "-1", "0.5", "1", "2", "16", "1024"]
+    + list(cli.CHECKS)
+    + ["gaussian", "hermite", "radial_half", "demange", "l1_fraction", "lp_vs_l1p"]
+    + ["a=", "n=", "z=", "w=", "amp=", "p=", "N=", "eps=", "field=closed", "radii=", "expect=unsatisfiable"]
+    + [";", ",", ":", " "]
+)
+_SECTIONS = st.dictionaries(
+    st.sampled_from(sorted(cli._KEYS) + RETIRED_KEYS + ["frequency"]),
+    st.lists(st.sampled_from(_TOKENS), max_size=8).map("".join),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@example({"s": {"checks": "isometry", "step": "1e200"}})  # u^2 overflows while sampling
+@example({"s": {"checks": "isometry", "step": "1e200", "g": "hermite:n=2"}})
+@given(st.dictionaries(st.sampled_from(["s", "t", "summary", "../x"]), _SECTIONS, min_size=1, max_size=3))
+def test_load_config_returns_or_names_the_section(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "generated.ini"
+    text = ""
+    for name, keys in config.items():
+        text += f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+    path.write_text(text, encoding="utf-8")
+    try:
+        cli.load_config(path)
+    except cli.ConfigError as exc:
+        assert any(str(exc).startswith(f"[{name}] ") for name in config), str(exc)
 
 
 def plain_greedy_oracle(n_fields, size, kmax, seed):
