@@ -8,13 +8,13 @@ Subcommands:
 
 Configs are INI files: one section per scenario, flat keys (see the bundled
 "paper-suite" config). SCENARIO_KEYS and the check registry CHECKS declare
-each key once, with its parser (tfu.specs) and default. Before any scenario
-runs, load_config parses every value, applies each enabled check's rules on
-the parsed values, and samples the scenario's signals to check that they
-decay at the window edge; a bad scenario aborts naming its "[section] key".
+each key once, with its parser (tfu.specs) and default; pass thresholds are
+the *_TOL constants. Before any scenario runs, load_config parses every
+value, applies each enabled check's rules, and samples each distinct
+function once, refusing one that is zero or not decayed at the window edge
+(as export-stft does); a bad scenario aborts naming its "[section] key".
 A check is a function of a ScenarioContext and of its own keys; the context
-computes what the checks of one scenario share on first use and is released
-when the scenario's run returns.
+holds the scenario's samples and computes what its checks share on first use.
 
 `run` writes one JSON report per scenario plus CSV tables for sweeps, and
 exits 0 only if every enabled assertion passed (2 on assertion failure, 1
@@ -44,6 +44,7 @@ import numpy as np
 from tfu.core import (
     BOUNDARY_DECAY_TOL_1D,
     DEFAULT_LAYOUT,
+    SampledSignal,
     SignalLayout,
     TFArray,
     TFGrid,
@@ -62,7 +63,7 @@ from tfu.specs import (
     finite_floats,
     function_spec,
     identity_tuple,
-    parse_function_spec,
+    parse_function_spec,  # noqa: F401 (the benchmark parses export specs as cli.parse_function_spec)
     parse_support_mode,
     parse_weight_scan,
     positive_int,
@@ -82,6 +83,11 @@ _ORACLE = {"fields": 20, "size": 8, "max_subset": 3, "seed": 20260809}
 #: most 1.5 MiB for its k <= 3.
 _ORACLE_CHUNK = 2**16
 
+#: Fixed pass thresholds; a config sets only lieb_equality_tol and a scan's slope_tol.
+ISOMETRY_TOL = CLOSED_FORM_TOL = 1e-8
+IDENTITY_TOL = ROTATION_TOL = LIEB_DIR_TOL = 1e-6
+DECAY_PRODUCT_TOL = 1e-2
+
 
 # ---------------------------------------------------------------------------
 # scenarios and the per-scenario context
@@ -93,18 +99,18 @@ class Scenario:
     layout: SignalLayout
     checks: tuple[str, ...]
     options: dict[str, object]  # every key -> its parsed value or default
+    signals: dict[str, SampledSignal]  # function spec text -> its samples on layout
 
 
 class ScenarioContext:
-    """What the checks of one scenario share. The samples are taken at once;
-    the fields and norms are computed on first use."""
+    """What the checks of one scenario share: the scenario's samples, and
+    fields and norms computed on first use."""
 
     def __init__(self, scn: Scenario) -> None:
-        self.name, self.layout = scn.name, scn.layout
+        self.name, self.layout, self.signals = scn.name, scn.layout, scn.signals
         self.f_spec: FunctionSpec = scn.options["f"]
         self.g_spec: FunctionSpec = scn.options["g"]
-        self.f = sample(self.f_spec.fn, self.layout)
-        self.g = sample(self.g_spec.fn, self.layout)
+        self.f, self.g = self.signals[self.f_spec.text], self.signals[self.g_spec.text]
         self.grid = TFGrid.from_layout(self.layout)
 
     @_cached
@@ -147,47 +153,47 @@ def _all_passed(entries: Iterable[dict]) -> bool:
     return all(e["passed"] for e in entries)
 
 
-def _isometry(ctx: ScenarioContext, isometry_tol: float) -> tuple[dict, Tables]:
+def _isometry(ctx: ScenarioContext) -> tuple[dict, Tables]:
     defect = energy_defect(ctx.stft, *ctx.norms)
-    return {"defect": defect, "tolerance": isometry_tol, "passed": defect < isometry_tol}, {}
+    return {"defect": defect, "tolerance": ISOMETRY_TOL, "passed": defect < ISOMETRY_TOL}, {}
 
 
-def _closed_form(ctx: ScenarioContext, closed_form_tol: float) -> tuple[dict, Tables]:
+def _closed_form(ctx: ScenarioContext) -> tuple[dict, Tables]:
     dev = float(np.max(np.abs(ctx.stft.values - ctx.closed.values)))
-    return {"max_abs_deviation": dev, "tolerance": closed_form_tol, "passed": dev < closed_form_tol}, {}
+    return {"max_abs_deviation": dev, "tolerance": CLOSED_FORM_TOL, "passed": dev < CLOSED_FORM_TOL}, {}
 
 
-def _identity(ctx: ScenarioContext, identity_tuples, identity_tol: float) -> tuple[dict, Tables]:
+def _identity(ctx: ScenarioContext, identity_tuples) -> tuple[dict, Tables]:
     results = []
     for specs in identity_tuples or ((ctx.f_spec, ctx.f_spec, ctx.g_spec, ctx.g_spec),):
-        defect = fundamental_identity_defect(*(sample(s.fn, ctx.layout) for s in specs), ctx.grid)
+        defect = fundamental_identity_defect(*(ctx.signals[s.text] for s in specs), ctx.grid)
         functions = [s.text for s in specs]
-        results.append({"functions": functions, "defect": defect, "passed": defect < identity_tol})
-    return {"tolerance": identity_tol, "tuples": results, "passed": _all_passed(results)}, {}
+        results.append({"functions": functions, "defect": defect, "passed": defect < IDENTITY_TOL})
+    return {"tolerance": IDENTITY_TOL, "tuples": results, "passed": _all_passed(results)}, {}
 
 
-def _rotation(ctx: ScenarioContext, rotation_z, rotation_tol: float) -> tuple[dict, Tables]:
+def _rotation(ctx: ScenarioContext, rotation_z) -> tuple[dict, Tables]:
     results = []
     for z, zeta in rotation_z:
         defect = rotation_invariance_defect(build_auxiliary(ctx.f, ctx.g, ctx.grid, z, zeta))
-        results.append({"z": z, "zeta": zeta, "defect": defect, "passed": defect < rotation_tol})
-    return {"tolerance": rotation_tol, "shifts": results, "passed": _all_passed(results)}, {}
+        results.append({"z": z, "zeta": zeta, "defect": defect, "passed": defect < ROTATION_TOL})
+    return {"tolerance": ROTATION_TOL, "shifts": results, "passed": _all_passed(results)}, {}
 
 
-def _lieb(ctx: ScenarioContext, lieb_p, lieb_dir_tol: float, lieb_equality_tol) -> tuple[dict, Tables]:
+def _lieb(ctx: ScenarioContext, lieb_p, lieb_equality_tol) -> tuple[dict, Tables]:
     entries = []
     for p in lieb_p:
         ratio = lieb_ratio(ctx.stft, p, *ctx.norms)
         if p > 2:
-            ok = ratio <= 1 + lieb_dir_tol
+            ok = ratio <= 1 + LIEB_DIR_TOL
         elif p < 2:
-            ok = ratio >= 1 - lieb_dir_tol
+            ok = ratio >= 1 - LIEB_DIR_TOL
         else:
-            ok = abs(ratio - 1) <= lieb_dir_tol
+            ok = abs(ratio - 1) <= LIEB_DIR_TOL
         if lieb_equality_tol is not None:
             ok = ok and abs(ratio - 1) <= lieb_equality_tol
         entries.append({"p": p, "ratio": ratio, "passed": ok})
-    entry = {"direction_tolerance": lieb_dir_tol, "ratios": entries, "passed": _all_passed(entries)}
+    entry = {"direction_tolerance": LIEB_DIR_TOL, "ratios": entries, "passed": _all_passed(entries)}
     return entry, {"lieb": (["p", "ratio"], [[e["p"], e["ratio"]] for e in entries])}
 
 
@@ -240,18 +246,17 @@ def _support(ctx: ScenarioContext, support) -> tuple[dict, Tables]:
     return {"modes": entries, "passed": _all_passed(entries)}, {"support": (_SUPPORT_HEADER, rows)}
 
 
-def _decay(ctx: ScenarioContext, decay_product_tol: float) -> tuple[dict, Tables]:
+def _decay(ctx: ScenarioContext) -> tuple[dict, Tables]:
     a_time = decay_fit(ctx.f)
     a_freq = decay_fit(discrete_fourier(ctx.f))
     product = a_time * a_freq
-    entry = {
+    return {
         "fit_time": a_time,
         "fit_frequency": a_freq,
         "product": product,
-        "tolerance": decay_product_tol,
-        "passed": abs(product - 1.0) <= decay_product_tol,
-    }
-    return entry, {}
+        "tolerance": DECAY_PRODUCT_TOL,
+        "passed": abs(product - 1.0) <= DECAY_PRODUCT_TOL,
+    }, {}
 
 
 def _greedy_oracle(ctx: ScenarioContext) -> tuple[dict, Tables]:
@@ -267,10 +272,6 @@ def _require_unit_pair(opts: dict[str, object], what: str) -> None:
         raise ConfigError(f"{what} requires the unit gaussian pair f = g = gaussian:a=1")
 
 
-def _validate_closed_form(opts: dict[str, object]) -> None:
-    _require_unit_pair(opts, "checks: closed_form")
-
-
 def _validate_weights(opts: dict[str, object]) -> None:
     if not opts["weights"]:
         raise ConfigError("weights: the weights check needs at least one scan")
@@ -283,20 +284,27 @@ def _validate_support(opts: dict[str, object]) -> None:
         raise ConfigError("support: the support check needs at least one mode")
 
 
-def _require_decayed_signals(opts: dict[str, object], layout: SignalLayout) -> None:
-    """Refuse f, g or an identity tuple's function that has not decayed at
-    the edge of the scenario's window, which the transforms would truncate."""
-    named = [("f", opts["f"]), ("g", opts["g"])]
-    named += [(f"identity_tuples: {s.text}", s) for row in opts["identity_tuples"] for s in row]
+def _sample_signals(named: Iterable[tuple[str, FunctionSpec]], layout: SignalLayout) -> dict[str, SampledSignal]:
+    """Each distinct spec's samples on the layout, keyed by its text. A function
+    that is zero on the whole window, or not decayed at its edge where the
+    transforms truncate it, is refused as "what: reason"."""
+    signals: dict[str, SampledSignal] = {}
     for what, spec in named:
+        if spec.text in signals:
+            continue
         try:
             # u^2 may overflow far from the peak, which takes exp(-a pi u^2)
             # to its limit 0; SampledSignal refuses any sample left non-finite
             with np.errstate(over="ignore", invalid="ignore"):
-                samples = sample(spec.fn, layout).samples
-            _require_decayed(np.abs(samples), BOUNDARY_DECAY_TOL_1D)
+                signal = sample(spec.fn, layout)
+            magnitudes = np.abs(signal.samples)
+            if not magnitudes.any():
+                raise ValueError("signal is zero on the whole window")
+            _require_decayed(magnitudes, BOUNDARY_DECAY_TOL_1D)
         except ValueError as exc:
             raise ConfigError(f"{what}: {exc}") from exc
+        signals[spec.text] = signal
+    return signals
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +328,14 @@ class Check(NamedTuple):
 
 
 CHECKS: dict[str, Check] = {
-    "isometry": Check({"isometry_tol": Key(finite_float, 1e-8)}, _isometry),
-    "closed_form": Check({"closed_form_tol": Key(finite_float, 1e-8)}, _closed_form, _validate_closed_form),
-    "identity": Check(
-        {"identity_tuples": Key(each(identity_tuple), ()), "identity_tol": Key(finite_float, 1e-6)},
-        _identity,
-    ),
-    "rotation": Check(
-        {"rotation_z": Key(each(shift_pair), ((0.0, 0.0),)), "rotation_tol": Key(finite_float, 1e-6)},
-        _rotation,
-    ),
-    "lieb": Check(
-        {
-            "lieb_p": Key(finite_floats, (2.0,)),
-            "lieb_dir_tol": Key(finite_float, 1e-6),
-            "lieb_equality_tol": Key(finite_float, None),
-        },
-        _lieb,
-    ),
+    "isometry": Check({}, _isometry),
+    "closed_form": Check({}, _closed_form, lambda opts: _require_unit_pair(opts, "checks: closed_form")),
+    "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity),
+    "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation),
+    "lieb": Check({"lieb_p": Key(finite_floats, (2.0,)), "lieb_equality_tol": Key(finite_float, None)}, _lieb),
     "weights": Check({"weights": Key(each(parse_weight_scan), ())}, _weights, _validate_weights),
     "support": Check({"support": Key(each(parse_support_mode), ())}, _support, _validate_support),
-    "decay": Check({"decay_product_tol": Key(finite_float, 1e-2)}, _decay),
+    "decay": Check({}, _decay),
     "greedy_oracle": Check({}, _greedy_oracle),
 }
 
@@ -400,10 +395,12 @@ def load_config(path: Path) -> list[Scenario]:
                 if check.validate is not None:
                     check.validate(opts)
             layout = SignalLayout(count=opts["count"], step=opts["step"])
-            _require_decayed_signals(opts, layout)
+            named = [("f", opts["f"]), ("g", opts["g"])]
+            named += [(f"identity_tuples: {s.text}", s) for row in opts["identity_tuples"] for s in row]
+            signals = _sample_signals(named, layout)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
-        scenarios.append(Scenario(section, layout, opts["checks"], opts))
+        scenarios.append(Scenario(section, layout, opts["checks"], opts, signals))
     if not scenarios:
         raise ConfigError(f"config {path} defines no scenarios")
     return scenarios
@@ -587,9 +584,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_export_stft(args: argparse.Namespace) -> int:
     layout = SignalLayout(count=signal_count(args.count), step=args.step)
-    f = sample(parse_function_spec(args.f), layout)
-    g = sample(parse_function_spec(args.g), layout)
-    v = compute_stft(f, g, TFGrid.from_layout(layout))
+    f, g = function_spec(args.f), function_spec(args.g)
+    signals = _sample_signals([("--f", f), ("--g", g)], layout)
+    v = compute_stft(signals[f.text], signals[g.text], TFGrid.from_layout(layout))
     export_tfarray(v, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -186,16 +186,16 @@ def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> Grow
 #: fit window above the FFT rounding floor of transformed signals.
 DECAY_ABS_FLOOR = 1e-250
 DECAY_REL_FLOOR = 1e-12
+#: Share of the samples above the floor, outermost first, that a decay fit uses.
+DECAY_TAIL_FRACTION = 0.25
 
 
-def decay_fit(s: SampledSignal, tail_fraction: float = 0.25) -> float:
+def decay_fit(s: SampledSignal) -> float:
     """Fitted Gaussian decay constant: slope of -ln|s| / pi against t^2.
 
-    The regression runs over the outermost tail_fraction of the samples
-    that sit above the magnitude floor.
+    The regression runs over the outermost DECAY_TAIL_FRACTION of the
+    samples that sit above the magnitude floor.
     """
-    if not 0 < tail_fraction < 0.5:
-        raise ValueError(f"tail_fraction must lie in (0, 0.5), got {tail_fraction}")
     mag = np.abs(s.samples)
     peak = float(np.max(mag))
     floor = max(DECAY_ABS_FLOOR, DECAY_REL_FLOOR * peak)
@@ -203,7 +203,7 @@ def decay_fit(s: SampledSignal, tail_fraction: float = 0.25) -> float:
     if eligible.size < 4:
         raise ValueError("tail underflow: too few samples above the magnitude floor")
     t = s.times()
-    k = max(4, math.ceil(tail_fraction * eligible.size))
+    k = max(4, math.ceil(DECAY_TAIL_FRACTION * eligible.size))
     sel = eligible[np.argsort(np.abs(t[eligible]), kind="stable")][-k:]
     y = -np.log(mag[sel]) / np.pi
     return float(np.polyfit(t[sel] ** 2, y, 1)[0])

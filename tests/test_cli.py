@@ -1,7 +1,11 @@
+import configparser
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -96,7 +100,7 @@ def test_run_rejects_unknown_check(tmp_path, capsys):
 def test_run_assertion_failure_exits_two_with_partial_results(tmp_path):
     config = write_config(
         tmp_path,
-        "[impossible]\nchecks = isometry\nisometry_tol = 1e-30\n"
+        "[impossible]\nchecks = weights\nweights = radial_half p=1 expect=convergent\n"
         "[fine]\nchecks = isometry\n",
     )
     out = tmp_path / "out"
@@ -318,7 +322,7 @@ def test_run_scenario_fault_keeps_other_reports(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "key, template",
     [
-        ("isometry_tol", "{}"),
+        ("lieb_equality_tol", "{}"),
         ("step", "{}"),
         ("lieb_p", "2, {}"),
         ("rotation_z", "0 {}"),
@@ -354,7 +358,10 @@ def test_export_stft_rejects_oversized_count_before_sampling(tmp_path, monkeypat
     assert "65536 samples exceed the limit" in capsys.readouterr().err
 
 
-RETIRED_KEYS = ["radii", "decay_tail", "oracle_fields", "oracle_size", "oracle_max_subset", "oracle_seed"]
+RETIRED_KEYS = [
+    "radii", "decay_tail", "oracle_fields", "oracle_size", "oracle_max_subset", "oracle_seed",
+    "isometry_tol", "closed_form_tol", "identity_tol", "rotation_tol", "lieb_dir_tol", "decay_product_tol",
+]
 
 
 @pytest.mark.parametrize("key", RETIRED_KEYS)
@@ -394,6 +401,75 @@ def test_load_config_rejects_truncated_signals(tmp_path, key, value):
     config = write_config(tmp_path, f"[s]\nchecks = isometry, identity\n{key} = {value}\n")
     with pytest.raises(cli.ConfigError, match=rf"^\[s\] {key}: .*truncation unsound"):
         cli.load_config(config)
+
+
+@pytest.mark.parametrize(
+    "key, value, what",
+    [
+        ("f", "gaussian:z=1e200", "f"),  # underflows to 0; failed at run time as a degenerate pair
+        (  # passed vacuously with defect 0
+            "identity_tuples",
+            "gaussian:a=1:amp=0, gaussian:a=1, gaussian:a=1, gaussian:a=1",
+            "identity_tuples: gaussian:a=1:amp=0",
+        ),
+    ],
+)
+def test_load_config_rejects_zero_signals(tmp_path, capsys, key, value, what):
+    config = write_config(tmp_path, f"[s]\nchecks = isometry, identity\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [s] {what}: signal is zero on the whole window\n"
+    assert not out.exists()
+
+
+def test_scenario_samples_each_function_once_at_load(tmp_path, monkeypatch):
+    suite = configparser.ConfigParser(interpolation=None)
+    suite.read(cli._resolve_config("paper-suite"), encoding="utf-8")
+    section = configparser.ConfigParser(interpolation=None)
+    section.read_dict({"identity-tuples": suite["identity-tuples"]})
+    config = tmp_path / "config.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        section.write(fh)
+    calls = []
+    sample = cli.sample
+    monkeypatch.setattr(cli, "sample", lambda *a: calls.append(a[0]) or sample(*a))
+    (scn,) = cli.load_config(config)
+    assert len(calls) == 3  # gaussian:a=1, hermite:n=1, hermite:n=2
+    report, _ = cli.run_scenario(scn)
+    assert report["passed"] and len(calls) == 3
+
+
+def test_overflowing_step_runs_without_runtime_warnings(tmp_path):
+    # u^2 overflows far from the peak; the run used to sample again and warn
+    config = write_config(tmp_path, "[s]\nstep = 1e200\nchecks = isometry\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(tfu.__file__).parent.parent))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "tfu.cli", "run", config, "--out", str(out)]
+    proc = subprocess.run(argv + ["--no-timestamp"], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "pass  s\n", "")
+    assert cli.main(["run", config, "--out", str(tmp_path / "inproc"), "--no-timestamp"]) == 0
+    assert (out / "s.json").read_bytes() == (tmp_path / "inproc" / "s.json").read_bytes()
+
+
+def test_export_stft_rejects_truncated_signals(tmp_path, capsys):
+    path = tmp_path / "v.csv"
+    argv = ["export-stft", "--f", "gaussian:a=0.001", "--g", "gaussian:a=1", "--out", str(path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --f: truncation unsound: ")
+    assert not path.exists()
+
+
+def test_every_key_has_a_non_default_user():
+    # a key that no config sets to anything but its default is a constant
+    used = set()
+    for path in (cli._resolve_config("paper-suite"), Path(__file__).parent / "golden/large_grid/large_grid.ini"):
+        config = configparser.ConfigParser(interpolation=None)
+        config.read(path, encoding="utf-8")
+        for section in config.sections():
+            for name, raw in config.items(section):
+                if cli._KEYS[name].parse(raw) != cli._KEYS[name].default:
+                    used.add(name)
+    assert used == set(cli._KEYS)
 
 
 @pytest.mark.parametrize("name", ["summary", "../x", "a/b", ".."])

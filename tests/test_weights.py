@@ -290,12 +290,6 @@ def test_decay_fit_dilation_covariance(layout, lam):
     assert tfu.decay_fit(dilated) == pytest.approx(tfu.decay_fit(base) * lam**2, abs=1e-3)
 
 
-def test_decay_fit_tail_fraction_range(layout):
-    f = tfu.sample(tfu.unit_gaussian(), layout)
-    with pytest.raises(ValueError, match="tail_fraction"):
-        tfu.decay_fit(f, 0.7)
-
-
 def test_decay_fit_underflow(layout):
     silent = tfu.SampledSignal(np.zeros(layout.count, dtype=complex), layout.step)
     with pytest.raises(ValueError, match="tail underflow"):
