@@ -8,7 +8,6 @@ nonzero function can be in the time-frequency plane.
 """
 
 from tfu.core import (
-    DEFAULT_GRID,
     DEFAULT_LAYOUT,
     SampledSignal,
     SignalLayout,
@@ -24,16 +23,13 @@ from tfu.reference import (
     AnalyticFunction,
     fourier_closed_form,
     gaussian,
-    gaussian_stft_closed_form,
     gaussian_stft_field,
     hermite,
-    hermite_fourier_eigenvalue,
-    poly_gaussian,
     sample,
     translate_modulate,
     unit_gaussian,
 )
-from tfu.stft import compute_stft, isometry_defect
+from tfu.stft import compute_stft, energy_defect
 from tfu.support import (
     SupportMode,
     SupportReport,
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticFunction",
     "CONVERGENCE_RADII",
-    "DEFAULT_GRID",
     "DEFAULT_LAYOUT",
     "DIVERGENCE_RADII",
     "GrowthReport",
@@ -78,22 +73,19 @@ __all__ = [
     "compute_stft",
     "decay_fit",
     "discrete_fourier",
+    "energy_defect",
     "fourier_2d",
     "fourier_closed_form",
     "fundamental_identity_defect",
     "gaussian",
-    "gaussian_stft_closed_form",
     "gaussian_stft_field",
     "greedy_essential_support",
     "growth_scan",
     "hermite",
-    "hermite_fourier_eigenvalue",
-    "isometry_defect",
     "lieb_ratio",
     "lower_bound",
     "pair_field",
     "pairwise_sum",
-    "poly_gaussian",
     "quadrature_sum",
     "rotation_invariance_defect",
     "sample",

@@ -11,8 +11,9 @@ Configs are INI files: one section per scenario, flat keys (see the bundled
 each key once, with its parser (tfu.specs) and default; pass thresholds are
 the *_TOL constants. Before any scenario runs, load_config parses every
 value, applies each enabled check's rules, and samples each distinct
-function once, refusing one that is zero or not decayed at the window edge
-(as export-stft does); a bad scenario aborts naming its "[section] key".
+function once (and f's closed-form transform, for a pair_exact scan),
+refusing one that is zero or not decayed at the window edge (as export-stft
+does); a bad scenario aborts naming its "[section] key".
 A check is a function of a ScenarioContext and of its own keys; the context
 holds the scenario's samples and computes what its checks share on first use.
 
@@ -60,9 +61,9 @@ from tfu.specs import (
     FunctionSpec,
     each,
     finite_float,
-    finite_floats,
     function_spec,
     identity_tuple,
+    lieb_exponents,
     parse_function_spec,  # noqa: F401 (the benchmark parses export specs as cli.parse_function_spec)
     parse_support_mode,
     parse_weight_scan,
@@ -100,6 +101,7 @@ class Scenario:
     checks: tuple[str, ...]
     options: dict[str, object]  # every key -> its parsed value or default
     signals: dict[str, SampledSignal]  # function spec text -> its samples on layout
+    fhat: SampledSignal | None = None  # f's closed-form transform on the dual layout, for pair_exact scans
 
 
 class ScenarioContext:
@@ -107,11 +109,11 @@ class ScenarioContext:
     fields and norms computed on first use."""
 
     def __init__(self, scn: Scenario) -> None:
-        self.name, self.layout, self.signals = scn.name, scn.layout, scn.signals
+        self.signals, self.fhat = scn.signals, scn.fhat
         self.f_spec: FunctionSpec = scn.options["f"]
         self.g_spec: FunctionSpec = scn.options["g"]
         self.f, self.g = self.signals[self.f_spec.text], self.signals[self.g_spec.text]
-        self.grid = TFGrid.from_layout(self.layout)
+        self.grid = TFGrid.from_layout(scn.layout)
 
     @_cached
     def stft(self) -> TFArray:
@@ -136,8 +138,8 @@ class ScenarioContext:
 
     @_cached
     def pair_exact(self) -> TFArray:
-        """f(x) fhat(xi) with closed-form samples of the transform of f."""
-        return pair_field(self.f, sample(fourier_closed_form(self.f_spec.fn), self.layout.dual()))
+        """f(x) fhat(xi) with the closed-form transform samples taken at load."""
+        return pair_field(self.f, self.fhat)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +274,15 @@ def _require_unit_pair(opts: dict[str, object], what: str) -> None:
         raise ConfigError(f"{what} requires the unit gaussian pair f = g = gaussian:a=1")
 
 
+def _require_entry(opts: dict[str, object], key: str, entry: str) -> None:
+    if not opts[key]:
+        raise ConfigError(f"{key}: the {key} check needs at least one {entry}")
+
+
 def _validate_weights(opts: dict[str, object]) -> None:
-    if not opts["weights"]:
-        raise ConfigError("weights: the weights check needs at least one scan")
+    _require_entry(opts, "weights", "scan")
     if any(ws.source == "closed" for ws in opts["weights"]):
         _require_unit_pair(opts, "weights: field=closed")
-
-
-def _validate_support(opts: dict[str, object]) -> None:
-    if not opts["support"]:
-        raise ConfigError("support: the support check needs at least one mode")
 
 
 def _sample_signals(named: Iterable[tuple[str, FunctionSpec]], layout: SignalLayout) -> dict[str, SampledSignal]:
@@ -332,9 +333,11 @@ CHECKS: dict[str, Check] = {
     "closed_form": Check({}, _closed_form, lambda opts: _require_unit_pair(opts, "checks: closed_form")),
     "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity),
     "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation),
-    "lieb": Check({"lieb_p": Key(finite_floats, (2.0,)), "lieb_equality_tol": Key(finite_float, None)}, _lieb),
+    "lieb": Check({"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(finite_float, None)}, _lieb),
     "weights": Check({"weights": Key(each(parse_weight_scan), ())}, _weights, _validate_weights),
-    "support": Check({"support": Key(each(parse_support_mode), ())}, _support, _validate_support),
+    "support": Check(
+        {"support": Key(each(parse_support_mode), ())}, _support, lambda opts: _require_entry(opts, "support", "mode")
+    ),
     "decay": Check({}, _decay),
     "greedy_oracle": Check({}, _greedy_oracle),
 }
@@ -397,10 +400,13 @@ def load_config(path: Path) -> list[Scenario]:
             layout = SignalLayout(count=opts["count"], step=opts["step"])
             named = [("f", opts["f"]), ("g", opts["g"])]
             named += [(f"identity_tuples: {s.text}", s) for row in opts["identity_tuples"] for s in row]
-            signals = _sample_signals(named, layout)
+            signals, fhat = _sample_signals(named, layout), None
+            if "weights" in opts["checks"] and any(ws.source == "pair_exact" for ws in opts["weights"]):
+                spec = FunctionSpec(opts["f"].text, fourier_closed_form(opts["f"].fn))
+                fhat = _sample_signals([("weights: field=pair_exact", spec)], layout.dual())[spec.text]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
-        scenarios.append(Scenario(section, layout, opts["checks"], opts, signals))
+        scenarios.append(Scenario(section, layout, opts["checks"], opts, signals, fhat))
     if not scenarios:
         raise ConfigError(f"config {path} defines no scenarios")
     return scenarios

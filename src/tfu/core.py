@@ -96,9 +96,6 @@ class SampledSignal:
     def layout(self) -> SignalLayout:
         return SignalLayout(self.count, self.step)
 
-    def times(self) -> np.ndarray:
-        return self.layout.times()
-
     def l2_norm(self) -> float:
         """sqrt(step * sum |samples|^2), via the deterministic cascade.
 
@@ -183,9 +180,6 @@ class TFGrid:
             x_count=layout.count,
             xi_count=layout.count,
         )
-
-
-DEFAULT_GRID = TFGrid.from_layout(DEFAULT_LAYOUT)
 
 
 class _cached:

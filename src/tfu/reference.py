@@ -1,12 +1,12 @@
-"""Closed-form test functions: Gaussians, Hermite functions, polynomial
-Gaussians, their translates/modulates, and the exact Gaussian-pair STFT.
+"""Closed-form test functions: Gaussians, Hermite functions, their
+translates/modulates and Fourier transforms, and the exact Gaussian-pair STFT.
 
 Hermite functions use the normalization that makes them an orthonormal
 L2(R) basis of Fourier eigenfunctions under the exp(-2 pi i x xi) transform
 convention: h_n(t) = 2^{1/4} (n! 2^n)^{-1/2} H_n(sqrt(2 pi) t) exp(-pi t^2),
 where H_n is the physicists' Hermite polynomial. In particular h_0 is the
 unit-norm Gaussian 2^{1/4} exp(-pi t^2) and the transform of h_n is
-(-i)^n h_n. Polynomial coefficients are kept explicit up to order 8.
+(-i)^n h_n. Hermite coefficients are kept explicit up to order 8.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid
 
 GAUSSIAN = "gaussian"
 HERMITE = "hermite"
-POLY_GAUSSIAN = "poly_gaussian"
 
 MAX_HERMITE_ORDER = 8
 
@@ -42,28 +41,24 @@ _HERMITE_COEFFS: dict[int, tuple[float, ...]] = {
 class AnalyticFunction:
     """A closed-form function C * base(t - z) * exp(2 pi i w t).
 
-    base is one of: exp(-a pi t^2) (gaussian), the orthonormal Hermite
-    function h_n (hermite), or P(t) exp(-a pi t^2) with power-basis
-    coefficients P (poly_gaussian).
+    base is exp(-a pi t^2) (gaussian) or the orthonormal Hermite function
+    h_n (hermite).
     """
 
     kind: str
     width: float = 1.0  # the Gaussian decay constant a
     amplitude: complex = 1.0
     order: int = 0  # Hermite order n
-    coeffs: tuple[float, ...] = ()  # poly_gaussian numerator, low to high
     translation: float = 0.0  # z, time units
     modulation: float = 0.0  # w, frequency units
 
     def __post_init__(self) -> None:
-        if self.kind not in (GAUSSIAN, HERMITE, POLY_GAUSSIAN):
+        if self.kind not in (GAUSSIAN, HERMITE):
             raise ValueError(f"unknown analytic function kind {self.kind!r}")
-        if self.kind in (GAUSSIAN, POLY_GAUSSIAN) and not self.width > 0:
+        if self.kind == GAUSSIAN and not self.width > 0:
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-        if self.kind == HERMITE:
-            _check_hermite_order(self.order)
-        if self.kind == POLY_GAUSSIAN and len(self.coeffs) == 0:
-            raise ValueError("poly_gaussian needs at least one coefficient")
+        if self.kind == HERMITE and not 0 <= self.order <= MAX_HERMITE_ORDER:
+            raise ValueError(f"hermite order must lie in [0, {MAX_HERMITE_ORDER}], got {self.order}")
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Exact pointwise evaluation, any real t."""
@@ -71,29 +66,14 @@ class AnalyticFunction:
         u = t - self.translation
         if self.kind == GAUSSIAN:
             base = np.exp(-self.width * np.pi * u**2).astype(np.complex128)
-        elif self.kind == HERMITE:
-            base = hermite_function(self.order, u).astype(np.complex128)
         else:
-            poly = np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs, float))
-            base = (poly * np.exp(-self.width * np.pi * u**2)).astype(np.complex128)
+            n = self.order
+            poly = np.polynomial.polynomial.polyval(math.sqrt(2 * math.pi) * u, np.asarray(_HERMITE_COEFFS[n], float))
+            norm = 2**0.25 / math.sqrt(math.factorial(n) * 2.0**n)
+            base = (norm * poly * np.exp(-np.pi * u**2)).astype(np.complex128)
         if self.modulation != 0.0:
             base = base * np.exp(2j * np.pi * self.modulation * t)
         return self.amplitude * base
-
-
-def _check_hermite_order(n: int) -> None:
-    if not 0 <= n <= MAX_HERMITE_ORDER:
-        raise ValueError(f"hermite order must lie in [0, {MAX_HERMITE_ORDER}], got {n}")
-
-
-def hermite_function(n: int, t: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite function h_n, n <= 8."""
-    _check_hermite_order(n)
-    t = np.asarray(t, dtype=np.float64)
-    u = math.sqrt(2 * math.pi) * t
-    poly = np.polynomial.polynomial.polyval(u, np.asarray(_HERMITE_COEFFS[n], float))
-    norm = 2**0.25 / math.sqrt(math.factorial(n) * 2.0**n)
-    return norm * poly * np.exp(-np.pi * t**2)
 
 
 def gaussian(a: float = 1.0, amplitude: complex = 1.0, z: float = 0.0, w: float = 0.0) -> AnalyticFunction:
@@ -107,10 +87,6 @@ def unit_gaussian(a: float = 1.0, z: float = 0.0, w: float = 0.0) -> AnalyticFun
 
 def hermite(n: int, z: float = 0.0, w: float = 0.0) -> AnalyticFunction:
     return AnalyticFunction(HERMITE, order=n, translation=z, modulation=w)
-
-
-def poly_gaussian(coeffs: tuple[float, ...], a: float = 1.0, z: float = 0.0, w: float = 0.0) -> AnalyticFunction:
-    return AnalyticFunction(POLY_GAUSSIAN, width=a, coeffs=tuple(coeffs), translation=z, modulation=w)
 
 
 def sample(fn: AnalyticFunction, layout: SignalLayout) -> SampledSignal:
@@ -136,54 +112,35 @@ def translate_modulate(s: SampledSignal, z: float, zeta: float) -> SampledSignal
         if -shift < s.count:
             out[: s.count + shift] = s.samples[-shift:]
     if zeta != 0.0:
-        out *= np.exp(2j * np.pi * zeta * s.times())
+        out *= np.exp(2j * np.pi * zeta * s.layout.times())
     return SampledSignal(out, s.step)
 
 
-def gaussian_stft_closed_form(x, xi):
-    """Exact STFT of the unit Gaussian pair f = g = 2^{1/4} exp(-pi t^2):
-
-        V(x, xi) = exp(-pi i x xi) exp(-pi (x^2 + xi^2) / 2).
-
-    Accepts scalars or broadcastable arrays.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    out = np.exp(-1j * np.pi * x * xi) * np.exp(-np.pi * (x**2 + xi**2) / 2)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def gaussian_stft_field(grid: TFGrid) -> TFArray:
-    """The closed-form Gaussian-pair STFT sampled exactly on a grid.
+    """The exact STFT of the unit Gaussian pair f = g = 2^{1/4} exp(-pi t^2),
 
-    Exact sampling keeps far-tail values accurate to relative rounding
-    error, which the heavily weighted integrals need; an FFT-computed field
-    bottoms out at the double-precision noise floor instead.
+        V(x, xi) = exp(-pi i x xi) exp(-pi (x^2 + xi^2) / 2),
+
+    sampled on a grid. Exact sampling keeps far-tail values accurate to
+    relative rounding error, which the heavily weighted integrals need; an
+    FFT-computed field bottoms out at the double-precision noise floor
+    instead.
     """
     x, xi = grid.meshgrid()
-    return TFArray._fresh(grid, gaussian_stft_closed_form(x, xi))
-
-
-def hermite_fourier_eigenvalue(n: int) -> complex:
-    """Fourier eigenvalue of h_n: (-i)^n."""
-    _check_hermite_order(n)
-    return (-1j) ** n
+    return TFArray._fresh(grid, np.exp(-1j * np.pi * x * xi) * np.exp(-np.pi * (x**2 + xi**2) / 2))
 
 
 def fourier_closed_form(fn: AnalyticFunction) -> AnalyticFunction:
-    """Exact Fourier transform of a Gaussian or Hermite analytic function.
+    """Exact Fourier transform of an analytic function.
 
     Gaussian: C exp(2 pi i w t) G_a(t - z) maps to
     C a^{-1/2} exp(2 pi i z w) exp(-2 pi i z xi') G_{1/a}(xi' - w) with
-    xi' the output variable; the translation/modulation roles swap.
+    xi' the output variable; the translation/modulation roles swap. The
+    Hermite function h_n is an eigenfunction with eigenvalue (-i)^n.
     """
     phase = complex(np.exp(2j * np.pi * fn.translation * fn.modulation))
     if fn.kind == GAUSSIAN:
         fn = replace(fn, width=1.0 / fn.width, amplitude=fn.amplitude * phase / math.sqrt(fn.width))
-    elif fn.kind == HERMITE:
-        fn = replace(fn, amplitude=fn.amplitude * phase * hermite_fourier_eigenvalue(fn.order))
     else:
-        raise NotImplementedError(f"no closed-form transform for kind {fn.kind!r}")
+        fn = replace(fn, amplitude=fn.amplitude * phase * (-1j) ** fn.order)
     return replace(fn, translation=fn.modulation, modulation=-fn.translation)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from tfu.reference import AnalyticFunction, gaussian, hermite, unit_gaussian
-from tfu.support import SupportMode, SupportVariant
-from tfu.weights import DIVERGENCE_RADII, WeightFamily, WeightSpec
+from tfu.support import SupportMode, SupportVariant, lieb_exponent
+from tfu.weights import DIVERGENCE_RADII, WeightFamily, WeightSpec, scan_radii
 
 
 class ConfigError(ValueError):
@@ -65,6 +65,10 @@ def split_list(raw: str) -> list[str]:
 
 def finite_floats(raw: str) -> tuple[float, ...]:
     return tuple(finite_float(tok) for tok in split_list(raw))
+
+
+def lieb_exponents(raw: str) -> tuple[float, ...]:
+    return tuple(map(lieb_exponent, finite_floats(raw)))
 
 
 def each(parse: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -172,9 +176,7 @@ def parse_weight_scan(spec: str) -> WeightScanSpec:
     expect = params.pop("expect", "divergent")
     if expect not in ("divergent", "convergent"):
         raise ConfigError(f"unknown verdict expectation {expect!r} in {spec!r}")
-    radii = DIVERGENCE_RADII
-    if "radii" in params:
-        radii = tuple(finite_float(v) for v in params.pop("radii").split(":"))
+    radii = scan_radii(map(finite_float, params.pop("radii").split(":"))) if "radii" in params else DIVERGENCE_RADII
     slope = finite_float(params.pop("slope")) if "slope" in params else None
     slope_tol = finite_float(params.pop("slope_tol", "0"))
     if params:

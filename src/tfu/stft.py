@@ -80,18 +80,14 @@ def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
     return TFArray._fresh(grid, _centered_fft(product, f.step, axis=1))
 
 
-def isometry_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> float:
-    """Relative gap between the plane energy of V_g f and |f|_2^2 |g|_2^2.
+def energy_defect(v: TFArray, fn: float, gn: float) -> float:
+    """Relative gap between the plane energy of a computed field V_g f and
+    fn^2 gn^2, with fn = |f|_2 and gn = |g|_2.
 
     The continuous identity makes the two sides equal; the returned defect
-    is pure discretization plus rounding.
+    is pure discretization plus rounding. Both sides are scaled by the same
+    power of two (see tfu.core._norm_scale), so tiny or huge norms give the
+    same defect.
     """
-    return energy_defect(compute_stft(f, g, grid), f.l2_norm(), g.l2_norm())
-
-
-def energy_defect(v: TFArray, fn: float, gn: float) -> float:
-    """isometry_defect for an already computed field V_g f and the L2 norms
-    fn = |f|_2, gn = |g|_2. Both sides are scaled by the same power of two
-    (see tfu.core._norm_scale), so tiny or huge norms give the same defect."""
     energy, norms_sq = _scaled_power_sum(v, 2, fn, gn)
     return abs(energy - norms_sq) / norms_sq

@@ -71,6 +71,13 @@ class SupportReport:
     note: str = ""
 
 
+def lieb_exponent(p: float) -> float:
+    """p, if the Lp ratio is defined for it: p >= 1."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    return p
+
+
 def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
     """quadrature(|V|^p) / ((2/p)^d (fn gn)^p), d = 1 for these grids.
 
@@ -78,8 +85,7 @@ def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
     tfu.core._norm_scale), so no power under- or overflows for tiny or huge
     norms.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    lieb_exponent(p)
     total, norm_p = _scaled_power_sum(v, p, fn, gn)
     return total / ((2.0 / p) * norm_p)
 

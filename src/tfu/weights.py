@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -154,14 +155,20 @@ def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
     return TFArray._fresh(grid, np.outer(f.samples, fhat.samples))
 
 
-def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
-    """Classify the weighted integral of |field|^p as convergent/divergent;
-    a signal's product f(x) fhat(xi) is scanned as pair_field(f, fhat)."""
+def scan_radii(radii: Iterable[float]) -> tuple[float, ...]:
+    """radii as floats, if a growth scan can fit them: at least 4, strictly increasing."""
     radii = tuple(float(r) for r in radii)
     if len(radii) < 4:
         raise ValueError(f"growth scan needs at least 4 radii, got {len(radii)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    return radii
+
+
+def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
+    """Classify the weighted integral of |field|^p as convergent/divergent;
+    a signal's product f(x) fhat(xi) is scanned as pair_field(f, fhat)."""
+    radii = scan_radii(radii)
     masses = _masses(field, w, radii)
 
     tail = len(radii) // 2
@@ -202,7 +209,7 @@ def decay_fit(s: SampledSignal) -> float:
     eligible = np.nonzero(mag > floor)[0]
     if eligible.size < 4:
         raise ValueError("tail underflow: too few samples above the magnitude floor")
-    t = s.times()
+    t = s.layout.times()
     k = max(4, math.ceil(DECAY_TAIL_FRACTION * eligible.size))
     sel = eligible[np.argsort(np.abs(t[eligible]), kind="stable")][-k:]
     y = -np.log(mag[sel]) / np.pi

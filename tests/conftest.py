@@ -15,7 +15,7 @@ def layout():
 
 @pytest.fixture(scope="session")
 def grid():
-    return tfu.DEFAULT_GRID
+    return tfu.TFGrid.from_layout(tfu.DEFAULT_LAYOUT)
 
 
 @pytest.fixture(scope="session")

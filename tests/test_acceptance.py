@@ -23,8 +23,8 @@ def report(name, ok):
     assert ok, name
 
 
-def test_criterion_01_isometry_bank(bank_pairs, grid):
-    defects = {name: tfu.isometry_defect(f, g, grid) for name, f, g in bank_pairs}
+def test_criterion_01_isometry_bank(bank_pairs, bank_stfts):
+    defects = {name: tfu.energy_defect(bank_stfts[name], f.l2_norm(), g.l2_norm()) for name, f, g in bank_pairs}
     ok = len(defects) == 9 and all(d < 1e-8 for d in defects.values())
     report("01 isometry < 1e-8 on the 9-pair bank", ok)
 

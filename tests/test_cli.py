@@ -381,6 +381,12 @@ def test_load_config_refuses_retired_keys(tmp_path, key):
         ),
         ("checks = weights\n", "weights: the weights check needs at least one scan"),
         ("checks = support\nsupport = ;\n", "support: the support check needs at least one mode"),
+        ("checks = lieb\nlieb_p = 0.5\n", "lieb_p: p must be >= 1, got 0.5"),
+        (
+            "checks = weights\nweights = radial_half p=1 radii=1:2:3\n",
+            "weights: growth scan needs at least 4 radii, got 3",
+        ),
+        ("checks = weights\nweights = radial_half p=1 radii=3:2:1:4\n", "weights: radii must be strictly increasing"),
     ],
 )
 def test_load_config_applies_config_only_rules(tmp_path, body, message):
@@ -420,6 +426,32 @@ def test_load_config_rejects_zero_signals(tmp_path, capsys, key, value, what):
     assert cli.main(["run", config, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: [s] {what}: signal is zero on the whole window\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ("1e200", "signal is zero on the whole window\n"),  # the transform sits at xi = 1e200
+        ("7.5", "truncation unsound: "),  # the transform is not decayed at the dual window's edge
+    ],
+)
+def test_load_config_samples_the_pair_exact_transform(tmp_path, capsys, w, message):
+    body = f"[s]\nf = gaussian:a=1:w={w}\nchecks = weights\nweights = radial_half p=1 field=pair_exact\n"
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, body), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [s] weights: field=pair_exact: {message}")
+    assert not out.exists()
+
+
+def test_pair_exact_scenario_samples_only_at_load(tmp_path, monkeypatch):
+    config = write_config(tmp_path, "[s]\nchecks = weights\nweights = radial_full p=2 field=pair_exact\n")
+    calls = []
+    sample = cli.sample
+    monkeypatch.setattr(cli, "sample", lambda *a: calls.append(a[0]) or sample(*a))
+    (scn,) = cli.load_config(config)
+    assert calls == [scn.options["f"].fn, tfu.fourier_closed_form(scn.options["f"].fn)]
+    report, _ = cli.run_scenario(scn)
+    assert report["passed"] and len(calls) == 2
 
 
 def test_scenario_samples_each_function_once_at_load(tmp_path, monkeypatch):
@@ -510,6 +542,28 @@ def test_load_config_returns_or_names_the_section(tmp_path_factory, config):
         assert any(str(exc).startswith(f"[{name}] ") for name in config), str(exc)
 
 
+_PARSERS = [
+    specs.parse_function_spec,
+    specs.parse_weight_scan,
+    specs.parse_support_mode,
+    specs.identity_tuple,
+    specs.shift_pair,
+    specs.finite_floats,
+    specs.lieb_exponents,
+    specs.signal_count,
+]
+
+
+@pytest.mark.parametrize("parse", _PARSERS, ids=lambda parse: parse.__name__)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKENS + ["1j", "1e308", "radii=1:2", "99999"])).map("".join)))
+def test_spec_parsers_raise_only_value_errors(parse, raw):
+    try:
+        parse(raw)
+    except ValueError:
+        pass
+
+
 def plain_greedy_oracle(n_fields, size, kmax, seed):
     """The greedy oracle one float at a time: every k-subset of the sorted
     masses summed in sorted order, against the running sum of the first k."""
@@ -568,3 +622,10 @@ def test_readme_check_table_lists_the_registry():
     rows = re.findall(r"^\| `(\w+)` *\|(.*)\|$", section, flags=re.MULTILINE)
     table = {check: set(re.findall(r"`(\w+)`", keys)) for check, keys in rows}
     assert table == {name: set(check.keys) for name, check in cli.CHECKS.items()}
+
+
+def test_readme_names_only_exported_library_names():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\btfu\.(\w+)\b(?!\.)", readme))
+    assert named and named <= set(tfu.__all__), sorted(named - set(tfu.__all__))
+    assert all(hasattr(tfu, name) for name in tfu.__all__)

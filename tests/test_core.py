@@ -67,7 +67,7 @@ def test_fourier_gaussian_is_fixed_point(layout):
 def test_fourier_width_two_gaussian(layout):
     f = tfu.sample(tfu.gaussian(2.0, amplitude=1.0), layout)
     fhat = tfu.discrete_fourier(f)
-    xi = fhat.times()
+    xi = fhat.layout.times()
     expected = 2**-0.5 * np.exp(-np.pi * xi**2 / 2)
     assert np.max(np.abs(fhat.samples - expected)) < 1e-12
 
@@ -76,7 +76,7 @@ def test_fourier_width_two_gaussian(layout):
 def test_fourier_hermite_eigenfunctions(layout, n):
     h = tfu.sample(tfu.hermite(n), layout)
     hhat = tfu.discrete_fourier(h)
-    expected = tfu.hermite_fourier_eigenvalue(n) * h.samples
+    expected = tfu.fourier_closed_form(tfu.hermite(n)).amplitude * h.samples
     assert np.max(np.abs(hhat.samples - expected)) < 1e-12
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfu import _kernels
 
@@ -34,6 +36,30 @@ def test_cascade_matches_fsum_closely():
     data = rng.standard_normal(100000)
     exact = math.fsum(data)
     assert abs(_kernels.cascade_sum(data) - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def seeded_floats(n, seed, exponent):
+    """n same-sign floats of scale 10^exponent, where rounding errors add up."""
+    return list(np.random.default_rng(seed).random(n) * 10.0**exponent)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=1100),
+        st.builds(seeded_floats, st.integers(1, 5000), st.integers(0, 2**32 - 1), st.integers(-300, 299)),
+    )
+)
+@example([1e300, 1.0, -1e300])
+@example([0.1] * 1025)
+def test_cascade_error_within_pairwise_bound(values):
+    # Higham: a depth-k pairwise sum errs by at most gamma_k sum |x|, k = ceil(log2 n);
+    # gamma_{k+1} also absorbs the roundings of the fsum reference
+    u = 2.0**-53
+    m = max(len(values) - 1, 0).bit_length() + 1
+    gamma = m * u / (1 - m * u)
+    error = abs(_kernels.cascade_sum(np.array(values, dtype=np.float64)) - math.fsum(values))
+    assert error <= gamma * math.fsum(map(abs, values))
 
 
 def test_cascade_repeat_bit_identical():

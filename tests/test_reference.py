@@ -56,18 +56,9 @@ def test_hermite_orthonormality(layout):
             assert inner == pytest.approx(1.0 if n == m else 0.0, abs=1e-10)
 
 
-def test_poly_gaussian_evaluation(layout):
-    f = tfu.sample(tfu.poly_gaussian((1.0, 0.0, 2.0), a=1.0), layout)
-    t = layout.times()
-    expected = (1 + 2 * t**2) * np.exp(-np.pi * t**2)
-    assert np.max(np.abs(f.samples - expected)) == 0
-
-
 def test_hermite_order_limit():
     with pytest.raises(ValueError, match="hermite order"):
         tfu.hermite(9)
-    with pytest.raises(ValueError, match="hermite order"):
-        tfu.hermite_fourier_eigenvalue(9)
 
 
 def test_gaussian_width_must_be_positive():
@@ -116,17 +107,22 @@ def test_stft_covariance_under_shifts(layout, grid):
 # closed forms
 
 
-def test_gaussian_stft_at_origin():
-    assert tfu.gaussian_stft_closed_form(0.0, 0.0) == 1.0
+def closed_value(grid, field, x, xi):
+    """The exact field at the grid node (x, xi)."""
+    return field.values[grid.x_count // 2 + round(x / grid.x_step), grid.xi_count // 2 + round(xi / grid.xi_step)]
 
 
-def test_gaussian_stft_spot_values_vs_quadrature_oracle():
+def test_gaussian_stft_at_origin(grid, closed_field):
+    assert closed_value(grid, closed_field, 0.0, 0.0) == 1.0
+
+
+def test_gaussian_stft_spot_values_vs_quadrature_oracle(grid, closed_field):
     # (1, 0): the defining integral gives e^{-pi/2}
-    v10 = tfu.gaussian_stft_closed_form(1.0, 0.0)
+    v10 = closed_value(grid, closed_field, 1.0, 0.0)
     assert v10 == pytest.approx(0.20787957635076193, abs=1e-15)
     assert abs(v10 - stft_definition_oracle(1.0, 0.0)) < 1e-12
     # (1, 1): e^{-pi} e^{-i pi} = -e^{-pi}
-    v11 = tfu.gaussian_stft_closed_form(1.0, 1.0)
+    v11 = closed_value(grid, closed_field, 1.0, 1.0)
     assert v11 == pytest.approx(-0.04321391826377224, abs=1e-15)
     assert abs(v11 - stft_definition_oracle(1.0, 1.0)) < 1e-12
 
@@ -139,7 +135,7 @@ def test_numeric_stft_matches_closed_form(unit_pair, grid, closed_field):
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, -1j), (2, -1), (3, 1j), (4, 1)])
 def test_hermite_fourier_eigenvalues(n, expected):
-    assert tfu.hermite_fourier_eigenvalue(n) == expected
+    assert tfu.fourier_closed_form(tfu.hermite(n)).amplitude == expected
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -147,7 +143,7 @@ def test_hermite_eigenvalue_numeric_cross_check(layout, n):
     h = tfu.sample(tfu.hermite(n), layout)
     hhat = tfu.discrete_fourier(h)
     ratio = hhat.samples[layout.count // 2 + 8] / h.samples[layout.count // 2 + 8]
-    assert ratio == pytest.approx(tfu.hermite_fourier_eigenvalue(n), abs=1e-12)
+    assert ratio == pytest.approx(tfu.fourier_closed_form(tfu.hermite(n)).amplitude, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -163,8 +159,3 @@ def test_closed_form_transform_matches_engine(layout, fn):
     numeric = tfu.discrete_fourier(tfu.sample(fn, layout))
     analytic = tfu.sample(tfu.fourier_closed_form(fn), layout.dual())
     assert np.max(np.abs(numeric.samples - analytic.samples)) < 1e-10
-
-
-def test_closed_form_transform_rejects_poly_gaussian():
-    with pytest.raises(NotImplementedError):
-        tfu.fourier_closed_form(tfu.poly_gaussian((1.0,), a=1.0))
