@@ -56,10 +56,6 @@ class SignalLayout:
     def dual_step(self) -> float:
         return 1.0 / (self.count * self.step)
 
-    @property
-    def half_extent(self) -> float:
-        return (self.count // 2) * self.step
-
     def times(self) -> np.ndarray:
         return (np.arange(self.count) - self.count // 2) * self.step
 
@@ -250,12 +246,46 @@ def _check_field(grid: TFGrid, arr: np.ndarray) -> None:
     _require_finite(arr, "field")
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
+def _require_finite(arr: np.ndarray, what: str, origin: tuple[int, ...] | None = None) -> None:
     """Raise naming the first node, in row-major order, where a float64 or
-    complex128 array is not finite."""
+    complex128 array is not finite. arr may be a block of a larger array
+    whose index origin is at origin; the node is then named in the larger
+    array's coordinates."""
     if not np.isfinite(arr.ravel().view(np.float64)).all():  # for complex, the real view is the faster test
-        idx = tuple(int(v) for v in np.argwhere(~np.isfinite(arr))[0])
-        raise ValueError(f"non-finite {what} value at node {idx}")
+        idx = np.argwhere(~np.isfinite(arr))[0] + (origin or 0)
+        raise ValueError(f"non-finite {what} value at node {tuple(int(v) for v in idx)}")
+
+
+def _chirp(grid: TFGrid, sign: int, half: bool = False) -> np.ndarray:
+    """exp(sign 2 pi i x xi) at every node, or exp(sign pi i x xi) if half,
+    as a fresh complex128 array.
+
+    The grid must satisfy the lattice rule: 1/(x_step xi_step) is a positive
+    integer M (to _STEP_RTOL). Then x_j xi_k = j'k'/M for the signed node
+    indices j', k', and the phase is a P-th root of unity, P = M (2M if
+    half): one np.exp over a table of turns t, |t| <= P/2, gathered by the
+    exact integer index j'k' mod P. The table holds no more turns than the
+    2Q + 1 values of j'k', |j'k'| <= Q, so its size is bounded by the
+    grid's, whatever M; and as no angle exceeds pi in magnitude, every
+    entry is within a few ulps, whatever the size of x xi.
+    """
+    ratio = 1.0 / grid.x_step / grid.xi_step  # inf if it overflows
+    if not 0.5 <= ratio < math.inf or abs(ratio - round(ratio)) > _STEP_RTOL * ratio:
+        raise ValueError(
+            "chirp needs a grid whose 1/(x_step * xi_step) is a positive integer, "
+            f"got {ratio!r}"
+        )
+    period = round(ratio) * (2 if half else 1)
+    reach = (grid.x_count // 2) * (grid.xi_count // 2)  # Q
+    offset = min(reach, period // 2)  # table entry i holds turn i - offset
+    size = min(period, 2 * reach + 1)
+    table = np.exp((sign * 2j * np.pi / period) * (np.arange(size) - offset))
+    j = np.arange(grid.x_count, dtype=np.int64) - grid.x_count // 2
+    k = np.arange(grid.xi_count, dtype=np.int64) - grid.xi_count // 2
+    index = np.multiply.outer(j, k)
+    index += offset
+    index %= size  # the residue mod P; when P > 2Q, index is already below size
+    return np.take(table, index)
 
 
 def _abs_power(a: np.ndarray, p: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, fourier_2d
+from tfu.core import SampledSignal, TFArray, TFGrid, _chirp, fourier_2d
 from tfu.reference import translate_modulate
 from tfu.stft import compute_stft
 
@@ -59,11 +59,15 @@ def quarter_rotation(values: np.ndarray) -> np.ndarray:
 
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
     """F_Z for the shift Z = (z, zeta), from a single STFT evaluation and its
-    point reflection."""
+    point reflection.
+
+    The phase exp(2 pi i x xi) comes from a table of roots of unity
+    (tfu.core._chirp), so the grid must also satisfy the lattice rule:
+    1/(x_step xi_step) is a positive integer; other grids raise ValueError
+    before the STFT is computed."""
     _require_square(grid)
+    field = _chirp(grid, 1)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
-    field = 2j * np.pi * grid.x_nodes()[:, None] * grid.xi_nodes()[None, :]
-    np.exp(field, out=field)  # the phase exp(2 pi i x xi)
     field *= v
     field *= point_reflection(v)
     return TFArray._fresh(grid, field)

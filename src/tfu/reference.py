@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid
+from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid, _chirp
 
 GAUSSIAN = "gaussian"
 HERMITE = "hermite"
@@ -125,9 +125,18 @@ def gaussian_stft_field(grid: TFGrid) -> TFArray:
     relative rounding error, which the heavily weighted integrals need; an
     FFT-computed field bottoms out at the double-precision noise floor
     instead.
+
+    The phase comes from a table of roots of unity (tfu.core._chirp), so the
+    grid must satisfy the lattice rule: 1/(x_step xi_step) is a positive
+    integer, as on every TFGrid.from_layout grid; other grids raise
+    ValueError. The envelope is the outer product of exp(-pi x^2 / 2) and
+    exp(-pi xi^2 / 2).
     """
-    x, xi = grid.meshgrid()
-    return TFArray._fresh(grid, np.exp(-1j * np.pi * x * xi) * np.exp(-np.pi * (x**2 + xi**2) / 2))
+    field = _chirp(grid, -1, half=True)
+    envelope_x = np.exp(-np.pi * grid.x_nodes() ** 2 / 2)
+    envelope_xi = np.exp(-np.pi * grid.xi_nodes() ** 2 / 2)
+    field *= np.multiply.outer(envelope_x, envelope_xi)
+    return TFArray._fresh(grid, field)
 
 
 def fourier_closed_form(fn: AnalyticFunction) -> AnalyticFunction:

@@ -15,13 +15,14 @@ field contributes 0. A signal's product f(x) fhat(xi) is pair_field(f).
 
 Truncation is the half-open square -R <= x < R, -R <= xi < R, mirroring the
 grid's own half-open convention; when R is a lattice multiple the square's
-discrete measure is exactly (2R)^2. A growth scan evaluates the truncated
-mass at increasing radii from one integrand, fits the tail slope of log I
-against log R, and classifies the integral as convergent only when both the
-terminal relative increment and the fitted slope are small. The scan radii
-therefore shape the test's sensitivity: divergence detection works on
-coarse radii, while convergence detection needs the tail sampled finely
-near the grid edge (see DIVERGENCE_RADII and CONVERGENCE_RADII).
+discrete measure is exactly (2R)^2. A growth scan forms the integrand once,
+inside its largest square, and evaluates the truncated mass at increasing
+radii by adding each radius's ring to the previous mass. It fits the tail
+slope of log I against log R, and classifies the integral as convergent
+only when both the terminal relative increment and the fitted slope are
+small. The scan radii therefore shape the test's sensitivity: divergence
+detection works on coarse radii, while convergence detection needs the tail
+sampled finely near the grid edge (see DIVERGENCE_RADII and CONVERGENCE_RADII).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _plane_sum, discrete_fourier, pairwise_sum
+from tfu.core import SampledSignal, TFArray, TFGrid, _require_finite, discrete_fourier, pairwise_sum
 
 
 class WeightFamily(enum.Enum):
@@ -60,12 +61,16 @@ class WeightSpec:
             raise ValueError(f"denominator power N must be >= 0, got {self.N}")
 
     def log_weight(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """The logarithm of the weight at (x, xi), broadcast."""
+        """The logarithm of the weight at (x, xi), broadcast.
+
+        A radial weight is a product of a factor in x and one in xi, and its
+        log is summed from the two per-axis terms: one pass over the plane,
+        rounded like the separable envelope of gaussian_stft_field."""
         fam = self.family
         if fam is WeightFamily.RADIAL_HALF:
-            return np.pi * self.p * (x**2 + xi**2) / 2
+            return np.pi * self.p * x**2 / 2 + np.pi * self.p * xi**2 / 2
         if fam is WeightFamily.RADIAL_FULL:
-            return np.pi * self.p * (x**2 + xi**2)
+            return np.pi * self.p * x**2 + np.pi * self.p * xi**2
         if fam is WeightFamily.HYPERBOLIC:
             return np.pi * self.p * np.abs(x * xi)
         if fam is WeightFamily.PAIR_HYPERBOLIC:
@@ -105,32 +110,54 @@ DIVERGENCE_RADII = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 CONVERGENCE_RADII = (4.0, 5.0, 6.0, 7.0, 7.4, 7.7, 7.95, 8.0)
 
 
+def _span(nodes: np.ndarray, r: float) -> tuple[int, int]:
+    """Index range [lo, hi) of the ascending nodes t with -r <= t < r."""
+    lo, hi = (int(i) for i in np.searchsorted(nodes, (-r, r)))
+    return lo, max(lo, hi)
+
+
 def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
     """Truncated masses of exp(p log|field| + log w) at the increasing radii.
 
-    The integrand is exponentiated once, inside the largest square (corner
-    values can overflow outside it), and checked for finiteness once. Each
-    radius reduces the full-grid array with the outside of its square
-    zeroed, so every radius shares one reduction tree and monotonicity in R
-    is exact; the largest square's array is the integrand itself.
+    The integrand is formed, exponentiated and checked finite only on the
+    index block of the largest square (corner values can overflow outside
+    it); a non-finite value is named by its full-grid node. Each radius adds
+    its ring to the previous mass: mass i is cell_measure * total_i, with
+    total_i = total_{i-1} + ring_i and ring_i the integrand summed over the
+    nodes of square i outside square i - 1, as four rectangular slices
+    reduced by the cascade and added exactly rounded. Rings are >= 0, so the
+    masses are nondecreasing in R exactly.
     """
     grid = field.grid
     top = radii[-1]
     if top > grid.half_extent * (1 + 1e-12):
         raise ValueError(f"R={top} exceeds grid half-extent {grid.half_extent}")
-    x, xi = grid.x_nodes()[:, None], grid.xi_nodes()[None, :]
-
-    def square(r: float) -> np.ndarray:  # the half-open square -r <= x, xi < r
-        return (x >= -r) & (x < r) & (xi >= -r) & (xi < r)
-
+    x, xi = grid.x_nodes(), grid.xi_nodes()
+    (j0, j1), (k0, k1) = _span(x, top), _span(xi, top)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
-        log_integrand = np.log(field.magnitude)
-        log_integrand *= w.p
-        log_integrand += w.log_weight(x, xi)
-        integrand = np.exp(log_integrand, out=np.zeros(grid.shape), where=square(top))
-    top_mass = _plane_sum(grid, integrand)
-    masses = [grid.cell_measure * pairwise_sum(np.where(square(r), integrand, 0.0)) for r in radii[:-1]]
-    return (*masses, top_mass)
+        integrand = np.log(field.magnitude[j0:j1, k0:k1])
+        integrand *= w.p
+        integrand += w.log_weight(x[j0:j1, None], xi[None, k0:k1])
+        np.exp(integrand, out=integrand)
+    _require_finite(integrand, "integrand", origin=(j0, k0))
+    total, masses = 0.0, []
+    c0 = c1 = d0 = d1 = 0  # the previous square's rows c0:c1 and columns d0:d1 in the block
+    for r in radii:
+        a0, a1 = (i - j0 for i in _span(x, r))
+        b0, b1 = (i - k0 for i in _span(xi, r))
+        if c0 == c1 or d0 == d1:  # the previous square holds no node
+            ring = [integrand[a0:a1, b0:b1]]
+        else:
+            ring = [
+                integrand[a0:c0, b0:b1],
+                integrand[c1:a1, b0:b1],
+                integrand[c0:c1, b0:d0],
+                integrand[c0:c1, d1:b1],
+            ]
+        total += math.fsum(pairwise_sum(piece) for piece in ring)
+        masses.append(grid.cell_measure * total)
+        c0, c1, d0, d1 = a0, a1, b0, b1
+    return tuple(masses)
 
 
 def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:

@@ -180,7 +180,7 @@ def test_signal_l2_norm_scales_exactly(layout, e):
 def test_signal_times_are_origin_centered(layout):
     t = layout.times()
     assert t[layout.count // 2] == 0.0
-    assert t[0] == -layout.half_extent
+    assert t[0] == -(layout.count // 2) * layout.step
 
 
 def test_grid_validation():

@@ -4,8 +4,9 @@ The centered FFT transforms its ifftshift-ordered input in place, compute_stft
 writes its column products straight into that order, and fourier_2d shifts
 both axes with one copy. Each must give the bits of the plain formula
 step * fftshift(fft(ifftshift(v))), signed zeros included. The other fast
-paths: the underflow-gated |V|^p, fields taken over without a copy, and the
-finiteness check they keep.
+paths: the underflow-gated |V|^p, fields taken over without a copy, the
+finiteness check they keep, and the chirp read from a table of roots of
+unity instead of an exp at every node.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _centered_fft, fourier_2d
+from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid, _abs_power, _centered_fft, _chirp, fourier_2d
 from tfu.stft import compute_stft
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -161,3 +162,26 @@ def test_fresh_field_that_overflows_is_rejected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^non-finite field value at node \(\d+, \d+\)$"):
             compute_stft(s, s, grid)
+
+
+#: dual layouts with N = 16 ... 1024
+dual_layouts = st.builds(SignalLayout, st.integers(8, 512).map(lambda k: 2 * k), steps)
+
+
+@derandomized
+@given(layout=dual_layouts, sign=st.sampled_from([-1, 1]), half=st.booleans())
+def test_chirp_table_matches_exp(layout, sign, half):
+    # np.exp rounds its argument 2 pi x xi to 2^-53 relative, an absolute
+    # error that grows with |x xi|; the bound allows for it
+    grid = TFGrid.from_layout(layout)
+    x, xi = grid.meshgrid()
+    expected = np.exp((0.5 if half else 1.0) * sign * 2j * np.pi * x * xi)
+    bound = 2.0**-50 * (1 + 2 * np.pi * np.max(np.abs(x * xi)))
+    assert np.max(np.abs(_chirp(grid, sign, half) - expected)) <= bound
+
+
+def test_chirp_table_is_bounded_by_the_grid():
+    # M = 10^12, but the table holds only the 2Q + 1 = 129 values of j'k'
+    grid = TFGrid(x_step=1e-6, xi_step=1e-6, x_count=16, xi_count=16)
+    x, xi = grid.meshgrid()
+    assert np.max(np.abs(_chirp(grid, 1) - np.exp(2j * np.pi * x * xi))) <= 2.0**-50

@@ -89,6 +89,16 @@ def test_asymmetric_grid_rejected(layout):
         tfu.build_auxiliary(f, f, rect, 0.0, 0.0)
 
 
+def test_auxiliary_refuses_grid_off_the_lattice_rule(layout):
+    # a square stride-3 grid: x_step * xi_step = 3/256, and 256/3 is not an
+    # integer; refused before any STFT is computed
+    f = tfu.sample(tfu.unit_gaussian(), layout)
+    step = math.sqrt(3) / 16
+    square = TFGrid(x_step=step, xi_step=step, x_count=256, xi_count=256)
+    with pytest.raises(ValueError, match=r"1/\(x_step \* xi_step\) is a positive integer"):
+        tfu.build_auxiliary(f, f, square, 0.0, 0.0)
+
+
 def test_fundamental_identity_gaussian_tuple(unit_pair, grid):
     f, g = unit_pair
     assert tfu.fundamental_identity_defect(f, f, g, g, grid) < 1e-7

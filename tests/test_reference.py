@@ -127,6 +127,20 @@ def test_gaussian_stft_spot_values_vs_quadrature_oracle(grid, closed_field):
     assert abs(v11 - stft_definition_oracle(1.0, 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "x_step, xi_step",
+    [
+        (3 / 16, 1 / 16),  # stride 3 in x on N = 256: x_step * xi_step = 3/256, and 256/3 is no integer
+        (1e-200, 1e-200),  # 1/(x_step * xi_step) overflows
+        (1e200, 1e200),  # 1/(x_step * xi_step) underflows to 0
+    ],
+)
+def test_gaussian_stft_field_refuses_grid_off_the_lattice_rule(x_step, xi_step):
+    grid = tfu.TFGrid(x_step=x_step, xi_step=xi_step, x_count=256, xi_count=256)
+    with pytest.raises(ValueError, match=r"1/\(x_step \* xi_step\) is a positive integer"):
+        tfu.gaussian_stft_field(grid)
+
+
 def test_numeric_stft_matches_closed_form(unit_pair, grid, closed_field):
     f, g = unit_pair
     v = tfu.compute_stft(f, g, grid)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfu
 from tfu.core import SignalLayout, TFGrid
@@ -109,3 +111,21 @@ def test_coarse_x_lattice_supported(layout):
     v = tfu.compute_stft(f, f, coarse)
     expected = tfu.gaussian_stft_field(coarse)
     assert np.max(np.abs(v.values - expected.values)) < 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(f_name=st.sampled_from(["g05", "g1", "g2"]), g_name=st.sampled_from(["G", "h1", "h2"]), s=st.integers(-40, 40))
+def test_translation_is_an_index_shift_times_a_root_of_unity(bank_signals, grid, f_name, g_name, s):
+    # V_g(T_z f)(x_j, xi_k) = w^(-s k') V_g f(x_{j-s}, xi_k) for z = s * step,
+    # with w = exp(2 pi i / N) and k' the signed frequency index: xi_k z =
+    # k' s / N exactly. The bank signals have decayed where the shift moves
+    # samples in or out of the window.
+    f_bank, g_bank = bank_signals
+    f, g = f_bank[f_name], g_bank[g_name]
+    n = grid.xi_count
+    base = tfu.compute_stft(f, g, grid).values
+    moved = tfu.compute_stft(tfu.translate_modulate(f, s * f.step, 0.0), g, grid).values
+    phase = np.exp(-2j * np.pi * ((s * (np.arange(n) - n // 2)) % n) / n)
+    lo, hi = max(s, 0), n + min(s, 0)  # the rows j whose x_{j-s} is on the grid
+    gap = np.max(np.abs(moved[lo:hi] - phase * base[lo - s : hi - s]))
+    assert gap <= 1e-12 * np.max(np.abs(base))

@@ -72,15 +72,19 @@ def test_radial_full_mass_at_grid_edge_matches_fsum(closed_field):
 def test_infinite_mass_is_rejected_without_warning(closed_field):
     # |V|^4 exp(4 pi (x^2+xi^2)) = exp(2 pi (x^2+xi^2)) is about 1e349 at the
     # corner: a true overflow, reported as an error rather than a RuntimeWarning,
-    # alone and as the last radius of a scan
-    w = spec(WeightFamily.RADIAL_FULL, p=4.0)
-    for masses in (
-        lambda: tfu.weighted_mass(closed_field, w, 8.0),
-        lambda: tfu.growth_scan(closed_field, w, (5.0, 6.0, 7.0, 8.0)),
-    ):
-        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite integrand value at node"):
-            warnings.simplefilter("error")
-            masses()
+    # alone and as the last radius of a scan. The error names the full-grid
+    # node: at p = 5 and R = 7.5 the integrand is formed on the square's block
+    # only, and first overflows at its corner (-7.5, -7.5), node (8, 8).
+    for p, top, node in ((4.0, 8.0, (0, 0)), (5.0, 7.5, (8, 8))):
+        w = spec(WeightFamily.RADIAL_FULL, p=p)
+        for masses in (
+            lambda: tfu.weighted_mass(closed_field, w, top),
+            lambda: tfu.growth_scan(closed_field, w, (5.0, 6.0, 7.0, top)),
+        ):
+            with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+                warnings.simplefilter("error")
+                masses()
+            assert str(err.value) == f"non-finite integrand value at node {node}"
 
 
 def test_mass_rejects_radius_beyond_grid(closed_field):
@@ -260,6 +264,60 @@ def test_log_domain_mass_equals_linear_product(field, w, R):
     linear = np.where(inside, np.abs(field.values) ** w.p * np.exp(w.log_weight(x, xi)), 0.0)
     expected = grid.cell_measure * tfu.pairwise_sum(linear)
     assert tfu.weighted_mass(field, w, R) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def full_grid_masses(field, w, radii):
+    """The masses as a full-grid masked cascade gives them: each radius
+    reduces the whole grid with the outside of its square zeroed."""
+    grid = field.grid
+    x, xi = grid.x_nodes()[:, None], grid.xi_nodes()[None, :]
+    with np.errstate(divide="ignore", over="ignore"):  # outside the top square values may overflow; they are zeroed
+        integrand = np.exp(np.log(field.magnitude) * w.p + w.log_weight(x, xi))
+    masses = []
+    for r in radii:
+        inside = (x >= -r) & (x < r) & (xi >= -r) & (xi < r)
+        masses.append(grid.cell_measure * tfu.pairwise_sum(np.where(inside, integrand, 0.0)))
+    return masses
+
+
+def check_ring_masses(field, w, radii):
+    """Ring-wise scan masses are nondecreasing, and within a summation bound
+    of the full-grid masked cascade.
+
+    Both reduce the same integrand values v >= 0 (the same elementwise
+    operations on the same inputs), so they differ only in summation. Let
+    u = 2^-53, c the cell measure, S the exact sum over a square, n the
+    number of radii and L = ceil(log2(nodes)), the depth of a cascade over
+    the whole grid.
+    - The full-grid cascade passes each value through L additions, and the
+      product with c rounds once: |ref - c S| <= (L + 1) u c S, to first
+      order.
+    - Ring-wise, a value passes through at most L additions in its slice's
+      cascade, one in the exactly rounded sum of the ring's four slices, at
+      most n in the running total, and one in the product with c:
+      |mass - c S| <= (L + n + 2) u c S.
+    So |mass - ref| <= (2L + n + 3) u c S, and c S = ref (1 + O(L u)). The
+    test allows (2L + n + 4) 2^-52 ref, twice the first-order bound, which
+    covers the higher-order terms.
+    """
+    masses = tfu.growth_scan(field, w, radii).masses
+    assert all(a <= b for a, b in zip(masses, masses[1:]))
+    levels = (field.values.size - 1).bit_length()
+    for mass, ref in zip(masses, full_grid_masses(field, w, radii)):
+        assert abs(mass - ref) <= (2 * levels + len(radii) + 4) * 2.0**-52 * ref
+
+
+@derandomized
+@given(fields, weight_specs, st.lists(st.floats(0.1, 6.0), min_size=4, max_size=8, unique=True))
+def test_ring_masses_match_full_grid_cascade(field, w, radii):
+    check_ring_masses(field, w, tuple(sorted(radii)))
+
+
+@pytest.mark.parametrize("family", [WeightFamily.RADIAL_HALF, WeightFamily.HYPERBOLIC, WeightFamily.DEMANGE_DENOMINATOR])
+def test_ring_masses_match_full_grid_cascade_on_bank(bank_stfts, closed_field, family):
+    w = spec(family, N=1.0)
+    for field in (closed_field, *bank_stfts.values()):
+        check_ring_masses(field, w, CONVERGENCE_RADII)
 
 
 # ---------------------------------------------------------------------------
