@@ -10,10 +10,12 @@ Configs are INI files: one section per scenario, flat keys (see the bundled
 "paper-suite" config). SCENARIO_KEYS and the check registry CHECKS declare
 each key once, with its parser (tfu.specs) and default; pass thresholds are
 the *_TOL constants. Before any scenario runs, load_config parses every
-value, applies each enabled check's rules, and samples each distinct
-function once (and f's closed-form transform, for a pair_exact scan),
-refusing one that is zero or not decayed at the window edge (as export-stft
-does); a bad scenario aborts naming its "[section] key".
+value, samples each distinct function once (and f's closed-form transform,
+for a pair_exact scan), refusing one that is zero or not decayed at the
+window edge (as export-stft does), calls each enabled check's
+validate(options, grid) with the grid of the scenario's layout (layout rules
+are the library's own functions), and refuses a rotation shift that leaves
+f zero on the window; a bad scenario aborts naming its "[section] key".
 A check is a function of a ScenarioContext and of its own keys; the context
 holds the scenario's samples and computes what its checks share on first use.
 
@@ -52,9 +54,10 @@ from tfu.core import (
     _cached,
     _require_decayed,
     discrete_fourier,
+    lattice_multiple,
 )
-from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
-from tfu.reference import fourier_closed_form, gaussian_stft_field, sample
+from tfu.identity import _require_rotatable, build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
+from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, translate_modulate
 from tfu.specs import (
     _VARIANTS,
     ConfigError,
@@ -74,7 +77,7 @@ from tfu.specs import (
 )
 from tfu.stft import compute_stft, energy_defect
 from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound, sorted_cell_masses
-from tfu.weights import decay_fit, growth_scan, pair_field
+from tfu.weights import decay_fit, growth_scan, pair_field, require_inside
 
 #: The greedy oracle's random fields, their side (a size x size TFGrid), the
 #: largest subset and the seed: 20 (C(64,1) + C(64,2) + C(64,3)) = 874,880
@@ -266,7 +269,15 @@ def _greedy_oracle(ctx: ScenarioContext) -> tuple[dict, Tables]:
 
 
 # ---------------------------------------------------------------------------
-# rules that a scenario's parsed options decide, applied at load
+# rules that a scenario's parsed options and grid decide, applied at load
+
+
+def _rule(key: str, rule: Callable[..., object], *args: object) -> None:
+    """rule(*args), one of the library's own rules, refusing as "key: reason"."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _require_unit_pair(opts: dict[str, object], what: str) -> None:
@@ -279,10 +290,22 @@ def _require_entry(opts: dict[str, object], key: str, entry: str) -> None:
         raise ConfigError(f"{key}: the {key} check needs at least one {entry}")
 
 
-def _validate_weights(opts: dict[str, object]) -> None:
+def _validate_identity(opts: dict[str, object], grid: TFGrid) -> None:
+    _rule("step", _require_rotatable, grid)
+
+
+def _validate_rotation(opts: dict[str, object], grid: TFGrid) -> None:
+    _validate_identity(opts, grid)
+    for z, _ in opts["rotation_z"]:
+        _rule("rotation_z", lattice_multiple, z, grid.x_step, "translation")
+
+
+def _validate_weights(opts: dict[str, object], grid: TFGrid) -> None:
     _require_entry(opts, "weights", "scan")
     if any(ws.source == "closed" for ws in opts["weights"]):
         _require_unit_pair(opts, "weights: field=closed")
+    for ws in opts["weights"]:  # every field source lives on the scenario's grid
+        _rule("weights", require_inside, grid, ws.radii[-1])
 
 
 def _sample_signals(named: Iterable[tuple[str, FunctionSpec]], layout: SignalLayout) -> dict[str, SampledSignal]:
@@ -319,24 +342,26 @@ class Key(NamedTuple):
 
 class Check(NamedTuple):
     """A check's own keys and its run(ctx, **values) -> (entry, tables), where
-    values maps each key to its parsed value. validate(options), when given,
-    raises ValueError at load time for a scenario whose parsed options break
-    a rule of the check that needs no field computed."""
+    values maps each key to its parsed value. validate(options, grid), when
+    given, raises ValueError at load time for a scenario whose parsed options
+    or TFGrid.from_layout grid break a rule of the check that needs no field."""
 
     keys: dict[str, Key]
     run: Callable[..., tuple[dict, Tables]]
-    validate: Callable[[dict[str, object]], None] | None = None
+    validate: Callable[[dict[str, object], TFGrid], None] | None = None
 
 
 CHECKS: dict[str, Check] = {
     "isometry": Check({}, _isometry),
-    "closed_form": Check({}, _closed_form, lambda opts: _require_unit_pair(opts, "checks: closed_form")),
-    "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity),
-    "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation),
+    "closed_form": Check({}, _closed_form, lambda opts, _: _require_unit_pair(opts, "checks: closed_form")),
+    "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity, _validate_identity),
+    "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation, _validate_rotation),
     "lieb": Check({"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(finite_float, None)}, _lieb),
     "weights": Check({"weights": Key(each(parse_weight_scan), ())}, _weights, _validate_weights),
     "support": Check(
-        {"support": Key(each(parse_support_mode), ())}, _support, lambda opts: _require_entry(opts, "support", "mode")
+        {"support": Key(each(parse_support_mode), ())},
+        _support,
+        lambda opts, _: _require_entry(opts, "support", "mode"),
     ),
     "decay": Check({}, _decay),
     "greedy_oracle": Check({}, _greedy_oracle),
@@ -394,13 +419,17 @@ def load_config(path: Path) -> list[Scenario]:
         if not opts["checks"]:
             raise ConfigError(f"[{section}] enables no checks")
         try:
-            for check in (CHECKS[name] for name in opts["checks"]):
-                if check.validate is not None:
-                    check.validate(opts)
             layout = SignalLayout(count=opts["count"], step=opts["step"])
             named = [("f", opts["f"]), ("g", opts["g"])]
             named += [(f"identity_tuples: {s.text}", s) for row in opts["identity_tuples"] for s in row]
             signals, fhat = _sample_signals(named, layout), None
+            grid = TFGrid.from_layout(layout)  # a layout whose signals decay has a finite dual step
+            for check in (CHECKS[name] for name in opts["checks"]):
+                if check.validate is not None:
+                    check.validate(opts, grid)
+            for z, zeta in opts["rotation_z"] if "rotation" in opts["checks"] else ():
+                if not translate_modulate(signals[opts["f"].text], z, zeta).samples.any():
+                    raise ConfigError(f"rotation_z: the shift ({z}, {zeta}) leaves f zero on the whole window")
             if "weights" in opts["checks"] and any(ws.source == "pair_exact" for ws in opts["weights"]):
                 spec = FunctionSpec(opts["f"].text, fourier_closed_form(opts["f"].fn))
                 fhat = _sample_signals([("weights: field=pair_exact", spec)], layout.dual())[spec.text]

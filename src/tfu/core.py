@@ -132,24 +132,6 @@ class TFGrid:
     def shape(self) -> tuple[int, int]:
         return (self.x_count, self.xi_count)
 
-    @property
-    def half_extent(self) -> float:
-        return min((self.x_count // 2) * self.x_step, (self.xi_count // 2) * self.xi_step)
-
-    @property
-    def is_square(self) -> bool:
-        return self.x_count == self.xi_count and math.isclose(
-            self.x_step, self.xi_step, rel_tol=_STEP_RTOL
-        )
-
-    @property
-    def is_self_dual(self) -> bool:
-        return math.isclose(
-            self.x_step, 1.0 / (self.x_count * self.x_step), rel_tol=_STEP_RTOL
-        ) and math.isclose(
-            self.xi_step, 1.0 / (self.xi_count * self.xi_step), rel_tol=_STEP_RTOL
-        )
-
     def x_nodes(self) -> np.ndarray:
         return (np.arange(self.x_count) - self.x_count // 2) * self.x_step
 
@@ -176,6 +158,14 @@ class TFGrid:
             x_count=layout.count,
             xi_count=layout.count,
         )
+
+
+def lattice_multiple(length: float, step: float, what: str) -> int:
+    """length / step, if it is an integer to 1e-9 (a shift by length is then an index shift)."""
+    ratio = length / step  # inf if it overflows
+    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
+        raise ValueError(f"{what} {length} is not a lattice multiple of step {step}")
+    return round(ratio)
 
 
 class _cached:

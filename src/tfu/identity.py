@@ -12,49 +12,46 @@ rotation, for every shift Z = (z, zeta).
 
 Both checks realize the rotation as an exact index permutation, which
 requires a square grid (equal counts and steps on both axes); comparing
-against the transform additionally requires the grid to be self-dual. On
-the half-open lattice the boundary row/column has no reflected partner and
-wraps to itself; all admitted fields have decayed to rounding level there.
+against the transform additionally requires the grid to be self-dual. The
+one home of that rule is _require_rotatable, which tfu.cli also applies to a
+scenario's grid at load. On the half-open lattice the boundary row/column
+has no reflected partner and wraps to itself; all admitted fields have
+decayed to rounding level there.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _chirp, fourier_2d
+from tfu.core import _STEP_RTOL, SampledSignal, TFArray, TFGrid, _chirp, fourier_2d
 from tfu.reference import translate_modulate
 from tfu.stft import compute_stft
 
 
-def _require_square(grid: TFGrid) -> None:
-    if not grid.is_square:
-        raise ValueError(
-            "asymmetric grid: the quarter rotation needs x_count == xi_count "
-            "and x_step == xi_step"
-        )
-
-
-def _require_self_dual(grid: TFGrid) -> None:
-    if not grid.is_self_dual:
+def _require_rotatable(grid: TFGrid, self_dual: bool = True) -> None:
+    """Refuse a grid on which the quarter rotation is not an exact index
+    permutation (one that is not square) or, if self_dual, does not land on
+    the lattice of the plane transform (one that is not self-dual; as both
+    axes are equal to _STEP_RTOL, the x axis decides)."""
+    if grid.x_count != grid.xi_count or not math.isclose(grid.x_step, grid.xi_step, rel_tol=_STEP_RTOL):
+        raise ValueError("asymmetric grid: the quarter rotation needs x_count == xi_count and x_step == xi_step")
+    if self_dual and not math.isclose(grid.x_step, 1.0 / (grid.x_count * grid.x_step), rel_tol=_STEP_RTOL):
         raise ValueError(
             "grid is not self-dual: transform output would land on a different "
             "lattice than the rotated field (need count * step^2 == 1)"
         )
 
 
-def point_reflection(values: np.ndarray) -> np.ndarray:
-    """Field at (-x, -xi): index (N - i) mod N on both axes."""
-    n0, n1 = values.shape
-    i0 = (n0 - np.arange(n0)) % n0
-    i1 = (n1 - np.arange(n1)) % n1
-    return values[np.ix_(i0, i1)]
+def point_reflection(values: np.ndarray, axes: int | tuple[int, ...] = (0, 1)) -> np.ndarray:
+    """Field at (-x, -xi), or reflected on the given axes only: index (N - i) mod N."""
+    return np.roll(np.flip(values, axes), 1, axes)
 
 
 def quarter_rotation(values: np.ndarray) -> np.ndarray:
     """Field at (-xi, x) on a square grid."""
-    n = values.shape[0]
-    i = (n - np.arange(n)) % n
-    return values[i, :].T
+    return point_reflection(values, 0).T
 
 
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
@@ -65,7 +62,7 @@ def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, 
     (tfu.core._chirp), so the grid must also satisfy the lattice rule:
     1/(x_step xi_step) is a positive integer; other grids raise ValueError
     before the STFT is computed."""
-    _require_square(grid)
+    _require_rotatable(grid, self_dual=False)
     field = _chirp(grid, 1)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
     field *= v
@@ -75,10 +72,12 @@ def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, 
 
 def rotation_invariance_defect(a: TFArray) -> float:
     """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z."""
-    _require_self_dual(a.grid)
+    _require_rotatable(a.grid)
+    scale = float(np.max(a.magnitude))
+    if scale == 0.0:
+        raise ValueError("field is identically zero")
     transformed = fourier_2d(a).values
     rotated = quarter_rotation(a.values)
-    scale = float(np.max(a.magnitude))
     return float(np.max(np.abs(transformed - rotated))) / scale
 
 
@@ -90,8 +89,7 @@ def fundamental_identity_defect(
     grid: TFGrid,
 ) -> float:
     """Normalized max-abs gap between the two sides of the product identity."""
-    _require_square(grid)
-    _require_self_dual(grid)
+    _require_rotatable(grid)
 
     def product(f: SampledSignal, g: SampledSignal, h: SampledSignal, k: SampledSignal) -> np.ndarray:
         """V_g f * conj(V_k h), computed as conj(V_k h) * V_g f in place; neither

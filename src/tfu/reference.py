@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid, _chirp
+from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid, _chirp, lattice_multiple
 
 GAUSSIAN = "gaussian"
 HERMITE = "hermite"
@@ -65,7 +65,9 @@ class AnalyticFunction:
         t = np.asarray(t, dtype=np.float64)
         u = t - self.translation
         if self.kind == GAUSSIAN:
-            base = np.exp(-self.width * np.pi * u**2).astype(np.complex128)
+            rate = -self.width * np.pi  # -inf for a > ~5.7e307; a (pi u^2) is then still finite near u = 0
+            exponent = rate * u**2 if math.isfinite(rate) else -self.width * (np.pi * u**2)
+            base = np.exp(exponent).astype(np.complex128)
         else:
             n = self.order
             poly = np.polynomial.polynomial.polyval(math.sqrt(2 * math.pi) * u, np.asarray(_HERMITE_COEFFS[n], float))
@@ -81,8 +83,8 @@ def gaussian(a: float = 1.0, amplitude: complex = 1.0, z: float = 0.0, w: float 
 
 
 def unit_gaussian(a: float = 1.0, z: float = 0.0, w: float = 0.0) -> AnalyticFunction:
-    """Gaussian with unit L2 norm: (2a)^{1/4} exp(-a pi t^2)."""
-    return gaussian(a, amplitude=(2 * a) ** 0.25, z=z, w=w)
+    """Gaussian with unit L2 norm: (2a)^{1/4} exp(-a pi t^2), as 2 (a/8)^{1/4} where 2a overflows."""
+    return gaussian(a, amplitude=(2 * a) ** 0.25 if 2 * a < math.inf else 2 * (a / 8) ** 0.25, z=z, w=w)
 
 
 def hermite(n: int, z: float = 0.0, w: float = 0.0) -> AnalyticFunction:
@@ -100,17 +102,10 @@ def translate_modulate(s: SampledSignal, z: float, zeta: float) -> SampledSignal
     z must be a lattice multiple of the signal step so the translation is an
     exact index shift (shifted-in samples are zero-filled); zeta is free.
     """
-    ratio = z / s.step
-    shift = round(ratio)
-    if abs(ratio - shift) > 1e-9:
-        raise ValueError(f"translation {z} is not a lattice multiple of step {s.step}")
-    out = np.zeros(s.count, dtype=np.complex128)
-    if shift >= 0:
-        if shift < s.count:
-            out[shift:] = s.samples[: s.count - shift]
-    else:
-        if -shift < s.count:
-            out[: s.count + shift] = s.samples[-shift:]
+    shift, n = lattice_multiple(z, s.step, "translation"), s.count
+    out = np.zeros(n, dtype=np.complex128)
+    if abs(shift) < n:
+        out[max(shift, 0) : n + min(shift, 0)] = s.samples[max(-shift, 0) : n - max(shift, 0)]
     if zeta != 0.0:
         out *= np.exp(2j * np.pi * zeta * s.layout.times())
     return SampledSignal(out, s.step)

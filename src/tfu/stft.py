@@ -22,6 +22,7 @@ from tfu.core import (
     TFGrid,
     _centered_fft,
     _scaled_power_sum,
+    lattice_multiple,
 )
 
 
@@ -39,13 +40,9 @@ def _column_shifts(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> np.ndarr
             f"(count {layout.count}, step {layout.dual_step:g}); "
             f"got count {grid.xi_count}, step {grid.xi_step:g}. Resampling is refused."
         )
-    ratio = grid.x_step / layout.step
-    stride = round(ratio)
-    if abs(ratio - stride) > 1e-9 or stride < 1:
-        raise ValueError(
-            f"x nodes are off-lattice: x_step {grid.x_step} is not a positive integer "
-            f"multiple of the signal step {layout.step}"
-        )
+    stride = lattice_multiple(grid.x_step, layout.step, "x nodes are off-lattice: x_step")
+    if stride < 1:
+        raise ValueError(f"x nodes are off-lattice: x_step {grid.x_step} is below the signal step {layout.step}")
     return (np.arange(grid.x_count) - grid.x_count // 2) * stride
 
 

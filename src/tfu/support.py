@@ -144,29 +144,12 @@ def greedy_essential_support(
     count = _kernels.prefix_count(sorted_cell_masses(v, mass_p, k), threshold)
     bound = lower_bound(mode, d=1)
     if count < 0:
-        return SupportReport(
-            mode=mode,
-            measured_area=None,
-            lower_bound=bound,
-            satisfiable=False,
-            cells=0,
-            bound_holds=None,
-            note="threshold exceeds the total available mass",
-        )
+        note = "threshold exceeds the total available mass"
+        return SupportReport(mode, measured_area=None, lower_bound=bound, satisfiable=False, cells=0, note=note)
     area = count * v.grid.cell_measure
     holds = area >= bound
-    note = ""
-    if holds and area - bound < v.grid.cell_measure:
-        note = "resolution-limited"
-    return SupportReport(
-        mode=mode,
-        measured_area=area,
-        lower_bound=bound,
-        satisfiable=True,
-        cells=count,
-        bound_holds=holds,
-        note=note,
-    )
+    note = "resolution-limited" if holds and area - bound < v.grid.cell_measure else ""
+    return SupportReport(mode, area, bound, satisfiable=True, cells=count, bound_holds=holds, note=note)
 
 
 def bound_sweep(

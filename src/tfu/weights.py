@@ -128,10 +128,8 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     reduced by the cascade and added exactly rounded. Rings are >= 0, so the
     masses are nondecreasing in R exactly.
     """
-    grid = field.grid
-    top = radii[-1]
-    if top > grid.half_extent * (1 + 1e-12):
-        raise ValueError(f"R={top} exceeds grid half-extent {grid.half_extent}")
+    grid, top = field.grid, radii[-1]
+    require_inside(grid, top)
     x, xi = grid.x_nodes(), grid.xi_nodes()
     (j0, j1), (k0, k1) = _span(x, top), _span(xi, top)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
@@ -190,6 +188,13 @@ def scan_radii(radii: Iterable[float]) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     return radii
+
+
+def require_inside(grid: TFGrid, radius: float) -> None:
+    """Refuse a radius whose square does not fit inside the grid (to a relative 1e-12)."""
+    half_extent = min((grid.x_count // 2) * grid.x_step, (grid.xi_count // 2) * grid.xi_step)
+    if radius > half_extent * (1 + 1e-12):
+        raise ValueError(f"R={radius} exceeds grid half-extent {half_extent}")
 
 
 def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:

@@ -396,6 +396,85 @@ def test_load_config_applies_config_only_rules(tmp_path, body, message):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ("checks = weights\nweights = radial_half p=1 radii=1:2:3:100\n", "weights: R=100.0 exceeds grid half-extent 8.0"),
+        (
+            "count = 64\nf = gaussian:a=16\ng = gaussian:a=16\nchecks = weights\nweights = radial_half p=1\n",
+            "weights: R=6.0 exceeds grid half-extent 2.0",
+        ),
+        (
+            "checks = weights\nweights = radial_half p=1 field=pair radii=1:2:3:8.5\n",
+            "weights: R=8.5 exceeds grid half-extent 8.0",
+        ),
+        ("checks = rotation\nrotation_z = 0.01 0\n", "rotation_z: translation 0.01 is not a lattice multiple of step 0.0625"),
+        ("step = 0.1\nchecks = identity\n", "step: asymmetric grid: "),
+        ("step = 0.1\nchecks = rotation\n", "step: asymmetric grid: "),
+        # the shifted f is zero on the window: the run ended in ZeroDivisionError
+        ("checks = rotation\nrotation_z = 100 0\n", "rotation_z: the shift (100.0, 0.0) leaves f zero on the whole window"),
+    ],
+)
+def test_load_config_applies_layout_rules(tmp_path, capsys, body, message):
+    # each was refused only at run time, after sampling and computing
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, f"[s]\n{body}"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [s] {message}")
+    assert not out.exists()
+
+
+def test_rotation_shift_near_the_edge_still_runs(tmp_path):
+    (scn,) = cli.load_config(write_config(tmp_path, "[s]\nchecks = rotation\nrotation_z = 7 0\n"))
+    report, _ = cli.run_scenario(scn)
+    assert report["passed"] and report["checks"]["rotation"]["shifts"][0]["defect"] < 1e-15
+
+
+def test_huge_gaussian_width_loads(tmp_path):
+    # 2a overflowed the amplitude, and a pi the exponent at t = 0 (inf * 0)
+    (scn,) = cli.load_config(write_config(tmp_path, "[s]\nf = gaussian:a=1e308\nchecks = isometry\n"))
+    samples = scn.signals["gaussian:a=1e308"].samples
+    k = scn.layout.count // 2
+    assert samples[k] == tfu.unit_gaussian(1e308).amplitude == pytest.approx(1.189207115002721e77)
+    assert not np.delete(samples, k).any()
+
+
+#: Messages of the layout rules, which a scenario that loads must never raise.
+_LAYOUT_RULES = ("asymmetric grid", "not self-dual", "lattice multiple", "off-lattice", "half-extent", "identically zero")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    count=st.sampled_from([64, 100, 144, 196]),
+    step=st.none() | st.floats(0.05, 0.5),
+    checks=st.sampled_from(["identity", "rotation", "weights", "identity, rotation, weights"]),
+    radii=st.lists(st.floats(0.25, 6.0), min_size=4, max_size=5, unique=True).map(sorted),
+    shift=st.tuples(st.floats(-1.5, 1.5), st.sampled_from([0.0, 0.0, 0.0, 0.5]), st.floats(-2, 2)),
+)
+def test_loaded_scenario_never_breaks_a_layout_rule(tmp_path_factory, count, step, checks, radii, shift):
+    # step None draws the self-dual layout, 1/sqrt(count). The shift z is
+    # (k + frac) * step, with k the nearest integer to share * count: beyond
+    # a share of 1 the shift leaves the window
+    step = 1 / math.sqrt(count) if step is None else step
+    share, frac, zeta = shift
+    rotation_z = f"{(round(share * count) + frac) * step!r} {zeta!r}"
+    path = tmp_path_factory.getbasetemp() / "layout.ini"
+    path.write_text(
+        f"[s]\ncount = {count}\nstep = {step!r}\nchecks = {checks}\nrotation_z = {rotation_z}\n"
+        f"weights = radial_half p=1 radii={':'.join(map(repr, radii))}\n",
+        encoding="utf-8",
+    )
+    try:
+        (scn,) = cli.load_config(path)
+    except cli.ConfigError as exc:
+        key = re.match(r"\[s\] (\w+): ", str(exc))
+        assert key and key.group(1) in cli._KEYS, str(exc)
+        return
+    try:
+        cli.run_scenario(scn)
+    except ValueError as exc:
+        assert not any(rule in str(exc) for rule in _LAYOUT_RULES), str(exc)
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("f", "gaussian:a=0.001"),  # ran, and failed its isometry and Lieb checks

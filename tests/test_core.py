@@ -5,6 +5,8 @@ import pytest
 
 import tfu
 from tfu.core import TFGrid, TFArray
+from tfu.identity import _require_rotatable
+from tfu.weights import require_inside
 
 
 def make_grid_field(fn, grid):
@@ -192,7 +194,18 @@ def test_grid_validation():
 
 def test_grid_cell_measure_positive(grid):
     assert grid.cell_measure == pytest.approx(1.0 / 256)
-    assert grid.is_square and grid.is_self_dual
+    _require_rotatable(grid)  # square and self-dual
+    require_inside(grid, 8.0)  # the half-extent
+
+
+def test_lattice_multiple_refuses_an_infinite_ratio(layout):
+    # z / step and x_step / step overflow to inf, where round() raised OverflowError
+    f = tfu.sample(tfu.unit_gaussian(), layout)
+    with pytest.raises(ValueError, match=r"translation 1e\+308 is not a lattice multiple"):
+        tfu.translate_modulate(f, 1e308, 0.0)
+    far = TFGrid(x_step=1e308, xi_step=layout.dual_step, x_count=256, xi_count=256)
+    with pytest.raises(ValueError, match="off-lattice"):
+        tfu.compute_stft(f, f, far)
 
 
 def test_tfarray_shape_and_finiteness(grid):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import tfu
-from tfu.core import SignalLayout, TFGrid
-from tfu.identity import quarter_rotation
+from tfu.core import SignalLayout, TFArray, TFGrid
+from tfu.identity import point_reflection, quarter_rotation
 
 
 def test_auxiliary_field_gaussian_zero_shift(unit_pair, grid):
@@ -157,3 +157,17 @@ def test_fundamental_identity_product_operand_order():
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     expected = float(np.max(np.abs(lhs - rhs))) / scale
     assert tfu.fundamental_identity_defect(f1, f2, g1, g2, grid) == expected
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (6, 10)])
+def test_reflections_are_the_index_permutations(shape):
+    v = np.random.default_rng(1).standard_normal(shape) + 1j
+    i0, i1 = ((n - np.arange(n)) % n for n in shape)
+    assert np.array_equal(point_reflection(v), v[np.ix_(i0, i1)])
+    assert np.array_equal(quarter_rotation(v), v[i0, :].T)
+
+
+def test_rotation_defect_refuses_a_zero_field(grid):
+    # a shift that moves f off the window gives F_Z = 0, which divided by zero
+    with pytest.raises(ValueError, match="field is identically zero"):
+        tfu.rotation_invariance_defect(TFArray(grid, np.zeros(grid.shape, dtype=complex)))

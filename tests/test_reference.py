@@ -173,3 +173,9 @@ def test_closed_form_transform_matches_engine(layout, fn):
     numeric = tfu.discrete_fourier(tfu.sample(fn, layout))
     analytic = tfu.sample(tfu.fourier_closed_form(fn), layout.dual())
     assert np.max(np.abs(numeric.samples - analytic.samples)) < 1e-10
+
+
+def test_unit_gaussian_amplitude_is_finite_where_2a_overflows():
+    assert tfu.unit_gaussian(1e308).amplitude == pytest.approx(2**0.25 * 1e77, rel=1e-15)
+    for a in (0.5, 1.0, 2.0, 1e300, 8e307):  # 2a finite: the amplitude is (2a)^{1/4}, bit for bit
+        assert tfu.unit_gaussian(a).amplitude == (2 * a) ** 0.25

@@ -129,3 +129,16 @@ def test_translation_is_an_index_shift_times_a_root_of_unity(bank_signals, grid,
     lo, hi = max(s, 0), n + min(s, 0)  # the rows j whose x_{j-s} is on the grid
     gap = np.max(np.abs(moved[lo:hi] - phase * base[lo - s : hi - s]))
     assert gap <= 1e-12 * np.max(np.abs(base))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(f_name=st.sampled_from(["g05", "g1", "g2"]), g_name=st.sampled_from(["G", "h1", "h2"]), m=st.integers(-128, 128))
+def test_modulation_is_a_frequency_index_shift(bank_signals, grid, f_name, g_name, m):
+    # V_g(M_zeta f)(x, xi) = V_g f(x, xi - zeta); for zeta = m * dual_step the
+    # modulation exp(2 pi i m j' / N) of the samples is a cyclic shift of the
+    # DFT, so the field rolls by m frequency columns, up to the phase's rounding
+    f_bank, g_bank = bank_signals
+    f, g = f_bank[f_name], g_bank[g_name]
+    base = tfu.compute_stft(f, g, grid).values
+    moved = tfu.compute_stft(tfu.translate_modulate(f, 0.0, m * f.layout.dual_step), g, grid).values
+    assert np.max(np.abs(moved - np.roll(base, m, axis=1))) <= 1e-12 * np.max(np.abs(base))
