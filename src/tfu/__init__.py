@@ -16,7 +16,6 @@ from tfu.core import (
     discrete_fourier,
     fourier_2d,
     pairwise_sum,
-    quadrature_sum,
 )
 from tfu.identity import build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
 from tfu.reference import (
@@ -86,7 +85,6 @@ __all__ = [
     "lower_bound",
     "pair_field",
     "pairwise_sum",
-    "quadrature_sum",
     "rotation_invariance_defect",
     "sample",
     "translate_modulate",

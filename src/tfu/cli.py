@@ -10,14 +10,15 @@ Configs are INI files: one section per scenario, flat keys (see the bundled
 "paper-suite" config). SCENARIO_KEYS and the check registry CHECKS declare
 each key once, with its parser (tfu.specs) and default; pass thresholds are
 the *_TOL constants. Before any scenario runs, load_config parses every
-value, samples each distinct function once (and f's closed-form transform,
-for a pair_exact scan), refusing one that is zero or not decayed at the
-window edge (as export-stft does), calls each enabled check's
-validate(options, grid) with the grid of the scenario's layout (layout rules
-are the library's own functions), and refuses a rotation shift that leaves
-f zero on the window; a bad scenario aborts naming its "[section] key".
-A check is a function of a ScenarioContext and of its own keys; the context
-holds the scenario's samples and computes what its checks share on first use.
+value (count and step by SignalLayout's own rules), samples each distinct
+function once, refusing one that is zero or not decayed at the window edge
+(as export-stft does), and calls each enabled check's validate(scn, grid)
+with the scenario and the plane of its layout: the library's own rules, and
+for a pair_exact scan the sampling of f's closed-form transform. A bad
+scenario aborts naming its "[section] key". A check is a function of a
+ScenarioContext and of its own keys; the context holds the scenario's
+samples and computes what its checks share on first use. A check that
+cannot run is reported as "[section] check: reason".
 
 `run` writes one JSON report per scenario plus CSV tables for sweeps, and
 exits 0 only if every enabled assertion passed (2 on assertion failure, 1
@@ -54,7 +55,6 @@ from tfu.core import (
     _cached,
     _require_decayed,
     discrete_fourier,
-    lattice_multiple,
 )
 from tfu.identity import _require_rotatable, build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
 from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, translate_modulate
@@ -73,6 +73,7 @@ from tfu.specs import (
     positive_int,
     shift_pair,
     signal_count,
+    signal_step,
     split_list,
 )
 from tfu.stft import compute_stft, energy_defect
@@ -101,7 +102,6 @@ DECAY_PRODUCT_TOL = 1e-2
 class Scenario:
     name: str
     layout: SignalLayout
-    checks: tuple[str, ...]
     options: dict[str, object]  # every key -> its parsed value or default
     signals: dict[str, SampledSignal]  # function spec text -> its samples on layout
     fhat: SampledSignal | None = None  # f's closed-form transform on the dual layout, for pair_exact scans
@@ -180,7 +180,10 @@ def _identity(ctx: ScenarioContext, identity_tuples) -> tuple[dict, Tables]:
 def _rotation(ctx: ScenarioContext, rotation_z) -> tuple[dict, Tables]:
     results = []
     for z, zeta in rotation_z:
-        defect = rotation_invariance_defect(build_auxiliary(ctx.f, ctx.g, ctx.grid, z, zeta))
+        try:
+            defect = rotation_invariance_defect(build_auxiliary(ctx.f, ctx.g, ctx.grid, z, zeta))
+        except ValueError as exc:
+            raise ValueError(f"rotation_z ({z}, {zeta}): {exc}") from exc
         results.append({"z": z, "zeta": zeta, "defect": defect, "passed": defect < ROTATION_TOL})
     return {"tolerance": ROTATION_TOL, "shifts": results, "passed": _all_passed(results)}, {}
 
@@ -272,10 +275,10 @@ def _greedy_oracle(ctx: ScenarioContext) -> tuple[dict, Tables]:
 # rules that a scenario's parsed options and grid decide, applied at load
 
 
-def _rule(key: str, rule: Callable[..., object], *args: object) -> None:
+def _rule(key: str, rule: Callable[..., object], *args: object) -> object:
     """rule(*args), one of the library's own rules, refusing as "key: reason"."""
     try:
-        rule(*args)
+        return rule(*args)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -290,22 +293,28 @@ def _require_entry(opts: dict[str, object], key: str, entry: str) -> None:
         raise ConfigError(f"{key}: the {key} check needs at least one {entry}")
 
 
-def _validate_identity(opts: dict[str, object], grid: TFGrid) -> None:
+def _validate_identity(scn: Scenario, grid: TFGrid) -> None:
     _rule("step", _require_rotatable, grid)
 
 
-def _validate_rotation(opts: dict[str, object], grid: TFGrid) -> None:
-    _validate_identity(opts, grid)
-    for z, _ in opts["rotation_z"]:
-        _rule("rotation_z", lattice_multiple, z, grid.x_step, "translation")
+def _validate_rotation(scn: Scenario, grid: TFGrid) -> None:
+    _validate_identity(scn, grid)
+    f = scn.signals[scn.options["f"].text]
+    for z, zeta in scn.options["rotation_z"]:
+        if not _rule("rotation_z", translate_modulate, f, z, zeta).samples.any():
+            raise ConfigError(f"rotation_z: the shift ({z}, {zeta}) leaves f zero on the whole window")
 
 
-def _validate_weights(opts: dict[str, object], grid: TFGrid) -> None:
+def _validate_weights(scn: Scenario, grid: TFGrid) -> None:
+    opts = scn.options
     _require_entry(opts, "weights", "scan")
     if any(ws.source == "closed" for ws in opts["weights"]):
         _require_unit_pair(opts, "weights: field=closed")
     for ws in opts["weights"]:  # every field source lives on the scenario's grid
         _rule("weights", require_inside, grid, ws.radii[-1])
+    if any(ws.source == "pair_exact" for ws in opts["weights"]):
+        spec = FunctionSpec(opts["f"].text, fourier_closed_form(opts["f"].fn))
+        scn.fhat = _sample_signals([("weights: field=pair_exact", spec)], scn.layout.dual())[spec.text]
 
 
 def _sample_signals(named: Iterable[tuple[str, FunctionSpec]], layout: SignalLayout) -> dict[str, SampledSignal]:
@@ -342,18 +351,19 @@ class Key(NamedTuple):
 
 class Check(NamedTuple):
     """A check's own keys and its run(ctx, **values) -> (entry, tables), where
-    values maps each key to its parsed value. validate(options, grid), when
-    given, raises ValueError at load time for a scenario whose parsed options
-    or TFGrid.from_layout grid break a rule of the check that needs no field."""
+    values maps each key to its parsed value. validate(scn, grid), when given,
+    raises ValueError at load time if the scenario being built (its layout,
+    options and samples) or its TFGrid.from_layout grid breaks a rule of the
+    check that needs no field; it may sample what run needs, as scn.fhat."""
 
     keys: dict[str, Key]
     run: Callable[..., tuple[dict, Tables]]
-    validate: Callable[[dict[str, object], TFGrid], None] | None = None
+    validate: Callable[[Scenario, TFGrid], None] | None = None
 
 
 CHECKS: dict[str, Check] = {
     "isometry": Check({}, _isometry),
-    "closed_form": Check({}, _closed_form, lambda opts, _: _require_unit_pair(opts, "checks: closed_form")),
+    "closed_form": Check({}, _closed_form, lambda scn, _: _require_unit_pair(scn.options, "checks: closed_form")),
     "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity, _validate_identity),
     "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation, _validate_rotation),
     "lieb": Check({"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(finite_float, None)}, _lieb),
@@ -361,7 +371,7 @@ CHECKS: dict[str, Check] = {
     "support": Check(
         {"support": Key(each(parse_support_mode), ())},
         _support,
-        lambda opts, _: _require_entry(opts, "support", "mode"),
+        lambda scn, _: _require_entry(scn.options, "support", "mode"),
     ),
     "decay": Check({}, _decay),
     "greedy_oracle": Check({}, _greedy_oracle),
@@ -384,7 +394,7 @@ SCENARIO_KEYS: dict[str, Key] = {
     "g": Key(function_spec, _UNIT_GAUSSIAN),
     "checks": Key(_check_names, ()),
     "count": Key(signal_count, DEFAULT_LAYOUT.count),
-    "step": Key(finite_float, DEFAULT_LAYOUT.step),
+    "step": Key(signal_step, DEFAULT_LAYOUT.step),
 }
 
 _KEYS = SCENARIO_KEYS | {name: key for check in CHECKS.values() for name, key in check.keys.items()}
@@ -419,36 +429,34 @@ def load_config(path: Path) -> list[Scenario]:
         if not opts["checks"]:
             raise ConfigError(f"[{section}] enables no checks")
         try:
-            layout = SignalLayout(count=opts["count"], step=opts["step"])
+            layout = SignalLayout(count=opts["count"], step=opts["step"])  # its rules ran in the count and step parsers
             named = [("f", opts["f"]), ("g", opts["g"])]
             named += [(f"identity_tuples: {s.text}", s) for row in opts["identity_tuples"] for s in row]
-            signals, fhat = _sample_signals(named, layout), None
+            scn = Scenario(section, layout, opts, _sample_signals(named, layout))
             grid = TFGrid.from_layout(layout)  # a layout whose signals decay has a finite dual step
             for check in (CHECKS[name] for name in opts["checks"]):
                 if check.validate is not None:
-                    check.validate(opts, grid)
-            for z, zeta in opts["rotation_z"] if "rotation" in opts["checks"] else ():
-                if not translate_modulate(signals[opts["f"].text], z, zeta).samples.any():
-                    raise ConfigError(f"rotation_z: the shift ({z}, {zeta}) leaves f zero on the whole window")
-            if "weights" in opts["checks"] and any(ws.source == "pair_exact" for ws in opts["weights"]):
-                spec = FunctionSpec(opts["f"].text, fourier_closed_form(opts["f"].fn))
-                fhat = _sample_signals([("weights: field=pair_exact", spec)], layout.dual())[spec.text]
+                    check.validate(scn, grid)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
-        scenarios.append(Scenario(section, layout, opts["checks"], opts, signals, fhat))
+        scenarios.append(scn)
     if not scenarios:
         raise ConfigError(f"config {path} defines no scenarios")
     return scenarios
 
 
 def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
-    """The scenario's report and CSV tables."""
+    """The scenario's report and CSV tables. A check's ValueError is raised
+    again as "check: reason"."""
     ctx = ScenarioContext(scn)
     checks: dict[str, dict] = {}
     tables: Tables = {}
-    for name in scn.checks:
+    for name in scn.options["checks"]:
         check = CHECKS[name]
-        checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
+        try:
+            checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
         tables.update(check_tables)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
 
@@ -618,7 +626,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export_stft(args: argparse.Namespace) -> int:
-    layout = SignalLayout(count=signal_count(args.count), step=args.step)
+    layout = SignalLayout(_rule("--count", signal_count, args.count), _rule("--step", signal_step, args.step))
     f, g = function_spec(args.f), function_spec(args.g)
     signals = _sample_signals([("--f", f), ("--g", g)], layout)
     v = compute_stft(signals[f.text], signals[g.text], TFGrid.from_layout(layout))
@@ -659,8 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--f", required=True, help="signal function spec")
     p_exp.add_argument("--g", required=True, help="window function spec")
     p_exp.add_argument("--out", required=True, help="output CSV path")
-    p_exp.add_argument("--count", type=int, default=DEFAULT_LAYOUT.count)
-    p_exp.add_argument("--step", type=finite_float, default=DEFAULT_LAYOUT.step)
+    p_exp.add_argument("--count", default=DEFAULT_LAYOUT.count)
+    p_exp.add_argument("--step", default=DEFAULT_LAYOUT.step)
     p_exp.set_defaults(func=cmd_export_stft)
 
     p_bnd = sub.add_parser("bounds", help="evaluate a closed-form support bound")

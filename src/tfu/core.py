@@ -10,9 +10,11 @@ Conventions used throughout the package:
   evaluated on the dual lattice (step 1/(N d)) by an FFT with centering
   shifts. The signal is treated as identically zero outside its window,
   and a boundary-decay check guards that truncation.
+* The STFT family samples one plane per layout, TFGrid.from_layout: x on
+  the sample lattice, xi on its dual; require_plane refuses any other grid.
 * Every double integral over the time-frequency plane is a Riemann sum
-  weighted by the grid's cell measure. Reductions use a fixed pairwise
-  cascade (see tfu._kernels), which makes results reproducible bit for bit.
+  weighted by the grid's cell measure (_plane_sum). Reductions use a fixed
+  pairwise cascade (see tfu._kernels): results reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ def pairwise_sum(values: np.ndarray) -> float:
     return _kernels.cascade_sum(values)
 
 
+def layout_count(count: int) -> int:
+    """count, if a SignalLayout can have it: an even integer >= 16."""
+    if count < 16 or count % 2 != 0:
+        raise ValueError(f"signal count must be an even integer >= 16, got {count}")
+    return count
+
+
+def layout_step(step: float) -> float:
+    """step, if a SignalLayout can have it: positive and finite."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"signal step must be positive and finite, got {step}")
+    return step
+
+
 @dataclass(frozen=True)
 class SignalLayout:
     """Sampling lattice of a signal: count points, spacing step."""
@@ -47,10 +63,8 @@ class SignalLayout:
     step: float
 
     def __post_init__(self) -> None:
-        if self.count < 16 or self.count % 2 != 0:
-            raise ValueError(f"signal count must be an even integer >= 16, got {self.count}")
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ValueError(f"signal step must be positive and finite, got {self.step}")
+        layout_count(self.count)
+        layout_step(self.step)
 
     @property
     def dual_step(self) -> float:
@@ -158,6 +172,15 @@ class TFGrid:
             x_count=layout.count,
             xi_count=layout.count,
         )
+
+
+def require_plane(grid: TFGrid, layout: SignalLayout) -> None:
+    """Refuse a grid other than TFGrid.from_layout(layout), steps to _STEP_RTOL:
+    the one plane the STFT samples, x on the signal's lattice and xi on its dual."""
+    plane = TFGrid.from_layout(layout)
+    steps = zip((grid.x_step, grid.xi_step), (plane.x_step, plane.xi_step))
+    if grid.shape != plane.shape or not all(math.isclose(a, b, rel_tol=_STEP_RTOL) for a, b in steps):
+        raise ValueError(f"off-plane grid: {grid} is not the plane of {layout}, {plane}; resampling is refused")
 
 
 def lattice_multiple(length: float, step: float, what: str) -> int:
@@ -293,28 +316,10 @@ def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
     return np.power(a, p, out=out, where=a >= 2.0 ** (-1080 / p))
 
 
-def quadrature_sum(a: TFArray, integrand: Callable[[np.ndarray], np.ndarray]) -> float:
-    """cell_measure * sum of integrand(values) over all nodes.
-
-    The reduction is the fixed pairwise cascade in row-major leaf order, so
-    repeated evaluations are bit-identical. The integrand must map the
-    complex field array to a real array of the same shape; a non-finite
-    result anywhere aborts with the offending node.
-    """
-    vals = np.asarray(integrand(a.values))
-    if vals.shape != a.values.shape:
-        raise ValueError(
-            f"integrand returned shape {vals.shape}, not the field's shape {a.values.shape}"
-        )
-    if np.iscomplexobj(vals):
-        if np.any(vals.imag != 0):
-            raise ValueError("integrand must be real-valued")
-        vals = vals.real
-    return _plane_sum(a.grid, vals)
-
-
 def _plane_sum(grid: TFGrid, real_field: np.ndarray) -> float:
-    """cell_measure * the cascade sum of a real field on the grid, checked finite."""
+    """cell_measure * the cascade sum of a real field on the grid: the one
+    plane quadrature. The cascade's fixed row-major leaf order makes repeated
+    sums bit-identical; a non-finite value aborts naming its node."""
     real_field = np.asarray(real_field, dtype=np.float64)
     _require_finite(real_field, "integrand")
     return grid.cell_measure * pairwise_sum(real_field)

@@ -10,13 +10,13 @@ First: the plane Fourier transform of V_{g1}f1 * conj(V_{g2}f2) equals
 is invariant under the plane Fourier transform composed with that same
 rotation, for every shift Z = (z, zeta).
 
-Both checks realize the rotation as an exact index permutation, which
-requires a square grid (equal counts and steps on both axes); comparing
-against the transform additionally requires the grid to be self-dual. The
-one home of that rule is _require_rotatable, which tfu.cli also applies to a
-scenario's grid at load. On the half-open lattice the boundary row/column
-has no reflected partner and wraps to itself; all admitted fields have
-decayed to rounding level there.
+Both checks realize the rotation as an exact index permutation that lands on
+the lattice of the plane transform, which requires the grid to be the plane
+of a self-dual layout (count * step^2 == 1). The one home of that rule is
+_require_rotatable, which every function here applies, and tfu.cli at load.
+On the half-open lattice the boundary row/column has no reflected partner
+and wraps to itself; all admitted fields have decayed to rounding level
+there.
 """
 
 from __future__ import annotations
@@ -25,23 +25,17 @@ import math
 
 import numpy as np
 
-from tfu.core import _STEP_RTOL, SampledSignal, TFArray, TFGrid, _chirp, fourier_2d
+from tfu.core import _STEP_RTOL, SampledSignal, SignalLayout, TFArray, TFGrid, _chirp, fourier_2d, require_plane
 from tfu.reference import translate_modulate
 from tfu.stft import compute_stft
 
 
-def _require_rotatable(grid: TFGrid, self_dual: bool = True) -> None:
-    """Refuse a grid on which the quarter rotation is not an exact index
-    permutation (one that is not square) or, if self_dual, does not land on
-    the lattice of the plane transform (one that is not self-dual; as both
-    axes are equal to _STEP_RTOL, the x axis decides)."""
-    if grid.x_count != grid.xi_count or not math.isclose(grid.x_step, grid.xi_step, rel_tol=_STEP_RTOL):
-        raise ValueError("asymmetric grid: the quarter rotation needs x_count == xi_count and x_step == xi_step")
-    if self_dual and not math.isclose(grid.x_step, 1.0 / (grid.x_count * grid.x_step), rel_tol=_STEP_RTOL):
-        raise ValueError(
-            "grid is not self-dual: transform output would land on a different "
-            "lattice than the rotated field (need count * step^2 == 1)"
-        )
+def _require_rotatable(grid: TFGrid) -> None:
+    """Refuse a grid that is not the plane of a self-dual layout, on which
+    self-dual (count * step^2 == 1) means x_step == xi_step, to _STEP_RTOL."""
+    require_plane(grid, SignalLayout(grid.x_count, grid.x_step))
+    if not math.isclose(grid.x_step, grid.xi_step, rel_tol=_STEP_RTOL):
+        raise ValueError("asymmetric grid: the quarter rotation needs x_step == xi_step (count * step^2 == 1)")
 
 
 def point_reflection(values: np.ndarray, axes: int | tuple[int, ...] = (0, 1)) -> np.ndarray:
@@ -56,13 +50,10 @@ def quarter_rotation(values: np.ndarray) -> np.ndarray:
 
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
     """F_Z for the shift Z = (z, zeta), from a single STFT evaluation and its
-    point reflection.
-
-    The phase exp(2 pi i x xi) comes from a table of roots of unity
-    (tfu.core._chirp), so the grid must also satisfy the lattice rule:
-    1/(x_step xi_step) is a positive integer; other grids raise ValueError
-    before the STFT is computed."""
-    _require_rotatable(grid, self_dual=False)
+    point reflection. The grid must be the plane of a self-dual layout (other
+    grids raise ValueError before the STFT is computed); the phase
+    exp(2 pi i x xi) comes from a table of roots of unity (tfu.core._chirp)."""
+    _require_rotatable(grid)
     field = _chirp(grid, 1)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
     field *= v

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from tfu.core import layout_count, layout_step
 from tfu.reference import AnalyticFunction, gaussian, hermite, unit_gaussian
 from tfu.support import SupportMode, SupportVariant, lieb_exponent
 from tfu.weights import DIVERGENCE_RADII, WeightFamily, WeightSpec, scan_radii
@@ -48,14 +49,19 @@ def positive_int(raw: str) -> int:
 
 
 def signal_count(raw: str | int) -> int:
-    """A sample count whose STFT field fits in MAX_FIELD_BYTES."""
-    value = int(raw)
+    """A SignalLayout's count whose STFT field fits in MAX_FIELD_BYTES."""
+    value = layout_count(int(raw))
     if value > MAX_COUNT:
         raise ConfigError(
             f"{value} samples exceed the limit {MAX_COUNT} "
             f"(one field would take {16 * value * value} bytes)"
         )
     return value
+
+
+def signal_step(raw: str | float) -> float:
+    """A SignalLayout's step."""
+    return layout_step(finite_float(raw))
 
 
 def split_list(raw: str) -> list[str]:

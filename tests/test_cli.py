@@ -318,6 +318,26 @@ def test_run_scenario_fault_keeps_other_reports(tmp_path, capsys, monkeypatch):
     assert "error: [z] ZeroDivisionError: float division by zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # the shifted f sits at the window's lower edge: F_Z is not decayed there
+        ("checks = rotation\nrotation_z = -8 0\n", "rotation: rotation_z (-8.0, 0.0): truncation unsound: "),
+        # F_Z ~ exp(-pi z^2) underflows
+        (
+            "count = 1024\nstep = 0.03125\nchecks = rotation\nrotation_z = 20 0\n",
+            "rotation: rotation_z (20.0, 0.0): field is identically zero",
+        ),
+        ("f = gaussian:a=10000\nchecks = decay\n", "decay: tail underflow: "),
+    ],
+)
+def test_run_time_refusals_name_their_check(tmp_path, capsys, body, message):
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, f"[s]\n{body}"), "--out", str(out), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [s] {message}")
+    assert read_json(out / "summary.json")["errors"][0].startswith(f"[s] {message}")
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
 @pytest.mark.parametrize(
     "key, template",
@@ -356,6 +376,28 @@ def test_export_stft_rejects_oversized_count_before_sampling(tmp_path, monkeypat
     argv = ["export-stft", "--f", "gaussian:a=1", "--g", "gaussian:a=1", "--out", str(tmp_path / "v.csv")]
     assert cli.main(argv + ["--count", "65536"]) == 1
     assert "65536 samples exceed the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "export-stft"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("count", "15", "signal count must be an even integer >= 16, got 15"),
+        ("step", "-1", "signal step must be positive and finite, got -1.0"),
+    ],
+)
+def test_layout_keys_and_flags_are_named(tmp_path, capsys, command, key, value, message):
+    # SignalLayout's own rules, applied by the count and step parsers
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", write_config(tmp_path, f"[s]\nchecks = isometry\n{key} = {value}\n"), "--out", str(out)]
+        named = f"[s] {key}"
+    else:
+        argv = ["export-stft", "--f", "gaussian:a=1", "--g", "gaussian:a=1", "--out", str(out), f"--{key}", value]
+        named = f"--{key}"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}: {message}\n"
+    assert not out.exists()
 
 
 RETIRED_KEYS = [
@@ -438,7 +480,7 @@ def test_huge_gaussian_width_loads(tmp_path):
 
 
 #: Messages of the layout rules, which a scenario that loads must never raise.
-_LAYOUT_RULES = ("asymmetric grid", "not self-dual", "lattice multiple", "off-lattice", "half-extent", "identically zero")
+_LAYOUT_RULES = ("asymmetric grid", "off-plane grid", "lattice multiple", "half-extent", "identically zero")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -630,6 +672,7 @@ _PARSERS = [
     specs.finite_floats,
     specs.lieb_exponents,
     specs.signal_count,
+    specs.signal_step,
 ]
 
 

@@ -82,20 +82,24 @@ def test_rotation_invariance_bank_over_shift_lattice(bank_pairs, grid):
             assert tfu.rotation_invariance_defect(aux) < 1e-6, (name, z, zeta)
 
 
-def test_asymmetric_grid_rejected(layout):
+def test_asymmetric_grid_rejected():
+    # the plane of a layout that is not self-dual: 256 * 0.1^2 != 1
+    layout = SignalLayout(count=256, step=0.1)
     f = tfu.sample(tfu.unit_gaussian(), layout)
-    rect = TFGrid(x_step=layout.step, xi_step=layout.dual_step, x_count=128, xi_count=256)
+    plane = TFGrid.from_layout(layout)
     with pytest.raises(ValueError, match="asymmetric grid"):
-        tfu.build_auxiliary(f, f, rect, 0.0, 0.0)
+        tfu.build_auxiliary(f, f, plane, 0.0, 0.0)
+    with pytest.raises(ValueError, match="asymmetric grid"):
+        tfu.fundamental_identity_defect(f, f, f, f, plane)
 
 
 def test_auxiliary_refuses_grid_off_the_lattice_rule(layout):
     # a square stride-3 grid: x_step * xi_step = 3/256, and 256/3 is not an
-    # integer; refused before any STFT is computed
+    # integer, so it is no layout's plane; refused before any STFT is computed
     f = tfu.sample(tfu.unit_gaussian(), layout)
     step = math.sqrt(3) / 16
     square = TFGrid(x_step=step, xi_step=step, x_count=256, xi_count=256)
-    with pytest.raises(ValueError, match=r"1/\(x_step \* xi_step\) is a positive integer"):
+    with pytest.raises(ValueError, match="^off-plane grid: "):
         tfu.build_auxiliary(f, f, square, 0.0, 0.0)
 
 

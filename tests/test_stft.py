@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import tfu
 from tfu.core import SignalLayout, TFGrid
+from tfu.support import SupportMode, SupportVariant
 
 
 def stft_energy_defect(f, g, grid):
@@ -90,27 +91,33 @@ def test_layout_mismatch_rejected(layout, grid):
         tfu.compute_stft(f, g, grid)
 
 
-def test_frequency_grid_mismatch_refused(layout):
-    f = tfu.sample(tfu.unit_gaussian(), layout)
-    bad = TFGrid(x_step=layout.step, xi_step=layout.dual_step * 2, x_count=256, xi_count=256)
-    with pytest.raises(ValueError, match="frequency grid mismatch"):
-        tfu.compute_stft(f, f, bad)
+#: The signal-by-dual plane of DEFAULT_LAYOUT is 256 x 256 with steps (1/16, 1/16).
+OFF_PLANE_GRIDS = {
+    "stride-4": TFGrid(x_step=0.25, xi_step=1 / 16, x_count=64, xi_count=256),
+    "128x256": TFGrid(x_step=1 / 16, xi_step=1 / 16, x_count=128, xi_count=256),
+    "xi-step-doubled": TFGrid(x_step=1 / 16, xi_step=1 / 8, x_count=256, xi_count=256),
+}
+PLANE_USERS = {
+    "compute_stft": lambda f, grid: tfu.compute_stft(f, f, grid),
+    "build_auxiliary": lambda f, grid: tfu.build_auxiliary(f, f, grid, 0.0, 0.0),
+    "fundamental_identity_defect": lambda f, grid: tfu.fundamental_identity_defect(f, f, f, f, grid),
+    "bound_sweep": lambda f, grid: tfu.bound_sweep(f, f, grid, [SupportMode(SupportVariant.L1_FRACTION, 2.0, 0.1)]),
+}
+
+
+@pytest.mark.parametrize("user", PLANE_USERS)
+@pytest.mark.parametrize("grid_name", OFF_PLANE_GRIDS)
+def test_off_plane_grids_are_refused(unit_pair, grid_name, user):
+    # the STFT family samples one plane: x on the signal's lattice, xi on its dual
+    with pytest.raises(ValueError, match="^off-plane grid: "):
+        PLANE_USERS[user](unit_pair[0], OFF_PLANE_GRIDS[grid_name])
 
 
 def test_off_lattice_x_nodes_refused(layout):
     f = tfu.sample(tfu.unit_gaussian(), layout)
     bad = TFGrid(x_step=layout.step * 1.5, xi_step=layout.dual_step, x_count=256, xi_count=256)
-    with pytest.raises(ValueError, match="off-lattice"):
+    with pytest.raises(ValueError, match="off-plane grid"):
         tfu.compute_stft(f, f, bad)
-
-
-def test_coarse_x_lattice_supported(layout):
-    # x_step an integer multiple of the sample step is a valid sub-lattice
-    f = tfu.sample(tfu.unit_gaussian(), layout)
-    coarse = TFGrid(x_step=layout.step * 4, xi_step=layout.dual_step, x_count=64, xi_count=256)
-    v = tfu.compute_stft(f, f, coarse)
-    expected = tfu.gaussian_stft_field(coarse)
-    assert np.max(np.abs(v.values - expected.values)) < 1e-8
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

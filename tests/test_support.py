@@ -4,10 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tfu
 from tfu import cli
-from tfu.core import TFArray, TFGrid, _norm_scale
+from tfu.core import TFArray, TFGrid, _norm_scale, _plane_sum
 from tfu.support import SupportMode, SupportVariant, sorted_cell_masses
 
 
@@ -37,7 +39,7 @@ def test_gaussian_pair_extremal_at_p_four(unit_pair, grid):
     # exactly (2/4)^1 times the norm product
     f, g = unit_pair
     v = tfu.compute_stft(f, g, grid)
-    assert tfu.quadrature_sum(v, lambda z: np.abs(z) ** 4) == pytest.approx(0.5, abs=1e-10)
+    assert _plane_sum(grid, np.abs(v.values) ** 4) == pytest.approx(0.5, abs=1e-10)
     assert tfu.lieb_ratio(v, 4.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -156,7 +158,7 @@ def test_greedy_unsatisfiable_threshold(unit_pair, grid):
     # total |V|^1.5 mass is 2/1.5, below 0.9 * 2^1.5: no set can qualify
     f, g = unit_pair
     v = tfu.compute_stft(f, g, grid)
-    total = tfu.quadrature_sum(v, lambda z: np.abs(z) ** 1.5)
+    total = _plane_sum(grid, np.abs(v.values) ** 1.5)
     assert total == pytest.approx(2 / 1.5, abs=1e-10)
     assert total < 0.9 * 2.0**1.5
     report = tfu.greedy_essential_support(
@@ -202,6 +204,80 @@ def test_greedy_rejects_zero_field(grid):
     zero = TFArray(grid=grid, values=np.zeros(grid.shape, dtype=complex))
     with pytest.raises(ValueError, match="identically zero"):
         tfu.greedy_essential_support(zero, mode(SupportVariant.LP_VS_ENERGY, 1.0, 0.0), 1.0, 1.0)
+
+
+def fewest_cells_reaching(level_masses, counts, threshold):
+    """The smallest k for which some k-cell subset's masses, summed in
+    descending order, reach threshold; None if no subset does.
+
+    level_masses are the distinct masses, descending, and counts how many
+    cells carry each. Cells of one level have bit-equal masses, so a subset's
+    descending sum depends only on how many cells it takes of each level:
+    enumerating those count vectors enumerates every subset's sum. Each
+    level's sums extend the previous levels' partial sums one cell at a time.
+    """
+    best = None
+    partial = [(0, 0.0)]  # (cells, descending sum) of the count vectors so far
+    for mass, count in zip(level_masses, counts):
+        extended = []
+        for cells, total in partial:
+            for taken in range(count + 1):
+                extended.append((cells + taken, total))
+                total += mass
+        partial = extended
+    for cells, total in partial:
+        if total >= threshold and (best is None or cells < best):
+            best = cells
+    return best
+
+
+#: p of each variant, from a draw u in [0, 1), inside the range its bound accepts
+_VARIANT_P = {
+    SupportVariant.L1_FRACTION: lambda u: 2 + 4 * u,
+    SupportVariant.LP_VS_L1P: lambda u: 1 + 0.9 * u,  # the bound overflows as p nears 2
+    SupportVariant.LP_VS_ENERGY: lambda u: 1 + 5 * u,
+}
+
+
+@pytest.mark.parametrize("variant", list(SupportVariant), ids=lambda v: v.value)
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    shape=st.tuples(st.sampled_from([4, 6]), st.sampled_from([4, 6])),
+    step=st.sampled_from([0.25, 0.5, 1.0]),
+    levels=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4, unique=True),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+    eps=st.floats(0.0, 0.95),
+    gn=st.floats(0.75, 1.4),
+    data=st.data(),
+)
+def test_greedy_support_equals_brute_force(variant, shape, step, levels, u, eps, gn, data):
+    # every cell takes one of a few magnitudes, so ties are forced; phases
+    # of 1, -1, 1j, -1j leave |V| exact. With fn = 1 and gn near 1 the norm
+    # scale is 2^0, and the threshold is (1 - eps) reference^mass_p
+    cells = shape[0] * shape[1]
+    which = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=cells, max_size=cells))
+    phases = data.draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=cells, max_size=cells))
+    magnitudes = np.array([levels[i] for i in which])
+    assume(magnitudes.any())
+    grid = TFGrid(x_step=step, xi_step=step, x_count=shape[0], xi_count=shape[1])
+    v = TFArray(grid=grid, values=(magnitudes * np.array(phases)).reshape(shape))
+    m = mode(variant, _VARIANT_P[variant](u), eps)
+    mass_p = 1.0 if variant is SupportVariant.L1_FRACTION else m.p
+    assert _norm_scale(1.0, gn) == (0, gn)
+    if variant is SupportVariant.LP_VS_L1P:
+        reference = grid.cell_measure * tfu.pairwise_sum(np.abs(v.values))
+    else:
+        reference = gn
+    threshold = (1 - eps) * reference**mass_p
+    distinct = sorted(set(magnitudes.tolist()), reverse=True)
+    level_masses = grid.cell_measure * np.array(distinct) ** mass_p
+    counts = [int(np.count_nonzero(magnitudes == level)) for level in distinct]
+    expected = fewest_cells_reaching(level_masses.tolist(), counts, threshold)
+    report = tfu.greedy_essential_support(v, m, 1.0, gn)
+    assert report.satisfiable is (expected is not None)
+    assert report.cells == (expected or 0)
+    if expected is not None:
+        assert report.measured_area == expected * grid.cell_measure
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
