@@ -264,7 +264,7 @@ def _require_finite(arr: np.ndarray, what: str, origin: tuple[int, ...] | None =
     complex128 array is not finite. arr may be a block of a larger array
     whose index origin is at origin; the node is then named in the larger
     array's coordinates."""
-    if not np.isfinite(arr.ravel().view(np.float64)).all():  # for complex, the real view is the faster test
+    if not np.isfinite(arr.ravel("K").view(np.float64)).all():  # for complex, the real view is the faster test
         idx = np.argwhere(~np.isfinite(arr))[0] + (origin or 0)
         raise ValueError(f"non-finite {what} value at node {tuple(int(v) for v in idx)}")
 
@@ -398,15 +398,58 @@ def discrete_fourier(s: SampledSignal) -> SampledSignal:
     return SampledSignal(_centered_fft(np.fft.ifftshift(s.samples), s.step), s.layout.dual_step)
 
 
-def fourier_2d(a: TFArray) -> TFArray:
-    """Continuous 2-D Fourier transform of the field, on the dual TFGrid.
+#: Side of the square tiles _transposed swaps.
+_TILE = 64
 
-    One ifftshift copy over both axes feeds the axis-1 transform; its
-    output is still in ifftshift order along axis 0, which is what the
-    axis-0 transform takes.
+
+def _transposed(values: np.ndarray) -> np.ndarray:
+    """values.T as a C-contiguous array: for a square array, values itself,
+    transposed in place one pair of square tiles at a time (the values are
+    only moved, so every bit is kept); otherwise a transposed copy."""
+    n, m = values.shape
+    if n != m:
+        return np.ascontiguousarray(values.T)
+    spare = np.empty((_TILE, _TILE), dtype=values.dtype)
+    for i in range(0, n, _TILE):
+        diagonal = values[i : i + _TILE, i : i + _TILE]
+        held = spare[: diagonal.shape[0], : diagonal.shape[0]]
+        np.copyto(held, diagonal.T)
+        diagonal[...] = held
+        for j in range(i + _TILE, n, _TILE):
+            upper = values[i : i + _TILE, j : j + _TILE]
+            lower = values[j : j + _TILE, i : i + _TILE]
+            held = spare[: upper.shape[1], : upper.shape[0]]
+            np.copyto(held, upper.T)
+            upper[...] = lower.T
+            lower[...] = held
+    return values
+
+
+def _fourier_2d_swapped(a: TFArray) -> np.ndarray:
+    """The values of fourier_2d(a) with their axes swapped, as a fresh
+    C-contiguous array: row k holds the transform at the dual xi-node k.
+
+    One ifftshift copy over both axes feeds the axis-1 transform; its output
+    is still in ifftshift order along axis 0. Transposed in place, that axis
+    becomes the contiguous axis 1 for the second transform. numpy copies
+    each strided line into a contiguous buffer before pocketfft runs on it,
+    so a line transformed along axis 1 gets the bits it would get along
+    axis 0; only the memory order is faster.
     """
     _require_decayed(a.magnitude, BOUNDARY_DECAY_TOL_2D)
     shifted = np.fft.ifftshift(a.values)
     inner = _centered_fft(shifted, a.grid.xi_step, axis=1)
-    outer = _centered_fft(inner, a.grid.x_step, axis=0)
-    return TFArray._fresh(a.grid.dual(), outer)
+    swapped = _centered_fft(_transposed(inner), a.grid.x_step)
+    _require_finite(swapped.T, "field")
+    return swapped
+
+
+def fourier_2d(a: TFArray) -> TFArray:
+    """Continuous 2-D Fourier transform of the field, on the dual TFGrid.
+
+    The transform comes from _fourier_2d_swapped, whose axes are swapped
+    back in place. The identity checks (tfu.identity) use the swapped
+    array directly: the quarter rotation (-xi, x) they compare with is then
+    a reflection of rows, which they read through views.
+    """
+    return TFArray._fresh(a.grid.dual(), _transposed(_fourier_2d_swapped(a)))

@@ -17,6 +17,15 @@ _require_rotatable, which every function here applies, and tfu.cli at load.
 On the half-open lattice the boundary row/column has no reflected partner
 and wraps to itself; all admitted fields have decayed to rounding level
 there.
+
+No rotated or reflected copy is made. The plane transform is taken with its
+axes swapped (tfu.core._fourier_2d_swapped), so its row k holds the values
+at xi-node k; the rotated field at (x_j, xi_k) is row -k mod N of the field
+at x-node j, and the two are compared row by row through views. F_Z's point
+reflection is read through views as well. The product identity computes
+each distinct (signal, window) pair once per call, matching signals by
+object identity: the command line passes one SampledSignal per function
+spec, so a repeated spec is one object.
 """
 
 from __future__ import annotations
@@ -25,7 +34,16 @@ import math
 
 import numpy as np
 
-from tfu.core import _STEP_RTOL, SampledSignal, SignalLayout, TFArray, TFGrid, _chirp, fourier_2d, require_plane
+from tfu.core import (
+    _STEP_RTOL,
+    SampledSignal,
+    SignalLayout,
+    TFArray,
+    TFGrid,
+    _chirp,
+    _fourier_2d_swapped,
+    require_plane,
+)
 from tfu.reference import translate_modulate
 from tfu.stft import compute_stft
 
@@ -43,22 +61,35 @@ def point_reflection(values: np.ndarray, axes: int | tuple[int, ...] = (0, 1)) -
     return np.roll(np.flip(values, axes), 1, axes)
 
 
-def quarter_rotation(values: np.ndarray) -> np.ndarray:
-    """Field at (-xi, x) on a square grid."""
-    return point_reflection(values, 0).T
-
-
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
     """F_Z for the shift Z = (z, zeta), from a single STFT evaluation and its
-    point reflection. The grid must be the plane of a self-dual layout (other
-    grids raise ValueError before the STFT is computed); the phase
-    exp(2 pi i x xi) comes from a table of roots of unity (tfu.core._chirp)."""
+    point reflection, read through views. The grid must be the plane of a
+    self-dual layout (other grids raise ValueError before the STFT is
+    computed); the phase exp(2 pi i x xi) comes from a table of roots of
+    unity (tfu.core._chirp)."""
     _require_rotatable(grid)
     field = _chirp(grid, 1)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
     field *= v
-    field *= point_reflection(v)
+    # v(-x, -xi) at node (j, k) is v[-j mod N, -k mod N]: index 0 maps to
+    # itself and 1 ... N-1 to N-1 ... 1, so rows 1 ... N-1 are read through
+    # views. Row 0 takes a reflected copy, which keeps node (0, 0) in a
+    # vector product: numpy rounds a lone complex product differently.
+    field[0] *= point_reflection(v[0], 0)
+    field[1:, 0] *= v[:0:-1, 0]
+    field[1:, 1:] *= v[:0:-1, :0:-1]
     return TFArray._fresh(grid, field)
+
+
+def _rotation_gap(swapped: np.ndarray, v: np.ndarray) -> float:
+    """max |FT(w) - v((-xi, x))| for swapped = core._fourier_2d_swapped(w),
+    whose row k holds FT(w) at xi-node k. Rotated, v at (x_j, xi_k) is
+    v[-k mod N, j], so the comparison is row k of swapped with row -k mod N
+    of v: row 0 with row 0 and the others in reverse order, through views.
+    swapped is overwritten with the difference."""
+    np.subtract(swapped[0], v[0], out=swapped[0])
+    np.subtract(swapped[1:], v[:0:-1], out=swapped[1:])
+    return float(np.max(np.abs(swapped)))
 
 
 def rotation_invariance_defect(a: TFArray) -> float:
@@ -67,9 +98,7 @@ def rotation_invariance_defect(a: TFArray) -> float:
     scale = float(np.max(a.magnitude))
     if scale == 0.0:
         raise ValueError("field is identically zero")
-    transformed = fourier_2d(a).values
-    rotated = quarter_rotation(a.values)
-    return float(np.max(np.abs(transformed - rotated))) / scale
+    return _rotation_gap(_fourier_2d_swapped(a), a.values) / scale
 
 
 def fundamental_identity_defect(
@@ -79,19 +108,45 @@ def fundamental_identity_defect(
     g2: SampledSignal,
     grid: TFGrid,
 ) -> float:
-    """Normalized max-abs gap between the two sides of the product identity."""
+    """Normalized max-abs gap between the two sides of the product identity.
+
+    The sides are products conj(b) * a of the STFTs of four (signal,
+    window) pairs. Each distinct pair, matched by object identity, is
+    computed once and dropped after its last use; when f2 is g1 the two
+    products are the same array, formed once."""
     _require_rotatable(grid)
+    # (b, a) of each product conj(b) * a, in the order they are computed:
+    # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)
+    pairs = [(f2, g2), (f1, g1)]
+    if f2 is not g1:
+        pairs += [(g1, g2), (f1, f2)]
+    keys = [(id(f), id(g)) for f, g in pairs]
+    kept: dict[tuple[int, int], np.ndarray] = {}
 
-    def product(f: SampledSignal, g: SampledSignal, h: SampledSignal, k: SampledSignal) -> np.ndarray:
-        """V_g f * conj(V_k h), computed as conj(V_k h) * V_g f in place; neither
-        field outlives the product. The operand order is fixed: the complex
-        multiply rounds a * b and b * a differently."""
-        conj_b = np.conj(compute_stft(h, k, grid).values)
-        return np.multiply(conj_b, compute_stft(f, g, grid).values, out=conj_b)
+    def stft(i: int) -> np.ndarray:
+        """V_g f for pairs[i], computed at the pair's first use and kept
+        until its last."""
+        v = kept.pop(keys[i], None)
+        if v is None:
+            v = compute_stft(*pairs[i], grid).values
+        if keys[i] in keys[i + 1 :]:
+            kept[keys[i]] = v
+        return v
 
-    lhs = fourier_2d(TFArray._fresh(grid, product(f1, g1, f2, g2))).values
-    rhs = quarter_rotation(product(f1, f2, g1, g2))
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    def product(i: int) -> np.ndarray:
+        """conj(b) * a for (b, a) = pairs[i], pairs[i + 1], in place in the
+        conjugate. The operand order is fixed: the complex multiply rounds
+        a * b and b * a differently."""
+        conj_b = np.conj(stft(i))
+        return np.multiply(conj_b, stft(i + 1), out=conj_b)
+
+    if f2 is g1:
+        rhs = product(0)
+        swapped = _fourier_2d_swapped(TFArray._fresh(grid, rhs))
+    else:  # the first product and its |.| are dropped before the second is formed
+        swapped = _fourier_2d_swapped(TFArray._fresh(grid, product(0)))
+        rhs = product(2)
+    scale = max(float(np.max(np.abs(swapped))), float(np.max(np.abs(rhs))))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return _rotation_gap(swapped, rhs) / scale

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from tfu.core import layout_count, layout_step
 from tfu.reference import AnalyticFunction, gaussian, hermite, unit_gaussian
-from tfu.support import SupportMode, SupportVariant, lieb_exponent
+from tfu.support import SupportMode, SupportVariant, lieb_exponent, lower_bound
 from tfu.weights import DIVERGENCE_RADII, WeightFamily, WeightSpec, scan_radii
 
 
@@ -196,6 +196,7 @@ def parse_support_mode(spec: str) -> tuple[SupportMode, str]:
         raise ConfigError(f"unknown support variant {name!r} in {spec!r}")
     p, eps = finite_float(params.pop("p", "2")), finite_float(params.pop("eps", "0"))
     mode = SupportMode(_VARIANTS[name], p=p, epsilon=eps)
+    lower_bound(mode)  # the check's bound (d = 1) depends on p and eps only: refuse one beyond the float range
     expect = params.pop("expect", "holds")
     if expect not in ("holds", "unsatisfiable"):
         raise ConfigError(f"unknown support expectation {expect!r} in {spec!r}")

@@ -400,6 +400,17 @@ def test_layout_keys_and_flags_are_named(tmp_path, capsys, command, key, value, 
     assert not out.exists()
 
 
+def test_support_bound_beyond_the_float_range_is_refused_at_load(tmp_path, capsys):
+    # 2^(2p/(2-p)) at p = 1.999 is 2^3998: the mode is refused by its parser, before any field
+    out = tmp_path / "out"
+    config = write_config(tmp_path, "[s]\nchecks = support\nsupport = lp_vs_l1p p=1.999 eps=0\n")
+    assert cli.main(["run", config, "--out", str(out), "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [s] support: lp_vs_l1p bound for p=1.999, eps=0, d=1 exceeds the float range\n"
+    )
+    assert not out.exists()
+
+
 RETIRED_KEYS = [
     "radii", "decay_tail", "oracle_fields", "oracle_size", "oracle_max_subset", "oracle_seed",
     "isometry_tol", "closed_form_tol", "identity_tol", "rotation_tol", "lieb_dir_tol", "decay_product_tol",

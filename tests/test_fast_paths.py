@@ -2,8 +2,12 @@
 
 The centered FFT transforms its ifftshift-ordered input in place, compute_stft
 writes its column products straight into that order, and fourier_2d shifts
-both axes with one copy. Each must give the bits of the plain formula
-step * fftshift(fft(ifftshift(v))), signed zeros included. The other fast
+both axes with one copy and runs its second pass along rows after an
+in-place tiled transpose. Each must give the bits of the plain formula
+step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
+checks compare the transform, axes swapped, with row reflections read
+through views, and share STFTs between the pairs of a tuple: their defects
+must equal those of the formulas with full rotated copies. The other fast
 paths: the underflow-gated |V|^p, fields taken over without a copy, the
 finiteness check they keep, and the chirp read from a table of roots of
 unity instead of an exp at every node.
@@ -11,10 +15,24 @@ unity instead of an exp at every node.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tfu.core import SampledSignal, SignalLayout, TFArray, TFGrid, _abs_power, _centered_fft, _chirp, fourier_2d
+import tfu
+from tfu import identity
+from tfu.core import (
+    DEFAULT_LAYOUT,
+    SampledSignal,
+    SignalLayout,
+    TFArray,
+    TFGrid,
+    _abs_power,
+    _centered_fft,
+    _chirp,
+    fourier_2d,
+)
+from tfu.identity import build_auxiliary, fundamental_identity_defect, point_reflection, rotation_invariance_defect
+from tfu.reference import translate_modulate
 from tfu.stft import compute_stft
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -92,6 +110,12 @@ def test_compute_stft_matches_shift_formula(n, step, seed, zeros):
     assert same_bits(v, shift_formula(column_products(f, g), step, 1))
 
 
+# squares that are not multiples of the 64-point transpose tile, and rectangles
+@example(n=96, m=96, x_step=0.1, xi_step=1 / 3, seed=1)
+@example(n=200, m=200, x_step=0.1, xi_step=1 / 3, seed=2)
+@example(n=130, m=130, x_step=1.0, xi_step=0.25, seed=3)
+@example(n=16, m=96, x_step=0.7, xi_step=1 / 16, seed=4)
+@example(n=200, m=72, x_step=0.1, xi_step=1 / 32, seed=5)
 @derandomized
 @given(n=even_counts, m=even_counts, x_step=steps, xi_step=steps, seed=seeds)
 def test_fourier_2d_matches_shift_formula(n, m, x_step, xi_step, seed):
@@ -101,8 +125,107 @@ def test_fourier_2d_matches_shift_formula(n, m, x_step, xi_step, seed):
     grid = TFGrid(x_step=x_step, xi_step=xi_step, x_count=n, xi_count=m)
     out = fourier_2d(TFArray(grid=grid, values=values))
     assert out.grid == grid.dual()
+    assert out.values.flags.c_contiguous
     expected = shift_formula(shift_formula(values, xi_step, 1), x_step, 0)
     assert same_bits(out.values, expected)
+
+
+#: 64 samples on [-4, 4): self-dual, so the identity checks take its plane
+SMALL = SignalLayout(64, 1 / 8)
+eighths = st.integers(-4, 4).map(lambda k: k / 8)  # lattice multiples of 1/8 and 1/16
+
+
+def signals(layout):
+    """Gaussians and Hermite functions, shifted in time and frequency by up to 1/2."""
+    functions = st.one_of(
+        st.builds(
+            tfu.gaussian,
+            st.floats(1.0, 2.0),
+            st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+            eighths,
+            eighths,
+        ),
+        st.builds(tfu.hermite, st.integers(0, 2), eighths, eighths),
+    )
+    return functions.map(lambda fn: tfu.sample(fn, layout))
+
+
+def copying_identity_defect(f1, f2, g1, g2, grid):
+    """The product identity's defect with four STFTs and a rotated copy."""
+
+    def product(f, g, h, k):
+        return np.multiply(np.conj(compute_stft(h, k, grid).values), compute_stft(f, g, grid).values)
+
+    lhs = fourier_2d(TFArray(grid, product(f1, g1, f2, g2))).values
+    rhs = point_reflection(product(f1, f2, g1, g2), 0).T
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+@derandomized
+@given(bank=st.lists(signals(SMALL), min_size=1, max_size=3), picks=st.lists(st.integers(0, 2), min_size=4, max_size=4))
+def test_identity_defect_equals_the_copying_formula(bank, picks):
+    # picks from a bank of one to three objects repeat often, as the CLI's do
+    f1, f2, g1, g2 = (bank[i % len(bank)] for i in picks)
+    grid = TFGrid.from_layout(SMALL)
+    assert fundamental_identity_defect(f1, f2, g1, g2, grid) == copying_identity_defect(f1, f2, g1, g2, grid)
+
+
+@derandomized
+@given(f=signals(DEFAULT_LAYOUT), g=signals(DEFAULT_LAYOUT), z=eighths, zeta=eighths)
+def test_rotation_defect_equals_the_copying_formula(f, g, z, zeta):
+    # on [-8, 8), where every shifted F_Z decays at the window's edge
+    grid = TFGrid.from_layout(DEFAULT_LAYOUT)
+    aux = build_auxiliary(f, g, grid, z, zeta)
+    v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
+    assert same_bits(aux.values, _chirp(grid, 1) * v * point_reflection(v))
+    rotated = point_reflection(aux.values, 0).T
+    expected = float(np.max(np.abs(fourier_2d(aux).values - rotated))) / float(np.max(aux.magnitude))
+    assert rotation_invariance_defect(aux) == expected
+
+
+@pytest.mark.parametrize("count", [16, 64, 1024])
+def test_auxiliary_equals_the_copying_formula_at_any_count(count):
+    # the reflected views run numpy's strided loops, whose lengths and
+    # strides change with count; the product must keep the contiguous bits
+    layout = SignalLayout(count, count**-0.5)
+    grid = TFGrid.from_layout(layout)
+    f, g = tfu.sample(tfu.hermite(1), layout), tfu.sample(tfu.gaussian(1.5, 1 - 0.5j), layout)
+    z = zeta = 2 * layout.step
+    v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
+    expected = _chirp(grid, 1) * v * point_reflection(v)
+    assert same_bits(build_auxiliary(f, g, grid, z, zeta).values, expected)
+
+
+def small_bank():
+    """G, h1, h2, a wider Gaussian, and three copies of G: equal to it, but other objects."""
+    fns = (tfu.unit_gaussian(), tfu.hermite(1), tfu.hermite(2), tfu.unit_gaussian(2.0))
+    bank = [tfu.sample(fn, SMALL) for fn in fns]
+    return bank + [SampledSignal(bank[0].samples, bank[0].step) for _ in range(3)]
+
+
+@pytest.mark.parametrize(
+    "picks, calls",
+    [
+        ((0, 0, 0, 0), 1),  # one pair, one product
+        ((1, 0, 1, 1), 3),  # (h1, G, h1, h1): pairs (h1, h1), (G, h1), (h1, G)
+        ((1, 2, 0, 3), 4),  # four distinct signals
+        ((0, 4, 5, 6), 4),  # four equal signals, but four objects: sharing goes by identity
+    ],
+)
+def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, calls):
+    counted = []
+
+    def counting(f, g, grid):
+        counted.append((f, g))
+        return compute_stft(f, g, grid)
+
+    bank = small_bank()
+    grid = TFGrid.from_layout(SMALL)
+    expected = copying_identity_defect(*(bank[i] for i in picks), grid)
+    monkeypatch.setattr(identity, "compute_stft", counting)
+    assert fundamental_identity_defect(*(bank[i] for i in picks), grid) == expected
+    assert len(counted) == calls
 
 
 def every_binade(size, seed=7):

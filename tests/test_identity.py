@@ -5,7 +5,7 @@ import pytest
 
 import tfu
 from tfu.core import SignalLayout, TFArray, TFGrid
-from tfu.identity import point_reflection, quarter_rotation
+from tfu.identity import point_reflection
 
 
 def test_auxiliary_field_gaussian_zero_shift(unit_pair, grid):
@@ -157,7 +157,7 @@ def test_fundamental_identity_product_operand_order():
         return np.conj(tfu.compute_stft(h, k, grid).values) * tfu.compute_stft(f, g, grid).values
 
     lhs = tfu.fourier_2d(tfu.TFArray(grid, product(f1, g1, f2, g2))).values
-    rhs = quarter_rotation(product(f1, f2, g1, g2))
+    rhs = point_reflection(product(f1, f2, g1, g2), 0).T
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     expected = float(np.max(np.abs(lhs - rhs))) / scale
     assert tfu.fundamental_identity_defect(f1, f2, g1, g2, grid) == expected
@@ -168,7 +168,7 @@ def test_reflections_are_the_index_permutations(shape):
     v = np.random.default_rng(1).standard_normal(shape) + 1j
     i0, i1 = ((n - np.arange(n)) % n for n in shape)
     assert np.array_equal(point_reflection(v), v[np.ix_(i0, i1)])
-    assert np.array_equal(quarter_rotation(v), v[i0, :].T)
+    assert np.array_equal(point_reflection(v, 0).T, v[i0, :].T)
 
 
 def test_rotation_defect_refuses_a_zero_field(grid):
