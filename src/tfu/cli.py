@@ -37,6 +37,8 @@ import itertools
 import json
 import os
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -111,8 +113,9 @@ class ScenarioContext:
     """What the checks of one scenario share: the scenario's samples, and
     fields and norms computed on first use."""
 
-    def __init__(self, scn: Scenario) -> None:
+    def __init__(self, scn: Scenario, closed_field: Callable[[TFGrid], TFArray] = gaussian_stft_field) -> None:
         self.signals, self.fhat = scn.signals, scn.fhat
+        self._closed_field = closed_field
         self.f_spec: FunctionSpec = scn.options["f"]
         self.g_spec: FunctionSpec = scn.options["g"]
         self.f, self.g = self.signals[self.f_spec.text], self.signals[self.g_spec.text]
@@ -132,7 +135,7 @@ class ScenarioContext:
     def closed(self) -> TFArray:
         """The exact Gaussian-pair STFT, which is V_g f for the unit pair that
         load_config requires of the checks that use it."""
-        return gaussian_stft_field(self.grid)
+        return self._closed_field(self.grid)
 
     @_cached
     def pair(self) -> TFArray:
@@ -445,10 +448,13 @@ def load_config(path: Path) -> list[Scenario]:
     return scenarios
 
 
-def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
+def run_scenario(
+    scn: Scenario, closed_field: Callable[[TFGrid], TFArray] = gaussian_stft_field
+) -> tuple[dict, Tables]:
     """The scenario's report and CSV tables. A check's ValueError is raised
-    again as "check: reason"."""
-    ctx = ScenarioContext(scn)
+    again as "check: reason". closed_field(grid) gives the exact unit-pair
+    field, which a run shares between the scenarios that use it at once."""
+    ctx = ScenarioContext(scn, closed_field)
     checks: dict[str, dict] = {}
     tables: Tables = {}
     for name in scn.options["checks"]:
@@ -459,6 +465,23 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
             raise ValueError(f"{name}: {exc}") from exc
         tables.update(check_tables)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
+
+
+def _shared_per_grid(make: Callable[[TFGrid], TFArray]) -> Callable[[TFGrid], TFArray]:
+    """make(grid), returned again to every call, from any thread, for that
+    grid while a caller still holds it; it is built anew once none does, so
+    sharing never keeps a field alive longer than its users."""
+    fields: weakref.WeakValueDictionary[TFGrid, TFArray] = weakref.WeakValueDictionary()
+    lock = threading.Lock()
+
+    def field(grid: TFGrid) -> TFArray:
+        with lock:
+            value = fields.get(grid)
+            if value is None:
+                value = fields[grid] = make(grid)
+            return value
+
+    return field
 
 
 def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -> bool:
@@ -519,17 +542,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def export_tfarray(v: TFArray, path: str | Path) -> None:
     """CSV dump: header x,xi,re,im,abs; row-major; 17 significant digits;
-    abs is hypot(re, im). Written one x row at a time."""
-    block = np.empty((v.grid.xi_count, 5))
-    block[:, 1] = v.grid.xi_nodes()
+    abs is hypot(re, im). The node text is formatted once per node, and each
+    x row is written by one % call on a format string that holds it."""
+    tails = ["," + "%.17g" % xi + ",%.17g,%.17g,%.17g\n" for xi in v.grid.xi_nodes().tolist()]
+    block = np.empty((v.grid.xi_count, 3))
 
     def write(fh: TextIO) -> None:
         fh.write("x,xi,re,im,abs\n")
-        for x, row in zip(v.grid.x_nodes(), v.values):
-            block[:, 0] = x
-            block[:, 2], block[:, 3] = row.real, row.imag
-            np.hypot(row.real, row.imag, out=block[:, 4])
-            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+        for x, row in zip(v.grid.x_nodes().tolist(), v.values):
+            xt = "%.17g" % x
+            block[:, 0], block[:, 1] = row.real, row.imag
+            np.hypot(row.real, row.imag, out=block[:, 2])
+            fh.write((xt + xt.join(tails)) % tuple(block.ravel().tolist()))
 
     try:
         _atomic_write(Path(path), write)
@@ -537,17 +561,63 @@ def export_tfarray(v: TFArray, path: str | Path) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+#: Cells per block that import_tfarray parses at a time (whole x rows, at least one).
+_IMPORT_BLOCK_CELLS = 1024
+
+
 def import_tfarray(path: str | Path) -> TFArray:
-    """Rebuild a TFArray from an export_tfarray file (bit-exact round trip)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2, 3))
-    x = np.unique(data[:, 0])
-    xi = np.unique(data[:, 1])
-    x_step = float(x[1] - x[0])
-    xi_step = float(xi[1] - xi[0])
-    grid = TFGrid(x_step=x_step, xi_step=xi_step, x_count=x.size, xi_count=xi.size)
-    values = np.empty(len(data), dtype=np.complex128)  # re + 1j * im would turn some -0 parts into +0
-    values.real, values.imag = data[:, 2], data[:, 3]
-    return TFArray._fresh(grid, values.reshape(x.size, xi.size))
+    """Rebuild a TFArray from an export_tfarray file (bit-exact round trip,
+    grid included).
+
+    The rows must list a full grid in row-major order: a run of rows per x
+    node, each run over the xi nodes of the first, at least two nodes on
+    each axis, and the nodes those of a TFGrid; otherwise ValueError names
+    the file. A first pass counts the rows; the second
+    parses whole x rows a block at a time into the one complex array that
+    the TFArray takes over."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header
+        first_x = fh.readline().split(",", 1)[0]
+        rows = xi_count = int(bool(first_x))
+        for line in fh:
+            if rows == xi_count and line.split(",", 1)[0] == first_x:
+                xi_count += 1
+            rows += 1
+        x_count = rows // xi_count if xi_count else 0
+        if min(x_count, xi_count) < 2:
+            raise ValueError(f"{path}: need at least two x and two xi nodes, got {x_count} x {xi_count}")
+        if rows != x_count * xi_count:
+            raise ValueError(f"{path}: {rows} rows are not a full grid of x rows of {xi_count} xi nodes each")
+
+        fh.seek(0)
+        fh.readline()
+        values = np.empty((x_count, xi_count), dtype=np.complex128)  # re + 1j * im would turn some -0 parts into +0
+        x = np.empty(x_count)
+        per_block = max(1, _IMPORT_BLOCK_CELLS // xi_count)
+        for start in range(0, x_count, per_block):
+            stop = min(start + per_block, x_count)
+            try:
+                data = np.loadtxt(
+                    itertools.islice(fh, (stop - start) * xi_count), delimiter=",", usecols=(0, 1, 2, 3), ndmin=2
+                ).reshape(stop - start, xi_count, 4)
+            except ValueError as exc:
+                raise ValueError(f"{path}: x rows {start}-{stop - 1}: {exc}") from exc
+            if start == 0:
+                xi = data[0, :, 1].copy()
+            x[start:stop] = data[:, 0, 0]
+            if not (np.all(data[:, :, 0] == x[start:stop, None]) and np.all(data[:, :, 1] == xi)):
+                raise ValueError(f"{path}: x rows {start}-{stop - 1} do not each hold one x over the first's xi nodes")
+            values.real[start:stop], values.imag[start:stop] = data[:, :, 2], data[:, :, 3]
+    try:
+        # a grid's nodes count/2 - 1 and count/2 are -step and 0, exactly; the
+        # difference of two other nodes may miss a step that is not dyadic
+        steps = (float(nodes[nodes.size // 2] - nodes[nodes.size // 2 - 1]) for nodes in (x, xi))
+        grid = TFGrid(*steps, x_count=x_count, xi_count=xi_count)
+        if not (np.array_equal(x, grid.x_nodes()) and np.array_equal(xi, grid.xi_nodes())):
+            raise ValueError(f"the nodes are not those of {grid}, (j - count/2) * step")
+        return TFArray._fresh(grid, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +652,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"TFU_THREADS: {exc}") from exc
     errors: list[str] = []
     reports: dict[str, dict] = {}
+    closed_field = _shared_per_grid(gaussian_stft_field)  # read-only fields, shared by scenarios that overlap
 
     def work(scn: Scenario) -> tuple[str, tuple[dict, Tables] | None, str | None]:
         try:
-            return scn.name, run_scenario(scn), None
+            return scn.name, run_scenario(scn, closed_field), None
         except ValueError as exc:
             return scn.name, None, str(exc)
         except Exception as exc:  # a fault in one scenario must not lose the others' reports

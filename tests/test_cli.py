@@ -6,7 +6,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -211,18 +214,29 @@ def binade_field(grid):
     return tfu.TFArray(grid=grid, values=values)
 
 
-def test_export_roundtrip_bit_exact(tmp_path, layout, grid):
-    f = tfu.sample(tfu.unit_gaussian(), layout)
-    signed_zeros = tfu.TFArray(
+def signed_zeros_field():
+    return tfu.TFArray(
         grid=tfu.TFGrid(x_step=0.5, xi_step=0.5, x_count=2, xi_count=2),
         values=np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [complex(-0.0, -0.0), 0.25]]),
     )
-    for v in (tfu.compute_stft(f, f, grid), binade_field(grid), signed_zeros):
+
+
+def non_square_field():
+    """Unequal counts and non-dyadic steps, so that a mix-up of rows and
+    columns or of the two node sets shows."""
+    grid = tfu.TFGrid(x_step=0.1, xi_step=0.3, x_count=4, xi_count=6)
+    rng = np.random.default_rng(20261019)
+    return tfu.TFArray(grid=grid, values=rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+
+
+def test_export_roundtrip_bit_exact(tmp_path, layout, grid):
+    f = tfu.sample(tfu.unit_gaussian(), layout)
+    for v in (tfu.compute_stft(f, f, grid), binade_field(grid), signed_zeros_field(), non_square_field()):
         path = tmp_path / "stft.csv"
         cli.export_tfarray(v, path)
         back = cli.import_tfarray(path)
         assert np.array_equal(back.values.view(np.uint64), v.values.view(np.uint64))  # -0 is not +0
-        assert back.grid.shape == v.grid.shape
+        assert back.grid == v.grid
         # the abs column is Python's abs(complex), which np.abs misses in the last bit
         re, im, mag = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3, 4)).T
         assert np.array_equal(mag, [abs(complex(a, b)) for a, b in zip(re, im)])
@@ -238,6 +252,89 @@ def test_export_peak_memory_is_below_the_field(tmp_path, layout, grid):
     finally:
         tracemalloc.stop()
     assert peak < v.values.nbytes  # 16 * 256^2 bytes = 1 MiB
+
+
+def savetxt_export(v, path):
+    """The np.savetxt row writer that export_tfarray replaced, kept as the
+    reference for its bytes."""
+    block = np.empty((v.grid.xi_count, 5))
+    block[:, 1] = v.grid.xi_nodes()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,xi,re,im,abs\n")
+        for x, row in zip(v.grid.x_nodes(), v.values):
+            block[:, 0] = x
+            block[:, 2], block[:, 3] = row.real, row.imag
+            np.hypot(row.real, row.imag, out=block[:, 4])
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+
+
+def test_export_writes_the_savetxt_bytes(tmp_path, layout, grid):
+    f = tfu.sample(tfu.hermite(2), layout)
+    g = tfu.sample(tfu.unit_gaussian(), layout)
+    for v in (binade_field(grid), signed_zeros_field(), tfu.compute_stft(f, g, grid), non_square_field()):
+        cli.export_tfarray(v, tmp_path / "new.csv")
+        savetxt_export(v, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_import_peak_memory_is_bounded_by_the_field(tmp_path, layout, grid):
+    f = tfu.sample(tfu.unit_gaussian(), layout)
+    v = tfu.compute_stft(f, f, grid)
+    path = tmp_path / "stft.csv"
+    cli.export_tfarray(v, path)
+    tracemalloc.start()
+    try:
+        back = cli.import_tfarray(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values.view(np.uint64), v.values.view(np.uint64))
+    assert peak < 1.5 * v.values.nbytes  # the field itself is 1 MiB at 256^2
+
+
+_RUN_MISMATCH = "x rows 0-3 do not each hold one x over the first's xi nodes"
+_TOO_FEW = "need at least two x and two xi nodes, got "
+_OFF_GRID = "the nodes are not those of TFGrid(x_step=0.1, "
+
+
+def _foreign_x(lines):
+    """Line 8 (second x row) carries the x of line 14 (third x row)."""
+    return lines[:8] + [lines[14].split(",")[0] + lines[8][lines[8].index(",") :]] + lines[9:]
+
+
+def _uneven_x(lines):
+    """The last x row (x = 0.1) moved to x = 0.5."""
+    return lines[:19] + ["0.5" + line[line.index(",") :] for line in lines[19:]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [  # the file has a header and 4 x rows of 6 xi nodes
+        pytest.param(
+            lambda lines: lines[:-1], "23 rows are not a full grid of x rows of 6 xi nodes each", id="missing"
+        ),
+        pytest.param(
+            lambda lines: lines[:3] + lines[4:] + lines[3:4],
+            "24 rows are not a full grid of x rows of 5 xi nodes each",
+            id="moved",
+        ),
+        pytest.param(lambda lines: lines[:8] + lines[9:10] + lines[8:9] + lines[10:], _RUN_MISMATCH, id="swapped-xi"),
+        pytest.param(_foreign_x, _RUN_MISMATCH, id="foreign-x"),
+        pytest.param(lambda lines: lines + lines[-12:], _OFF_GRID, id="repeated-x"),
+        pytest.param(lambda lines: lines[:1] + lines[7:] + lines[1:7], _OFF_GRID, id="unsorted-x"),
+        pytest.param(_uneven_x, _OFF_GRID, id="uneven-x"),
+        pytest.param(lambda lines: lines[:7], _TOO_FEW + "1 x 6", id="one-x"),
+        pytest.param(lambda lines: lines[:1] + lines[1::6], _TOO_FEW + "4 x 1", id="one-xi"),
+        pytest.param(lambda lines: lines[:1], _TOO_FEW + "0 x 0", id="header-only"),
+        pytest.param(lambda lines: lines[:8] + ["oops\n"] + lines[9:], "x rows 0-3: ", id="not-a-number"),
+    ],
+)
+def test_import_refuses_a_file_that_is_not_a_full_grid(tmp_path, edit, message):
+    path = tmp_path / "v.csv"
+    cli.export_tfarray(non_square_field(), path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        cli.import_tfarray(path)
 
 
 def test_export_stft_command_peak_at_origin(tmp_path):
@@ -601,6 +698,46 @@ def test_scenario_samples_each_function_once_at_load(tmp_path, monkeypatch):
     assert len(calls) == 3  # gaussian:a=1, hermite:n=1, hermite:n=2
     report, _ = cli.run_scenario(scn)
     assert report["passed"] and len(calls) == 3
+
+
+def test_run_shares_the_closed_field_between_concurrent_scenarios(tmp_path, monkeypatch):
+    barrier = threading.Barrier(2, timeout=60)
+    fields = []
+
+    def closed_form(ctx):
+        fields.append(ctx.closed)
+        barrier.wait()  # both scenarios hold their field here
+        return {"passed": True}, {}
+
+    monkeypatch.setitem(cli.CHECKS, "closed_form", cli.CHECKS["closed_form"]._replace(run=closed_form))
+    monkeypatch.setenv("TFU_THREADS", "2")
+    config = write_config(tmp_path, "[a]\nchecks = closed_form\n[b]\nchecks = closed_form\n")
+    assert cli.main(["run", config, "--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
+    assert len(fields) == 2 and fields[0] is fields[1]
+
+
+def test_shared_per_grid_builds_each_held_field_once_across_threads():
+    grids = [tfu.TFGrid(x_step=1.0, xi_step=1.0, x_count=2 * n, xi_count=2) for n in (1, 2)]
+    made = []
+
+    def make(grid):
+        made.append(grid)
+        time.sleep(0.001)  # widen the window in which a second thread could miss the first's field
+        return tfu.TFArray(grid=grid, values=np.zeros(grid.shape))
+
+    field = cli._shared_per_grid(make)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda i: field(grids[i % 2]), range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(g.x_count for g in made) == [2, 4]
+    assert all(v is got[i % 2] for i, v in enumerate(got))
+    del got
+    field(grids[0])  # nobody holds it any more: built anew
+    assert len(made) == 3
 
 
 def test_overflowing_step_runs_without_runtime_warnings(tmp_path):
