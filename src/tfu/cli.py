@@ -37,13 +37,11 @@ import itertools
 import json
 import os
 import sys
-import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -113,9 +111,8 @@ class ScenarioContext:
     """What the checks of one scenario share: the scenario's samples, and
     fields and norms computed on first use."""
 
-    def __init__(self, scn: Scenario, closed_field: Callable[[TFGrid], TFArray] = gaussian_stft_field) -> None:
+    def __init__(self, scn: Scenario) -> None:
         self.signals, self.fhat = scn.signals, scn.fhat
-        self._closed_field = closed_field
         self.f_spec: FunctionSpec = scn.options["f"]
         self.g_spec: FunctionSpec = scn.options["g"]
         self.f, self.g = self.signals[self.f_spec.text], self.signals[self.g_spec.text]
@@ -135,7 +132,7 @@ class ScenarioContext:
     def closed(self) -> TFArray:
         """The exact Gaussian-pair STFT, which is V_g f for the unit pair that
         load_config requires of the checks that use it."""
-        return self._closed_field(self.grid)
+        return gaussian_stft_field(self.grid)
 
     @_cached
     def pair(self) -> TFArray:
@@ -448,13 +445,10 @@ def load_config(path: Path) -> list[Scenario]:
     return scenarios
 
 
-def run_scenario(
-    scn: Scenario, closed_field: Callable[[TFGrid], TFArray] = gaussian_stft_field
-) -> tuple[dict, Tables]:
+def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
     """The scenario's report and CSV tables. A check's ValueError is raised
-    again as "check: reason". closed_field(grid) gives the exact unit-pair
-    field, which a run shares between the scenarios that use it at once."""
-    ctx = ScenarioContext(scn, closed_field)
+    again as "check: reason"."""
+    ctx = ScenarioContext(scn)
     checks: dict[str, dict] = {}
     tables: Tables = {}
     for name in scn.options["checks"]:
@@ -465,23 +459,6 @@ def run_scenario(
             raise ValueError(f"{name}: {exc}") from exc
         tables.update(check_tables)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
-
-
-def _shared_per_grid(make: Callable[[TFGrid], TFArray]) -> Callable[[TFGrid], TFArray]:
-    """make(grid), returned again to every call, from any thread, for that
-    grid while a caller still holds it; it is built anew once none does, so
-    sharing never keeps a field alive longer than its users."""
-    fields: weakref.WeakValueDictionary[TFGrid, TFArray] = weakref.WeakValueDictionary()
-    lock = threading.Lock()
-
-    def field(grid: TFGrid) -> TFArray:
-        with lock:
-            value = fields.get(grid)
-            if value is None:
-                value = fields[grid] = make(grid)
-            return value
-
-    return field
 
 
 def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -> bool:
@@ -565,6 +542,12 @@ def export_tfarray(v: TFArray, path: str | Path) -> None:
 _IMPORT_BLOCK_CELLS = 1024
 
 
+def _data_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of fh that np.loadtxt reads as rows: those left with text
+    once a "#" comment is cut off."""
+    return (line for line in fh if not (line.isspace() or "#" in line and not line.partition("#")[0].strip()))
+
+
 def import_tfarray(path: str | Path) -> TFArray:
     """Rebuild a TFArray from an export_tfarray file (bit-exact round trip,
     grid included).
@@ -572,14 +555,16 @@ def import_tfarray(path: str | Path) -> TFArray:
     The rows must list a full grid in row-major order: a run of rows per x
     node, each run over the xi nodes of the first, at least two nodes on
     each axis, and the nodes those of a TFGrid; otherwise ValueError names
-    the file. A first pass counts the rows; the second
-    parses whole x rows a block at a time into the one complex array that
-    the TFArray takes over."""
+    the file. Blank and "#" comment lines are skipped, as np.loadtxt does.
+    A first pass counts the rows; the second parses whole x rows a block at
+    a time into the one complex array that the TFArray takes over."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # the header
-        first_x = fh.readline().split(",", 1)[0]
-        rows = xi_count = int(bool(first_x))
-        for line in fh:
+        lines = _data_lines(fh)
+        first = next(lines, "")
+        first_x = first.split(",", 1)[0]
+        rows = xi_count = int(bool(first))
+        for line in lines:
             if rows == xi_count and line.split(",", 1)[0] == first_x:
                 xi_count += 1
             rows += 1
@@ -591,6 +576,7 @@ def import_tfarray(path: str | Path) -> TFArray:
 
         fh.seek(0)
         fh.readline()
+        lines = _data_lines(fh)
         values = np.empty((x_count, xi_count), dtype=np.complex128)  # re + 1j * im would turn some -0 parts into +0
         x = np.empty(x_count)
         per_block = max(1, _IMPORT_BLOCK_CELLS // xi_count)
@@ -598,7 +584,7 @@ def import_tfarray(path: str | Path) -> TFArray:
             stop = min(start + per_block, x_count)
             try:
                 data = np.loadtxt(
-                    itertools.islice(fh, (stop - start) * xi_count), delimiter=",", usecols=(0, 1, 2, 3), ndmin=2
+                    itertools.islice(lines, (stop - start) * xi_count), delimiter=",", usecols=(0, 1, 2, 3), ndmin=2
                 ).reshape(stop - start, xi_count, 4)
             except ValueError as exc:
                 raise ValueError(f"{path}: x rows {start}-{stop - 1}: {exc}") from exc
@@ -652,11 +638,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"TFU_THREADS: {exc}") from exc
     errors: list[str] = []
     reports: dict[str, dict] = {}
-    closed_field = _shared_per_grid(gaussian_stft_field)  # read-only fields, shared by scenarios that overlap
 
     def work(scn: Scenario) -> tuple[str, tuple[dict, Tables] | None, str | None]:
         try:
-            return scn.name, run_scenario(scn, closed_field), None
+            return scn.name, run_scenario(scn), None
         except ValueError as exc:
             return scn.name, None, str(exc)
         except Exception as exc:  # a fault in one scenario must not lose the others' reports

@@ -6,10 +6,7 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +332,25 @@ def test_import_refuses_a_file_that_is_not_a_full_grid(tmp_path, edit, message):
     path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         cli.import_tfarray(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: lines + ["\n"], id="trailing-newline"),
+        pytest.param(lambda lines: lines[:9] + ["\n", "  \t\n"] + lines[9:], id="blank-lines"),
+        pytest.param(lambda lines: lines[:2] + ["# a note\n", "  # another\n"] + lines[2:], id="comment-lines"),
+        pytest.param(lambda lines: lines[:1] + ["\n"] + lines[1:], id="blank-first-row"),
+    ],
+)
+def test_import_skips_blank_and_comment_lines(tmp_path, edit):
+    v = non_square_field()
+    path = tmp_path / "v.csv"
+    cli.export_tfarray(v, path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    back = cli.import_tfarray(path)
+    assert back.grid == v.grid
+    assert np.array_equal(back.values.view(np.uint64), v.values.view(np.uint64))
 
 
 def test_export_stft_command_peak_at_origin(tmp_path):
@@ -698,46 +714,6 @@ def test_scenario_samples_each_function_once_at_load(tmp_path, monkeypatch):
     assert len(calls) == 3  # gaussian:a=1, hermite:n=1, hermite:n=2
     report, _ = cli.run_scenario(scn)
     assert report["passed"] and len(calls) == 3
-
-
-def test_run_shares_the_closed_field_between_concurrent_scenarios(tmp_path, monkeypatch):
-    barrier = threading.Barrier(2, timeout=60)
-    fields = []
-
-    def closed_form(ctx):
-        fields.append(ctx.closed)
-        barrier.wait()  # both scenarios hold their field here
-        return {"passed": True}, {}
-
-    monkeypatch.setitem(cli.CHECKS, "closed_form", cli.CHECKS["closed_form"]._replace(run=closed_form))
-    monkeypatch.setenv("TFU_THREADS", "2")
-    config = write_config(tmp_path, "[a]\nchecks = closed_form\n[b]\nchecks = closed_form\n")
-    assert cli.main(["run", config, "--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
-    assert len(fields) == 2 and fields[0] is fields[1]
-
-
-def test_shared_per_grid_builds_each_held_field_once_across_threads():
-    grids = [tfu.TFGrid(x_step=1.0, xi_step=1.0, x_count=2 * n, xi_count=2) for n in (1, 2)]
-    made = []
-
-    def make(grid):
-        made.append(grid)
-        time.sleep(0.001)  # widen the window in which a second thread could miss the first's field
-        return tfu.TFArray(grid=grid, values=np.zeros(grid.shape))
-
-    field = cli._shared_per_grid(make)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda i: field(grids[i % 2]), range(64), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(g.x_count for g in made) == [2, 4]
-    assert all(v is got[i % 2] for i, v in enumerate(got))
-    del got
-    field(grids[0])  # nobody holds it any more: built anew
-    assert len(made) == 3
 
 
 def test_overflowing_step_runs_without_runtime_warnings(tmp_path):
