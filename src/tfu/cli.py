@@ -24,9 +24,11 @@ cannot run is reported as "[section] check: reason".
 exits 0 only if every enabled assertion passed (2 on assertion failure, 1
 on configuration or runtime errors; the other scenarios' reports and
 summary.json are still written). Scenario runs are independent and may
-execute concurrently; TFU_THREADS caps the worker count. Report files are
-written atomically, and with --no-timestamp two runs of the same config are
-byte-identical.
+execute concurrently: by default on min(4, usable CPUs, scenarios) worker
+threads, where the usable CPUs are the process's CPU affinity set (else
+os.cpu_count()); TFU_THREADS sets the worker cap instead, even above the CPU
+count. Report files are written atomically, and with --no-timestamp two runs
+of the same config are byte-identical, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -621,6 +623,14 @@ def _resolve_config(arg: str) -> Path:
     raise ConfigError(f"config not found: {arg}")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     scenarios = load_config(config)
@@ -633,7 +643,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     threads = os.environ.get("TFU_THREADS", "")
     try:
-        workers = min(positive_int(threads) if threads else 4, len(scenarios))
+        workers = min(positive_int(threads) if threads else min(4, _usable_cpus()), len(scenarios))
     except ValueError as exc:
         raise ConfigError(f"TFU_THREADS: {exc}") from exc
     errors: list[str] = []

@@ -352,25 +352,37 @@ def _scaled_power_sum(v: TFArray, p: float, fn: float, gn: float) -> tuple[float
     return _plane_sum(v.grid, _abs_power(_scaled(v.magnitude, k), p)), norm**p
 
 
-def _centered_fft(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
-    """Riemann-sum Fourier transform on an origin-centered lattice, in place.
+#: Bytes of rows _centered_fft transforms at a time: 32 rows at N = 1024,
+#: small enough that a block is still in cache for its shift and scaling.
+_FFT_BLOCK_BYTES = 1 << 19
 
-    values must already be in ifftshift order along axis (index k holds
-    lattice point (k + N/2) mod N), be complex128 and writable, and belong
-    to the caller no longer: it is transformed in place and returned. For
-    even N the result is step * sum_k v_k exp(-2 pi i (k - N/2)(m - N/2) / N),
-    i.e. continuous-FT samples on the dual lattice, the same bits as
-    step * fftshift(fft(ifftshift(v))). fftshift and the step scaling are
-    one pass through a half-size temporary.
+
+def _centered_fft(values: np.ndarray, step: float) -> np.ndarray:
+    """Riemann-sum Fourier transform on an origin-centered lattice along the
+    last axis, in place.
+
+    values (one signal, or one signal per row) must already be in ifftshift
+    order along the last axis (index k holds lattice point (k + N/2) mod N),
+    be complex128 and writable, and belong to the caller no longer: it is
+    transformed in place and returned. For even N the result is
+    step * sum_k v_k exp(-2 pi i (k - N/2)(m - N/2) / N), i.e.
+    continuous-FT samples on the dual lattice, the same bits as
+    step * fftshift(fft(ifftshift(v))). The rows go in blocks of about
+    _FFT_BLOCK_BYTES: each block's FFT, then its fftshift and step scaling
+    through one reused spare of half the block, while the block is still in
+    cache. pocketfft transforms each row on its own, so the blocks give the
+    bits of one whole-array call.
     """
-    out = np.fft.fft(values, axis=axis, out=values)
-    h = out.shape[axis] // 2
-    low = (slice(None),) * (axis % out.ndim) + (slice(None, h),)
-    high = (slice(None),) * (axis % out.ndim) + (slice(h, None),)
-    upper = np.multiply(out[low], step)
-    np.multiply(out[high], step, out=out[low])
-    out[high] = upper
-    return out
+    rows = np.atleast_2d(values)
+    n, h = rows.shape[1], rows.shape[1] // 2
+    block = max(1, _FFT_BLOCK_BYTES // (n * values.itemsize))
+    spare = np.empty((min(block, rows.shape[0]), h), dtype=values.dtype)
+    for i in range(0, rows.shape[0], block):
+        out = np.fft.fft(rows[i : i + block], out=rows[i : i + block])
+        upper = np.multiply(out[:, :h], step, out=spare[: out.shape[0]])
+        np.multiply(out[:, h:], step, out=out[:, :h])
+        out[:, h:] = upper
+    return values
 
 
 def _require_decayed(magnitudes: np.ndarray, tol: float) -> None:
@@ -438,7 +450,7 @@ def _fourier_2d_swapped(a: TFArray) -> np.ndarray:
     """
     _require_decayed(a.magnitude, BOUNDARY_DECAY_TOL_2D)
     shifted = np.fft.ifftshift(a.values)
-    inner = _centered_fft(shifted, a.grid.xi_step, axis=1)
+    inner = _centered_fft(shifted, a.grid.xi_step)
     swapped = _centered_fft(_transposed(inner), a.grid.x_step)
     _require_finite(swapped.T, "field")
     return swapped

@@ -42,7 +42,7 @@ def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
     mask = sliding_window_view(inside, n)[windows]
     np.multiply(f.samples[h:], gconj[:, h:], out=product[:, :h], where=mask[:, h:])
     np.multiply(f.samples[:h], gconj[:, :h], out=product[:, h:], where=mask[:, :h])
-    return TFArray._fresh(grid, _centered_fft(product, f.step, axis=1))
+    return TFArray._fresh(grid, _centered_fft(product, f.step))
 
 
 def energy_defect(v: TFArray, fn: float, gn: float) -> float:

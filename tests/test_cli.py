@@ -168,6 +168,72 @@ def test_run_small_config_byte_identical(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+#: Four small-N scenarios: the bank, an identity tuple of distinct signals,
+#: rotations with a shift, and a weighted-mass scan.
+POOL_CONFIG = "".join(
+    f"[{name}]\ncount = 64\nstep = 0.125\n{keys}"
+    for name, keys in (
+        ("bank", "f = gaussian:a=2\ng = hermite:n=1\nchecks = isometry, lieb\nlieb_p = 1.5, 2, 3\n"),
+        ("identity", "checks = identity\nidentity_tuples = gaussian:a=1, hermite:n=1, gaussian:a=1, hermite:n=2\n"),
+        ("rotation", "f = hermite:n=1\nchecks = rotation\nrotation_z = 0 0; 1 -1\n"),
+        ("weights", "checks = weights\nweights = radial_half p=1 radii=1:2:3:3.5; hyperbolic p=1 radii=1:2:3:3.5\n"),
+    )
+)
+
+
+@pytest.mark.parametrize("threads", [None, "4"])
+def test_run_reports_do_not_depend_on_the_pool_size(tmp_path, monkeypatch, threads):
+    config = write_config(tmp_path, POOL_CONFIG)
+    monkeypatch.setenv("TFU_THREADS", "1")
+    assert cli.main(["run", config, "--out", str(tmp_path / "serial"), "--no-timestamp"]) == 0
+    if threads is None:
+        monkeypatch.delenv("TFU_THREADS")
+    else:
+        monkeypatch.setenv("TFU_THREADS", threads)
+    assert cli.main(["run", config, "--out", str(tmp_path / "pool"), "--no-timestamp"]) == 0
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
+    assert {"bank.json", "identity.json", "rotation.json", "weights.json"} <= set(names)
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, threads, scenarios, workers",
+    [
+        (1, 1, None, 5, 1),
+        (2, 2, None, 5, 2),
+        (8, 8, None, 5, 4),
+        (8, 8, None, 3, 3),
+        (2, 8, None, 5, 2),  # the affinity set, not the machine, bounds the pool
+        (None, 8, None, 5, 4),  # no affinity call on this platform
+        (None, None, None, 5, 1),  # and no CPU count either
+        (1, 1, "3", 5, 3),  # TFU_THREADS sets the cap, even above the CPUs
+    ],
+)
+def test_run_pool_size(tmp_path, monkeypatch, affinity, cpu_count, threads, scenarios, workers):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    if threads is None:
+        monkeypatch.delenv("TFU_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TFU_THREADS", threads)
+    sizes = []
+    pool = cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    text = "".join(f"[s{i}]\ncount = 64\nstep = 0.125\nchecks = isometry\n" for i in range(scenarios))
+    assert cli.main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "out"), "--no-timestamp"]) == 0
+    assert sizes == [workers]
+
+
 def test_run_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, "[s]\nchecks = isometry\n")
     for threads in ("abc", "0", "-2"):

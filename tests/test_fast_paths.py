@@ -1,6 +1,7 @@
 """The one-pass field paths against the formulas they replace.
 
-The centered FFT transforms its ifftshift-ordered input in place, compute_stft
+The centered FFT transforms its ifftshift-ordered input in place, in blocks
+of rows whose count need not divide the array's, compute_stft
 writes its column products straight into that order, and fourier_2d shifts
 both axes with one copy and runs its second pass along rows after an
 in-place tiled transpose. Each must give the bits of the plain formula
@@ -12,6 +13,8 @@ paths: the underflow-gated |V|^p, fields taken over without a copy, the
 finiteness check they keep, and the chirp read from a table of roots of
 unity instead of an exp at every node.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,12 +67,30 @@ def same_bits(a, b):
 
 
 @derandomized
-@given(n=even_counts, m=even_counts, step=steps, axis=st.sampled_from([0, 1]), seed=seeds)
-def test_centered_fft_matches_shift_formula(n, m, step, axis, seed):
+@given(n=even_counts, m=even_counts, step=steps, seed=seeds)
+def test_centered_fft_matches_shift_formula(n, m, step, seed):
     v = random_complex(seed, (n, m))
-    assert same_bits(_centered_fft(np.fft.ifftshift(v, axes=axis), step, axis=axis), shift_formula(v, step, axis))
+    assert same_bits(_centered_fft(np.fft.ifftshift(v, axes=-1), step), shift_formula(v, step, -1))
     row = v[0]
     assert same_bits(_centered_fft(np.fft.ifftshift(row), step), shift_formula(row, step, -1))
+
+
+@pytest.mark.parametrize("rows", [1, 31, 33, 257])
+def test_centered_fft_rows_in_partial_blocks(rows):
+    """At N = 1024 a block holds 32 rows: these counts end in a part block."""
+    v = random_complex(rows, (rows, 1024))
+    assert same_bits(_centered_fft(np.fft.ifftshift(v, axes=-1), 1 / 32), shift_formula(v, 1 / 32, -1))
+
+
+def test_centered_fft_peak_memory_is_one_block():
+    values = np.fft.ifftshift(random_complex(5, (1024, 1024)), axes=-1)
+    tracemalloc.start()
+    try:
+        _centered_fft(values, 1 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 8
 
 
 @derandomized
