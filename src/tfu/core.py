@@ -374,12 +374,13 @@ def _centered_fft(values: np.ndarray, step: float) -> np.ndarray:
     bits of one whole-array call.
     """
     rows = np.atleast_2d(values)
-    n, h = rows.shape[1], rows.shape[1] // 2
-    block = max(1, _FFT_BLOCK_BYTES // (n * values.itemsize))
-    spare = np.empty((min(block, rows.shape[0]), h), dtype=values.dtype)
-    for i in range(0, rows.shape[0], block):
-        out = np.fft.fft(rows[i : i + block], out=rows[i : i + block])
-        upper = np.multiply(out[:, :h], step, out=spare[: out.shape[0]])
+    h = rows.shape[1] // 2
+    block = max(1, _FFT_BLOCK_BYTES // rows[0].nbytes)
+    spare = np.empty((min(block, len(rows)), h), dtype=values.dtype)
+    for i in range(0, len(rows), block):
+        out = rows[i : i + block]
+        np.fft.fft(out, out=out)
+        upper = np.multiply(out[:, :h], step, out=spare[: len(out)])
         np.multiply(out[:, h:], step, out=out[:, :h])
         out[:, h:] = upper
     return values
