@@ -1,8 +1,8 @@
 """The one-pass field paths against the formulas they replace.
 
-The centered FFT transforms its ifftshift-ordered input in place, in blocks
-of rows whose count need not divide the array's, compute_stft
-writes its column products straight into that order, and fourier_2d shifts
+The centered FFT transforms its ifftshift-ordered input in place, one block
+of rows at a time (the last block may be short), compute_stft writes its
+column products straight into that order, and fourier_2d shifts
 both axes with one copy and runs its second pass along rows after an
 in-place tiled transpose. Each must give the bits of the plain formula
 step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
