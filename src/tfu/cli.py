@@ -79,16 +79,8 @@ from tfu.specs import (
     split_list,
 )
 from tfu.stft import compute_stft, energy_defect
-from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound, sorted_cell_masses
+from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound
 from tfu.weights import decay_fit, growth_scan, pair_field, require_inside
-
-#: The greedy oracle's random fields, their side (a size x size TFGrid), the
-#: largest subset and the seed: 20 (C(64,1) + C(64,2) + C(64,3)) = 874,880
-#: subsets, enumerated once for all fields.
-_ORACLE = {"fields": 20, "size": 8, "max_subset": 3, "seed": 20260809}
-#: k-subsets per index chunk of the greedy oracle; k * 2^16 indices take at
-#: most 1.5 MiB for its k <= 3.
-_ORACLE_CHUNK = 2**16
 
 #: Fixed pass thresholds; a config sets only lieb_equality_tol and a scan's slope_tol.
 ISOMETRY_TOL = CLOSED_FORM_TOL = 1e-8
@@ -269,10 +261,6 @@ def _decay(ctx: ScenarioContext) -> tuple[dict, Tables]:
     }, {}
 
 
-def _greedy_oracle(ctx: ScenarioContext) -> tuple[dict, Tables]:
-    return _ORACLE | {"passed": _greedy_matches_bruteforce(*_ORACLE.values())}, {}
-
-
 # ---------------------------------------------------------------------------
 # rules that a scenario's parsed options and grid decide, applied at load
 
@@ -376,7 +364,6 @@ CHECKS: dict[str, Check] = {
         lambda scn, _: _require_entry(scn.options, "support", "mode"),
     ),
     "decay": Check({}, _decay),
-    "greedy_oracle": Check({}, _greedy_oracle),
 }
 
 
@@ -461,34 +448,6 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
             raise ValueError(f"{name}: {exc}") from exc
         tables.update(check_tables)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
-
-
-def _greedy_matches_bruteforce(n_fields: int, size: int, kmax: int, seed: int) -> bool:
-    """Greedy prefix mass vs exhaustive max over subsets, exact comparison.
-
-    The greedy side is the running sum np.cumsum(masses) that prefix_count
-    searches. Each k-subset of cells is summed left to right in sorted
-    order, so the first k cells, one of the subsets, sum to the prefix bit
-    for bit, and the prefix is the maximum exactly when no subset exceeds it.
-    """
-    rng = np.random.default_rng(seed)
-    grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=size, xi_count=size)
-    cells = size * size
-    masses = np.empty((n_fields, cells))
-    for row in masses:
-        field = TFArray._fresh(grid, rng.random((size, size)).astype(complex))
-        row[:] = sorted_cell_masses(field, p=1.0)
-    for k in range(1, min(kmax, cells) + 1):
-        indices = itertools.chain.from_iterable(itertools.combinations(range(cells), k))
-        while (chunk := np.fromiter(itertools.islice(indices, k * _ORACLE_CHUNK), np.intp)).size:
-            columns = chunk.reshape(-1, k).T
-            for m in masses:
-                sums = m[columns[0]]
-                for column in columns[1:]:
-                    sums += m[column]
-                if np.any(sums > np.cumsum(m[:k])[-1]):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +597,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         scenarios = [s for s in scenarios if s.name == args.scenario]
         if not scenarios:
             raise ConfigError(f"scenario {args.scenario!r} not found in {config}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     threads = os.environ.get("TFU_THREADS", "")
     try:
         workers = min(positive_int(threads) if threads else min(4, _usable_cpus()), len(scenarios))
     except ValueError as exc:
         raise ConfigError(f"TFU_THREADS: {exc}") from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
     errors: list[str] = []
     reports: dict[str, dict] = {}
 
@@ -693,7 +652,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_export_stft(args: argparse.Namespace) -> int:
     layout = SignalLayout(_rule("--count", signal_count, args.count), _rule("--step", signal_step, args.step))
-    f, g = function_spec(args.f), function_spec(args.g)
+    f, g = _rule("--f", function_spec, args.f), _rule("--g", function_spec, args.g)
     signals = _sample_signals([("--f", f), ("--g", g)], layout)
     v = compute_stft(signals[f.text], signals[g.text], TFGrid.from_layout(layout))
     export_tfarray(v, args.out)
@@ -702,10 +661,6 @@ def cmd_export_stft(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.mode not in _VARIANTS:
-        raise ConfigError(
-            f"unknown support variant {args.mode!r} (choose from {sorted(_VARIANTS)})"
-        )
     mode = SupportMode(_VARIANTS[args.mode], p=args.p, epsilon=args.eps)
     print(repr(lower_bound(mode, d=args.d)))
     return 0
@@ -738,10 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_export_stft)
 
     p_bnd = sub.add_parser("bounds", help="evaluate a closed-form support bound")
-    p_bnd.add_argument("--mode", required=True, help="|".join(sorted(_VARIANTS)))
+    p_bnd.add_argument("--mode", required=True, choices=sorted(_VARIANTS))
     p_bnd.add_argument("--p", type=finite_float, required=True)
     p_bnd.add_argument("--eps", type=finite_float, default=0.0)
-    p_bnd.add_argument("--d", type=int, default=1)
+    p_bnd.add_argument("--d", type=positive_int, default=1)
     p_bnd.set_defaults(func=cmd_bounds)
     return parser
 

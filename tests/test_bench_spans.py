@@ -10,6 +10,10 @@ import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "tfubench" / "spans.py"
 
+#: Functions removed from tfu that the benchmark still lists; it reports
+#: their metrics as 0. An entry goes once the benchmark drops the function.
+RETIRED = {("tfu.cli", "_greedy_matches_bruteforce")}
+
 
 def traced_functions():
     spec = importlib.util.spec_from_file_location("tfubench_spans", SPANS)
@@ -18,6 +22,12 @@ def traced_functions():
     return sorted({(module, function) for _, module, function, _, _ in spans.TRACED})
 
 
-@pytest.mark.parametrize("module, function", traced_functions())
+@pytest.mark.parametrize("module, function", sorted(set(traced_functions()) - RETIRED))
 def test_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(module), function, None))
+
+
+@pytest.mark.parametrize("module, function", sorted(RETIRED))
+def test_retired_function_is_traced_and_gone(module, function):
+    assert (module, function) in traced_functions()
+    assert not hasattr(importlib.import_module(module), function)

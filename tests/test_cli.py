@@ -1,5 +1,4 @@
 import configparser
-import itertools
 import json
 import math
 import os
@@ -236,10 +235,12 @@ def test_run_pool_size(tmp_path, monkeypatch, affinity, cpu_count, threads, scen
 
 def test_run_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, "[s]\nchecks = isometry\n")
+    out = tmp_path / "out"
     for threads in ("abc", "0", "-2"):
         monkeypatch.setenv("TFU_THREADS", threads)
-        assert cli.main(["run", config, "--out", str(tmp_path / "out")]) == 1
+        assert cli.main(["run", config, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: TFU_THREADS: ")
+        assert not out.exists()
 
 
 def test_run_timestamp_present_by_default(tmp_path):
@@ -467,8 +468,18 @@ def test_bounds_command_rejects_bad_p(capsys):
 
 
 def test_bounds_command_rejects_bad_mode(capsys):
-    rc = cli.main(["bounds", "--mode", "nope", "--p", "2"])
-    assert rc == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--mode", "nope", "--p", "2"])
+    assert exc.value.code == 1
+    assert "argument --mode: invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_bounds_command_rejects_bad_d(capsys):
+    for bad in ("0", "-1", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--mode", "l1_fraction", "--p", "2", "--d", bad])
+        assert exc.value.code == 1
+        assert f"argument --d: invalid positive_int value: '{bad}'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_one():
@@ -563,10 +574,12 @@ def test_export_stft_rejects_oversized_count_before_sampling(tmp_path, monkeypat
     [
         ("count", "15", "signal count must be an even integer >= 16, got 15"),
         ("step", "-1", "signal step must be positive and finite, got -1.0"),
+        ("f", "foo", "unknown function kind 'foo' in 'foo'"),
+        ("g", "hermite:n=9", "hermite order must lie in [0, 8], got 9"),
     ],
 )
 def test_layout_keys_and_flags_are_named(tmp_path, capsys, command, key, value, message):
-    # SignalLayout's own rules, applied by the count and step parsers
+    # SignalLayout's own rules, applied by the count and step parsers, and the function spec grammar
     out = tmp_path / "out"
     if command == "run":
         argv = ["run", write_config(tmp_path, f"[s]\nchecks = isometry\n{key} = {value}\n"), "--out", str(out)]
@@ -803,8 +816,9 @@ def test_export_stft_rejects_truncated_signals(tmp_path, capsys):
 
 
 def test_every_key_has_a_non_default_user():
-    # a key that no config sets to anything but its default is a constant
-    used = set()
+    # a key that no config sets to anything but its default is a constant,
+    # and a check that no scenario enables is dead code
+    used, enabled = set(), set()
     for path in (cli._resolve_config("paper-suite"), Path(__file__).parent / "golden/large_grid/large_grid.ini"):
         config = configparser.ConfigParser(interpolation=None)
         config.read(path, encoding="utf-8")
@@ -812,7 +826,9 @@ def test_every_key_has_a_non_default_user():
             for name, raw in config.items(section):
                 if cli._KEYS[name].parse(raw) != cli._KEYS[name].default:
                     used.add(name)
+            enabled.update(cli._KEYS["checks"].parse(config.get(section, "checks")))
     assert used == set(cli._KEYS)
+    assert enabled == set(cli.CHECKS)
 
 
 @pytest.mark.parametrize("name", ["summary", "../x", "a/b", ".."])
@@ -874,44 +890,6 @@ def test_spec_parsers_raise_only_value_errors(parse, raw):
         parse(raw)
     except ValueError:
         pass
-
-
-def plain_greedy_oracle(n_fields, size, kmax, seed):
-    """The greedy oracle one float at a time: every k-subset of the sorted
-    masses summed in sorted order, against the running sum of the first k."""
-    rng = np.random.default_rng(seed)
-    grid = tfu.TFGrid(x_step=1.0, xi_step=1.0, x_count=size, xi_count=size)
-    for _ in range(n_fields):
-        field = tfu.TFArray(grid=grid, values=rng.random((size, size)).astype(complex))
-        vals = list(cli.sorted_cell_masses(field, p=1.0))
-        for k in range(1, min(kmax, len(vals)) + 1):
-            greedy = 0.0
-            for x in vals[:k]:
-                greedy += x
-            best = -math.inf
-            for combo in itertools.combinations(range(len(vals)), k):
-                s = 0.0
-                for i in combo:
-                    s += vals[i]
-                best = max(best, s)
-            if best != greedy:
-                return False
-    return True
-
-
-@pytest.mark.parametrize("ascending", [False, True], ids=["descending", "ascending"])
-@pytest.mark.parametrize(
-    "n_fields, size, kmax, seed",
-    [(2, 8, 2, 20260809), (3, 4, 5, 1), (4, 6, 3, 11), (1, 4, 6, 3), (2, 2, 4, 7), (1, 2, 6, 5)],
-)
-def test_greedy_oracle_matches_plain_python(monkeypatch, n_fields, size, kmax, seed, ascending):
-    monkeypatch.setattr(cli, "_ORACLE_CHUNK", 7)  # chunks end inside every k > 1
-    if ascending:  # a selector whose prefix is not the optimum
-        descending = cli.sorted_cell_masses
-        monkeypatch.setattr(cli, "sorted_cell_masses", lambda v, p: np.sort(descending(v, p)))
-    expected = plain_greedy_oracle(n_fields, size, kmax, seed)
-    assert expected is not ascending
-    assert cli._greedy_matches_bruteforce(n_fields, size, kmax, seed) is expected
 
 
 def test_scenario_computes_its_stft_once(tmp_path, monkeypatch):

@@ -53,7 +53,7 @@ def _changed_reports(config: str, golden: Path, out: Path) -> list[str]:
 
 @golden_numpy
 def test_paper_suite_reports_match_goldens(tmp_path):
-    assert len(list(GOLDEN_DIR.iterdir())) == 35
+    assert len(list(GOLDEN_DIR.iterdir())) == 34
     assert _changed_reports("paper-suite", GOLDEN_DIR, tmp_path / "out") == []
 
 
