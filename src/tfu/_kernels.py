@@ -27,11 +27,14 @@ def cascade_sum(values: np.ndarray) -> float:
 def prefix_count(masses: np.ndarray, threshold: float) -> int:
     """First prefix length whose running sum reaches threshold, or -1.
 
-    The running sum is the plain left-to-right accumulation (np.cumsum).
+    The running sum is the plain left-to-right accumulation (np.cumsum),
+    taken in place: a contiguous float64 masses, which the caller gives up,
+    is overwritten with it.
     """
     if threshold <= 0.0:
         return 0
-    csum = np.cumsum(np.ascontiguousarray(masses, dtype=np.float64))
+    csum = np.ascontiguousarray(masses, dtype=np.float64)
+    np.cumsum(csum, out=csum)
     idx = int(np.searchsorted(csum, threshold, side="left"))
     if idx >= csum.size:
         return -1

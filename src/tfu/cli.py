@@ -55,6 +55,7 @@ from tfu.core import (
     TFArray,
     TFGrid,
     _cached,
+    _max_abs,
     _require_decayed,
     discrete_fourier,
 )
@@ -158,7 +159,7 @@ def _isometry(ctx: ScenarioContext) -> tuple[dict, Tables]:
 
 
 def _closed_form(ctx: ScenarioContext) -> tuple[dict, Tables]:
-    dev = float(np.max(np.abs(ctx.stft.values - ctx.closed.values)))
+    dev = _max_abs(ctx.stft.values, ctx.closed.values)
     return {"max_abs_deviation": dev, "tolerance": CLOSED_FORM_TOL, "passed": dev < CLOSED_FORM_TOL}, {}
 
 
@@ -320,10 +321,9 @@ def _sample_signals(named: Iterable[tuple[str, FunctionSpec]], layout: SignalLay
             # to its limit 0; SampledSignal refuses any sample left non-finite
             with np.errstate(over="ignore", invalid="ignore"):
                 signal = sample(spec.fn, layout)
-            magnitudes = np.abs(signal.samples)
-            if not magnitudes.any():
+            if not signal.samples.any():
                 raise ValueError("signal is zero on the whole window")
-            _require_decayed(magnitudes, BOUNDARY_DECAY_TOL_1D)
+            _require_decayed(signal.samples, BOUNDARY_DECAY_TOL_1D)
         except ValueError as exc:
             raise ConfigError(f"{what}: {exc}") from exc
         signals[spec.text] = signal

@@ -14,7 +14,9 @@ Conventions used throughout the package:
   the sample lattice, xi on its dual; require_plane refuses any other grid.
 * Every double integral over the time-frequency plane is a Riemann sum
   weighted by the grid's cell measure (_plane_sum). Reductions use a fixed
-  pairwise cascade (see tfu._kernels): results reproduce bit for bit.
+  pairwise cascade (see tfu._kernels): results reproduce bit for bit. Plane
+  integrands are formed in aligned blocks of _SUM_BLOCK row-major nodes,
+  each a subtree of that same cascade, so no N^2 integrand array is held.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ BOUNDARY_DECAY_TOL_1D = 1e-12
 BOUNDARY_DECAY_TOL_2D = 1e-10
 
 _STEP_RTOL = 1e-12
+
+#: Bytes of an N^2 array that one step of a blockwise pass works on, shared
+#: by every such pass: the rows _centered_fft transforms at a time (32 rows
+#: at N = 1024), the row blocks of _max_abs and of _fourier_2d_swapped's
+#: quadrant swap, and the float64 leaves of a _plane_sum block. A block stays
+#: in cache, and a pass holds about one block of temporaries whatever N.
+_FFT_BLOCK_BYTES = 1 << 19
+#: Leaves per _plane_sum block: 2^16, a power of two, so that each block is
+#: an aligned subtree of the cascade's tree.
+_SUM_BLOCK = _FFT_BLOCK_BYTES // 8
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -213,7 +225,9 @@ class TFArray:
 
     The constructor copies values, so later changes to the caller's array
     change nothing. |V| and its descending sort are computed once per field,
-    on first use, and shared by every functional of the field.
+    on first use, and shared by the functionals that read every |V|: Lp
+    sums and greedy support. Maxima of |V| (_max_abs) and the 2-D transform
+    take |.| one row block at a time and cache nothing.
     """
 
     grid: TFGrid
@@ -247,8 +261,12 @@ class TFArray:
     @_cached
     def descending(self) -> np.ndarray:
         """|V| of all nodes, flattened and sorted descending (contiguous: a
-        reversed view of np.sort can change the last bits of a power)."""
-        desc = -np.sort(-self.magnitude.ravel())
+        reversed view of np.sort can change the last bits of a power). The
+        negated |V| is sorted in place and negated back, in one array: the
+        bits of -np.sort(-|V|)."""
+        desc = np.negative(self.magnitude.ravel())
+        desc.sort()
+        np.negative(desc, out=desc)
         desc.setflags(write=False)
         return desc
 
@@ -316,13 +334,37 @@ def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
     return np.power(a, p, out=out, where=a >= 2.0 ** (-1080 / p))
 
 
-def _plane_sum(grid: TFGrid, real_field: np.ndarray) -> float:
-    """cell_measure * the cascade sum of a real field on the grid: the one
-    plane quadrature. The cascade's fixed row-major leaf order makes repeated
-    sums bit-identical; a non-finite value aborts naming its node."""
-    real_field = np.asarray(real_field, dtype=np.float64)
-    _require_finite(real_field, "integrand")
-    return grid.cell_measure * pairwise_sum(real_field)
+def _plane_sum(
+    grid: TFGrid, real_field: np.ndarray, leaf: Callable[[np.ndarray], np.ndarray] | None = None
+) -> float:
+    """cell_measure * the cascade sum of leaf(real_field) on the grid, for an
+    elementwise leaf (default: real_field itself): the one plane quadrature.
+
+    The leaves are formed one block of _SUM_BLOCK row-major nodes at a time,
+    and each block is reduced by the cascade; the cascade of the block sums
+    then gives the bits of one cascade over all leaves, as each block is an
+    aligned subtree of its fixed tree (the last block's zero padding and the
+    blocks that would be all padding add +0). The fixed row-major leaf order
+    makes repeated sums bit-identical. A non-finite leaf aborts naming its
+    node; as any inf or nan leaf makes the total inf or nan, the leaves are
+    searched only when the total is not finite.
+    """
+    flat = np.asarray(real_field).reshape(-1)
+    blocks = range(0, flat.size, _SUM_BLOCK)
+
+    def leaves(i: int) -> np.ndarray:
+        part = flat[i : i + _SUM_BLOCK]
+        return part if leaf is None else leaf(part)
+
+    sums = [_kernels.cascade_sum(leaves(i)) for i in blocks]
+    total = sums[0] if len(sums) == 1 else _kernels.cascade_sum(np.array(sums))
+    if not math.isfinite(total):
+        for i in blocks:
+            bad = np.flatnonzero(~np.isfinite(leaves(i)))
+            if bad.size:
+                node = np.unravel_index(i + bad[0], np.shape(real_field))
+                raise ValueError(f"non-finite integrand value at node {tuple(int(v) for v in node)}")
+    return grid.cell_measure * total
 
 
 def _norm_scale(fn: float, gn: float) -> tuple[int, float]:
@@ -349,12 +391,25 @@ def _scaled_power_sum(v: TFArray, p: float, fn: float, gn: float) -> tuple[float
     """cell_measure * sum of (|V| 2^-k)^p and (fn gn 2^-k)^p, with k from
     _norm_scale: the two sides of an Lp comparison, in range."""
     k, norm = _norm_scale(fn, gn)
-    return _plane_sum(v.grid, _abs_power(_scaled(v.magnitude, k), p)), norm**p
+    return _plane_sum(v.grid, v.magnitude, lambda m: _abs_power(_scaled(m, k), p)), norm**p
 
 
-#: Bytes of rows _centered_fft transforms at a time: 32 rows at N = 1024,
-#: small enough that a block is still in cache for its shift and scaling.
-_FFT_BLOCK_BYTES = 1 << 19
+def _max_abs(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """max |a|, or max |a - b| for b of a's shape, taken one block of about
+    _FFT_BLOCK_BYTES of rows at a time (a 1-D array is one row), so no
+    N^2 difference or modulus is held. Rows are sliced with positive
+    strides only: np.abs read through a reversed view can differ in the
+    last bit. A nan anywhere gives nan, as np.max does."""
+    rows = np.atleast_2d(a)
+    others = None if b is None else np.atleast_2d(b)
+    block = max(1, _FFT_BLOCK_BYTES // rows[0].nbytes)
+    peaks = []
+    for i in range(0, len(rows), block):
+        part = rows[i : i + block]
+        if others is not None:
+            part = part - others[i : i + block]
+        peaks.append(np.max(np.abs(part)))
+    return float(np.max(peaks))
 
 
 def _centered_fft(values: np.ndarray, step: float) -> np.ndarray:
@@ -386,14 +441,15 @@ def _centered_fft(values: np.ndarray, step: float) -> np.ndarray:
     return values
 
 
-def _require_decayed(magnitudes: np.ndarray, tol: float) -> None:
-    """Refuse magnitudes whose largest value on the boundary (the first and
-    last index along each axis) exceeds tol times their peak: the implicit
-    zero extension would misrepresent the transform."""
-    peak = float(np.max(magnitudes))
+def _require_decayed(values: np.ndarray, tol: float) -> None:
+    """Refuse 1-D or 2-D values whose largest modulus on the boundary (the
+    first and last index along each axis) exceeds tol times their peak
+    modulus: the implicit zero extension would misrepresent the transform.
+    The peak is taken by _max_abs, and the edges are contiguous copies."""
+    peak = _max_abs(values)
     edge = max(
-        float(np.max(np.take(magnitudes, i, axis=axis)))
-        for axis in range(magnitudes.ndim)
+        float(np.max(np.abs(np.take(values, i, axis=axis))))
+        for axis in range(values.ndim)
         for i in (0, -1)
     )
     if peak != 0.0 and edge > tol * peak:
@@ -407,7 +463,7 @@ def discrete_fourier(s: SampledSignal) -> SampledSignal:
 
     Requires the signal to have decayed at its window boundary.
     """
-    _require_decayed(np.abs(s.samples), BOUNDARY_DECAY_TOL_1D)
+    _require_decayed(s.samples, BOUNDARY_DECAY_TOL_1D)
     return SampledSignal(_centered_fft(np.fft.ifftshift(s.samples), s.step), s.layout.dual_step)
 
 
@@ -438,21 +494,44 @@ def _transposed(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _fourier_2d_swapped(a: TFArray) -> np.ndarray:
-    """The values of fourier_2d(a) with their axes swapped, as a fresh
-    C-contiguous array: row k holds the transform at the dual xi-node k.
+def _swap_quadrants(values: np.ndarray) -> np.ndarray:
+    """np.fft.ifftshift(values) over both axes of an even-sized 2-D array,
+    in place: the row blocks of the top half trade places with those of the
+    bottom half, each moved rolled by half a row, through one spare of about
+    _FFT_BLOCK_BYTES. Values are only moved, so every bit is kept."""
+    h, m = values.shape[0] // 2, values.shape[1] // 2
+    block = max(1, _FFT_BLOCK_BYTES // values[0].nbytes)
+    spare = np.empty((min(block, h), 2 * m), dtype=values.dtype)
+    for i in range(0, h, block):
+        top = values[i : min(i + block, h)]
+        bottom = values[h + i : h + i + len(top)]
+        held = spare[: len(top)]
+        held[:, :m], held[:, m:] = top[:, m:], top[:, :m]
+        top[:, :m], top[:, m:] = bottom[:, m:], bottom[:, :m]
+        bottom[...] = held
+    return values
 
-    One ifftshift copy over both axes feeds the axis-1 transform; its output
-    is still in ifftshift order along axis 0. Transposed in place, that axis
-    becomes the contiguous axis 1 for the second transform. numpy copies
-    each strided line into a contiguous buffer before pocketfft runs on it,
-    so a line transformed along axis 1 gets the bits it would get along
-    axis 0; only the memory order is faster.
+
+def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray) -> np.ndarray:
+    """The transform fourier_2d gives of the finite complex128 field values
+    on grid, with its axes swapped: row k holds the transform at the dual
+    xi-node k.
+
+    values must be C-contiguous and writable, and belong to the caller no
+    longer (a caller that still needs them passes a copy): the transform is
+    computed in them and returned, with no N^2 temporary. Their quadrants
+    are swapped in place into ifftshift order over both axes
+    (_swap_quadrants) for the axis-1 transform, whose output is still in
+    ifftshift order along axis 0. Transposed in place, that axis becomes
+    the contiguous axis 1 for the second transform. numpy copies each
+    strided line into a contiguous buffer before pocketfft runs on it, so a
+    line transformed along axis 1 gets the bits it would get along axis 0;
+    only the memory order is faster. A non-square field, which only
+    fourier_2d can pass, is transposed through a copy.
     """
-    _require_decayed(a.magnitude, BOUNDARY_DECAY_TOL_2D)
-    shifted = np.fft.ifftshift(a.values)
-    inner = _centered_fft(shifted, a.grid.xi_step)
-    swapped = _centered_fft(_transposed(inner), a.grid.x_step)
+    _require_decayed(values, BOUNDARY_DECAY_TOL_2D)
+    inner = _centered_fft(_swap_quadrants(values), grid.xi_step)
+    swapped = _centered_fft(_transposed(inner), grid.x_step)
     _require_finite(swapped.T, "field")
     return swapped
 
@@ -460,9 +539,10 @@ def _fourier_2d_swapped(a: TFArray) -> np.ndarray:
 def fourier_2d(a: TFArray) -> TFArray:
     """Continuous 2-D Fourier transform of the field, on the dual TFGrid.
 
-    The transform comes from _fourier_2d_swapped, whose axes are swapped
-    back in place. The identity checks (tfu.identity) use the swapped
-    array directly: the quarter rotation (-xi, x) they compare with is then
-    a reflection of rows, which they read through views.
+    The transform comes from _fourier_2d_swapped, on a copy of the values,
+    and its axes are swapped back in place. The identity checks
+    (tfu.identity) use the swapped array directly: the quarter rotation
+    (-xi, x) they compare with is then a reflection of rows, which they
+    read through views.
     """
-    return TFArray._fresh(a.grid.dual(), _transposed(_fourier_2d_swapped(a)))
+    return TFArray._fresh(a.grid.dual(), _transposed(_fourier_2d_swapped(a.grid, a.values.copy())))

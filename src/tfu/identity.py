@@ -42,6 +42,8 @@ from tfu.core import (
     TFGrid,
     _chirp,
     _fourier_2d_swapped,
+    _max_abs,
+    _require_finite,
     require_plane,
 )
 from tfu.reference import translate_modulate
@@ -86,19 +88,21 @@ def _rotation_gap(swapped: np.ndarray, v: np.ndarray) -> float:
     whose row k holds FT(w) at xi-node k. Rotated, v at (x_j, xi_k) is
     v[-k mod N, j], so the comparison is row k of swapped with row -k mod N
     of v: row 0 with row 0 and the others in reverse order, through views.
-    swapped is overwritten with the difference."""
+    swapped is overwritten with the difference, whose moduli are taken in
+    its own row order."""
     np.subtract(swapped[0], v[0], out=swapped[0])
     np.subtract(swapped[1:], v[:0:-1], out=swapped[1:])
-    return float(np.max(np.abs(swapped)))
+    return _max_abs(swapped)
 
 
 def rotation_invariance_defect(a: TFArray) -> float:
-    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z."""
+    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z,
+    transformed in a copy of its values."""
     _require_rotatable(a.grid)
-    scale = float(np.max(a.magnitude))
+    scale = _max_abs(a.values)
     if scale == 0.0:
         raise ValueError("field is identically zero")
-    return _rotation_gap(_fourier_2d_swapped(a), a.values) / scale
+    return _rotation_gap(_fourier_2d_swapped(a.grid, a.values.copy()), a.values) / scale
 
 
 def fundamental_identity_defect(
@@ -113,7 +117,9 @@ def fundamental_identity_defect(
     The sides are products conj(b) * a of the STFTs of four (signal,
     window) pairs. Each distinct pair, matched by object identity, is
     computed once and dropped after its last use; when f2 is g1 the two
-    products are the same array, formed once."""
+    products are the same array, formed once, and the transform takes a
+    copy of it. Otherwise the first product is transformed in place and
+    is gone before the second is formed."""
     _require_rotatable(grid)
     # (b, a) of each product conj(b) * a, in the order they are computed:
     # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)
@@ -135,18 +141,27 @@ def fundamental_identity_defect(
 
     def product(i: int) -> np.ndarray:
         """conj(b) * a for (b, a) = pairs[i], pairs[i + 1], in place in the
-        conjugate. The operand order is fixed: the complex multiply rounds
+        conjugate. At b's last use the conjugate is taken in b itself: its
+        field was dropped with compute_stft's TFArray, and this array owns
+        its memory. The operand order is fixed: the complex multiply rounds
         a * b and b * a differently."""
-        conj_b = np.conj(stft(i))
+        b = stft(i)
+        if keys[i] in kept:
+            conj_b = np.conj(b)
+        else:
+            b.setflags(write=True)
+            conj_b = np.conjugate(b, out=b)
         return np.multiply(conj_b, stft(i + 1), out=conj_b)
 
+    first = product(0)
+    _require_finite(first, "field")
     if f2 is g1:
-        rhs = product(0)
-        swapped = _fourier_2d_swapped(TFArray._fresh(grid, rhs))
-    else:  # the first product and its |.| are dropped before the second is formed
-        swapped = _fourier_2d_swapped(TFArray._fresh(grid, product(0)))
+        rhs = first
+        swapped = _fourier_2d_swapped(grid, first.copy())
+    else:
+        swapped = _fourier_2d_swapped(grid, first)
         rhs = product(2)
-    scale = max(float(np.max(np.abs(swapped))), float(np.max(np.abs(rhs))))
+    scale = max(_max_abs(swapped), _max_abs(rhs))
     if scale == 0.0:
         return 0.0
     return _rotation_gap(swapped, rhs) / scale

@@ -24,7 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from tfu import _kernels
-from tfu.core import SampledSignal, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
+from tfu.core import (
+    _SUM_BLOCK,
+    SampledSignal,
+    TFArray,
+    TFGrid,
+    _abs_power,
+    _norm_scale,
+    _plane_sum,
+    _scaled,
+    _scaled_power_sum,
+)
 from tfu.stft import compute_stft
 
 
@@ -118,8 +128,15 @@ def lower_bound(mode: SupportMode, d: int = 1) -> float:
 
 
 def sorted_cell_masses(v: TFArray, p: float, k: int = 0) -> np.ndarray:
-    """The cells' cell_measure-weighted (2^-k |V|)^p masses, by |V| descending."""
-    return v.grid.cell_measure * _abs_power(_scaled(v.descending, k), p)
+    """The cells' cell_measure-weighted (2^-k |V|)^p masses, by |V| descending,
+    as a fresh array: each block of _SUM_BLOCK cells is scaled, powered and
+    weighted into it, so no other array of all the cells is made."""
+    desc = v.descending
+    masses = np.empty(desc.size)
+    for i in range(0, desc.size, _SUM_BLOCK):
+        part = masses[i : i + _SUM_BLOCK]
+        np.multiply(v.grid.cell_measure, _abs_power(_scaled(desc[i : i + _SUM_BLOCK], k), p), out=part)
+    return masses
 
 
 def greedy_essential_support(
@@ -131,15 +148,15 @@ def greedy_essential_support(
     from tfu.core._norm_scale, which has the same support and keeps them in
     range for tiny or huge norms. The scaling is applied to the field's
     shared |V| and its descending sort, so the field is sorted once for all
-    modes.
+    modes; the masses' running sums accumulate in the masses' own array.
     """
     k, norm = _norm_scale(fn, gn)
-    if not np.any(v.values):
+    if v.descending[0] == 0:  # |z| = 0 only for z = 0
         raise ValueError("field is identically zero")
     # masses (2^-k |V|)^mass_p against (1 - eps) reference^mass_p
     mass_p = 1.0 if mode.variant is SupportVariant.L1_FRACTION else mode.p
     l1p = mode.variant is SupportVariant.LP_VS_L1P
-    reference = _plane_sum(v.grid, _scaled(v.magnitude, k)) if l1p else norm
+    reference = _plane_sum(v.grid, v.magnitude, lambda m: _scaled(m, k)) if l1p else norm
     threshold = (1 - mode.epsilon) * reference**mass_p
     count = _kernels.prefix_count(sorted_cell_masses(v, mass_p, k), threshold)
     bound = lower_bound(mode, d=1)

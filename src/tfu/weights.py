@@ -121,19 +121,21 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
 
     The integrand is formed, exponentiated and checked finite only on the
     index block of the largest square (corner values can overflow outside
-    it); a non-finite value is named by its full-grid node. Each radius adds
-    its ring to the previous mass: mass i is cell_measure * total_i, with
-    total_i = total_{i-1} + ring_i and ring_i the integrand summed over the
-    nodes of square i outside square i - 1, as four rectangular slices
-    reduced by the cascade and added exactly rounded. Rings are >= 0, so the
-    masses are nondecreasing in R exactly.
+    it), from |field| taken on that block alone, so no |.| of the whole
+    field is cached; a non-finite value is named by its full-grid node. Each
+    radius adds its ring to the previous mass: mass i is cell_measure *
+    total_i, with total_i = total_{i-1} + ring_i and ring_i the integrand
+    summed over the nodes of square i outside square i - 1, as four
+    rectangular slices reduced by the cascade and added exactly rounded.
+    Rings are >= 0, so the masses are nondecreasing in R exactly.
     """
     grid, top = field.grid, radii[-1]
     require_inside(grid, top)
     x, xi = grid.x_nodes(), grid.xi_nodes()
     (j0, j1), (k0, k1) = _span(x, top), _span(xi, top)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
-        integrand = np.log(field.magnitude[j0:j1, k0:k1])
+        integrand = np.abs(field.values[j0:j1, k0:k1])
+        np.log(integrand, out=integrand)
         integrand *= w.p
         integrand += w.log_weight(x[j0:j1, None], xi[None, k0:k1])
         np.exp(integrand, out=integrand)

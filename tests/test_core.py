@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tfu
-from tfu.core import TFGrid, TFArray, _plane_sum
+from tfu import _kernels
+from tfu.core import _SUM_BLOCK, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
 from tfu.identity import _require_rotatable
 from tfu.weights import require_inside
 
@@ -45,6 +46,71 @@ def test_quadrature_repeat_bit_identical(grid):
     integrand = rng.standard_normal(grid.shape) ** 2
     first = _plane_sum(grid, integrand)
     assert _plane_sum(grid, integrand) == first
+
+
+def test_quadrature_of_finite_leaves_that_overflow_is_inf():
+    # every leaf is finite, so no node is named: the total is returned
+    grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=16, xi_count=16)
+    with np.errstate(over="ignore"):
+        assert _plane_sum(grid, np.full(grid.shape, 1e308)) == math.inf
+
+
+def binade_field(n, seed):
+    """An n x n complex field whose moduli span 2^-60 ... 2^60, with exact
+    zeros, zeros of both signs and subnormal moduli."""
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** rng.integers(-60, 60, size=(n, n))
+    v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale
+    flat = v.reshape(-1)
+    flat[::7] = complex(-0.0, -0.0)
+    flat[3::11] = 0
+    flat[5::13] = 5e-324
+    flat[6::17] = complex(-0.0, 2e-310)
+    return v
+
+
+@pytest.mark.parametrize("n", [16, 96, 256, 300, 1024])  # one block up to 256; 300^2 ends in a part block
+@pytest.mark.parametrize("p", [1, 1.5, 2, 2.7, 6])
+def test_blockwise_power_sum_is_one_cascade_bit_for_bit(n, p):
+    grid = TFGrid(x_step=1 / 8, xi_step=1 / 16, x_count=n, xi_count=n)
+    v = TFArray(grid=grid, values=binade_field(n, n))
+    for fn, gn in ((1.0, 1.0), (2.0**40, 1.0)):  # k = 0, and k = 40, which takes small moduli to 0
+        k, norm = _norm_scale(fn, gn)
+        whole = _kernels.cascade_sum(_abs_power(_scaled(v.magnitude, k), p))
+        total, norm_p = _scaled_power_sum(v, p, fn, gn)
+        assert total.hex() == (grid.cell_measure * whole).hex()
+        assert norm_p == norm**p
+    assert (n * n > _SUM_BLOCK) == (n >= 300)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("node", [(0, 0), (63, 1023), (64, 0), (700, 3), (1023, 1023)])
+def test_blockwise_sum_names_the_first_non_finite_node(bad, node):
+    grid = TFGrid(x_step=1 / 32, xi_step=1 / 32, x_count=1024, xi_count=1024)
+    field = np.ones(grid.shape)
+    field[node] = bad
+    field[1023, 1023] = math.nan  # a later one is not named
+    with pytest.raises(ValueError, match=rf"^non-finite integrand value at node \({node[0]}, {node[1]}\)$"):
+        _plane_sum(grid, field)
+
+
+def test_blockwise_sum_names_the_node_where_a_leaf_overflows():
+    grid = TFGrid(x_step=1 / 32, xi_step=1 / 32, x_count=1024, xi_count=1024)
+    field = np.ones(grid.shape)
+    field[200, 17] = 1e200
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"^non-finite integrand value at node \(200, 17\)$"):
+            _plane_sum(grid, field, lambda m: m**2)
+
+
+def test_descending_is_the_negated_sort_bit_for_bit():
+    grid = TFGrid(x_step=1 / 8, xi_step=1 / 16, x_count=300, xi_count=300)
+    values = binade_field(300, 3)
+    values[::3, ::5] = values[1, 2]  # ties
+    v = TFArray(grid=grid, values=values)
+    expected = -np.sort(-v.magnitude.ravel())
+    assert v.descending.tobytes() == expected.tobytes()
+    assert v.descending.flags.c_contiguous and not v.descending.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ unity instead of an exp at every node.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfu
-from tfu import identity
+from tfu import cli, identity
 from tfu.core import (
     DEFAULT_LAYOUT,
     SampledSignal,
@@ -32,11 +33,15 @@ from tfu.core import (
     _abs_power,
     _centered_fft,
     _chirp,
+    _fourier_2d_swapped,
+    _max_abs,
+    _swap_quadrants,
     fourier_2d,
 )
 from tfu.identity import build_auxiliary, fundamental_identity_defect, point_reflection, rotation_invariance_defect
 from tfu.reference import translate_modulate
 from tfu.stft import compute_stft
+from tfu.support import lieb_ratio
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -82,15 +87,100 @@ def test_centered_fft_rows_in_partial_blocks(rows):
     assert same_bits(_centered_fft(np.fft.ifftshift(v, axes=-1), 1 / 32), shift_formula(v, 1 / 32, -1))
 
 
-def test_centered_fft_peak_memory_is_one_block():
-    values = np.fft.ifftshift(random_complex(5, (1024, 1024)), axes=-1)
+def traced_peak(call):
+    """The tracemalloc peak of call(), in bytes."""
     tracemalloc.start()
     try:
-        _centered_fft(values, 1 / 32)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < values.nbytes / 8
+
+
+def test_centered_fft_peak_memory_is_one_block():
+    values = np.fft.ifftshift(random_complex(5, (1024, 1024)), axes=-1)
+    assert traced_peak(lambda: _centered_fft(values, 1 / 32)) < values.nbytes / 8
+
+
+#: the N = 1024 plane of the benchmark's large grid: one field takes F = 16 MiB
+LARGE = SignalLayout(1024, 1 / 32)
+
+
+@pytest.fixture(scope="module")
+def large():
+    """The large plane, the unit Gaussian G and the Hermite function h1 on it."""
+    grid = TFGrid.from_layout(LARGE)
+    return grid, tfu.sample(tfu.unit_gaussian(), LARGE), tfu.sample(tfu.hermite(1), LARGE)
+
+
+def test_lieb_ratio_peak_memory_is_a_block(large):
+    grid, G, h1 = large
+    v = compute_stft(G, h1, grid)
+    v.magnitude  # cached, as the isometry check leaves it
+    assert traced_peak(lambda: lieb_ratio(v, 2.7, 1.0, 1.0)) <= v.values.nbytes / 8
+
+
+def test_descending_peak_memory_is_the_sorted_array(large):
+    grid, G, h1 = large
+    v = compute_stft(G, h1, grid)
+    v.magnitude
+    assert traced_peak(lambda: v.descending) <= 0.55 * v.values.nbytes
+
+
+def test_closed_form_deviation_peak_memory_is_a_block(large):
+    grid, G, _ = large
+    ctx = SimpleNamespace(stft=compute_stft(G, G, grid), closed=tfu.gaussian_stft_field(grid))
+    assert traced_peak(lambda: cli._closed_form(ctx)) <= ctx.stft.values.nbytes / 8
+
+
+@pytest.mark.parametrize(
+    "picks, fields",
+    [
+        # (h1, G, h1, h1): the kept (h1, h1) field, the transformed first
+        # product, and the second product with its other factor
+        ((1, 0, 1, 1), 3.2),
+        # (G, G, G, G): one product and the copy that is transformed
+        ((0, 0, 0, 0), 2.2),
+    ],
+)
+def test_identity_defect_peak_memory(large, picks, fields):
+    grid, G, h1 = large
+    signals = [G, h1]
+    peak = traced_peak(lambda: fundamental_identity_defect(*(signals[i] for i in picks), grid))
+    assert peak <= fields * 16 * 2**20
+
+
+def test_rotation_defect_peak_memory_is_one_copy(large):
+    grid, G, _ = large
+    aux = build_auxiliary(G, G, grid, 1.0, 0.441)
+    assert traced_peak(lambda: rotation_invariance_defect(aux)) <= 1.2 * aux.values.nbytes
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (16, 16), (600, 600), (600, 64), (64, 600), (1024, 1024)])
+def test_swap_quadrants_is_ifftshift(shape):
+    # at 600 columns a block holds 54 rows, so the 300 rows of a half end in a part block
+    v = random_complex(shape[0] + shape[1], shape)
+    assert same_bits(_swap_quadrants(v.copy()), np.fft.ifftshift(v))
+
+
+@pytest.mark.parametrize("n", [16, 600])
+def test_fourier_2d_swapped_transforms_in_place(n):
+    values = random_complex(n, (n, n))
+    values[[0, -1], :] = 0
+    values[:, [0, -1]] = 0
+    grid = TFGrid(x_step=0.1, xi_step=1 / 3, x_count=n, xi_count=n)
+    expected = shift_formula(shift_formula(values, grid.xi_step, 1), grid.x_step, 0).T
+    given = values.copy()
+    swapped = _fourier_2d_swapped(grid, given)
+    assert swapped is given
+    assert same_bits(swapped, np.ascontiguousarray(expected))
+
+
+@pytest.mark.parametrize("shape", [(7,), (16, 16), (33, 1024), (600, 600)])
+def test_max_abs_equals_the_whole_array_formula(shape):
+    a, b = random_complex(1, shape), random_complex(2, shape)
+    assert _max_abs(a) == float(np.max(np.abs(a)))
+    assert _max_abs(a, b) == float(np.max(np.abs(a - b)))
 
 
 @derandomized
