@@ -2,16 +2,18 @@
 
 The centered FFT transforms its ifftshift-ordered input in place, one block
 of rows at a time (the last block may be short), compute_stft writes its
-column products straight into that order, and fourier_2d shifts
-both axes with one copy and runs its second pass along rows after an
-in-place tiled transpose. Each must give the bits of the plain formula
-step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
-checks compare the transform, axes swapped, with row reflections read
-through views, and share STFTs between the pairs of a tuple: their defects
-must equal those of the formulas with full rotated copies. The other fast
-paths: the underflow-gated |V|^p, fields taken over without a copy, the
-finiteness check they keep, and the chirp read from a table of roots of
-unity instead of an exp at every node.
+column products straight into that order, and the 2-D transform swaps
+the quadrants of its input in place, block by block of rows, and runs its
+second pass along rows after an in-place tiled transpose. Each must give
+the bits of the plain formula step * fftshift(fft(ifftshift(v))), signed
+zeros included. The identity checks compare the transform, axes swapped,
+with row reflections read through views, and share STFTs between the pairs
+of a tuple: their defects must equal those of the formulas with full
+rotated copies. The other fast paths: the underflow-gated |V|^p, max |.|
+taken in row blocks, fields taken over without a copy, the finiteness
+check they keep, and the chirp read from a table of roots of unity instead
+of an exp at every node. At N = 1024 the checks' traced peaks are bounded
+in units of one field's bytes.
 """
 
 import tracemalloc
