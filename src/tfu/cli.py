@@ -104,7 +104,9 @@ class Scenario:
 
 class ScenarioContext:
     """What the checks of one scenario share: the scenario's samples, and
-    fields and norms computed on first use."""
+    fields and norms computed on first use. run_scenario drops each of
+    them, with a field's cached |V| and sort, after the last check that
+    declares it (Check.reads); one read after that would compute it again."""
 
     def __init__(self, scn: Scenario) -> None:
         self.signals, self.fhat = scn.signals, scn.fhat
@@ -138,6 +140,10 @@ class ScenarioContext:
     def pair_exact(self) -> TFArray:
         """f(x) fhat(xi) with the closed-form transform samples taken at load."""
         return pair_field(self.f, self.fhat)
+
+    def drop(self, name: str) -> None:
+        """Forget the computed value of name, one of the cached members above, if any."""
+        self.__dict__.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +350,46 @@ class Check(NamedTuple):
     values maps each key to its parsed value. validate(scn, grid), when given,
     raises ValueError at load time if the scenario being built (its layout,
     options and samples) or its TFGrid.from_layout grid breaks a rule of the
-    check that needs no field; it may sample what run needs, as scn.fhat."""
+    check that needs no field; it may sample what run needs, as scn.fhat.
+    reads(options) names the ScenarioContext members that run reads, for
+    the scenario's options: run_scenario drops each after its last reader."""
 
     keys: dict[str, Key]
     run: Callable[..., tuple[dict, Tables]]
     validate: Callable[[Scenario, TFGrid], None] | None = None
+    reads: Callable[[dict[str, object]], Iterable[str]] = lambda options: ()
+
+
+def _reading(*names: str) -> Callable[[dict[str, object]], Iterable[str]]:
+    return lambda options: names
 
 
 CHECKS: dict[str, Check] = {
-    "isometry": Check({}, _isometry),
-    "closed_form": Check({}, _closed_form, lambda scn, _: _require_unit_pair(scn.options, "checks: closed_form")),
+    "isometry": Check({}, _isometry, reads=_reading("stft", "norms")),
+    "closed_form": Check(
+        {},
+        _closed_form,
+        lambda scn, _: _require_unit_pair(scn.options, "checks: closed_form"),
+        _reading("stft", "closed"),
+    ),
     "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity, _validate_identity),
     "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation, _validate_rotation),
-    "lieb": Check({"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(finite_float, None)}, _lieb),
-    "weights": Check({"weights": Key(each(parse_weight_scan), ())}, _weights, _validate_weights),
+    "lieb": Check(
+        {"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(finite_float, None)},
+        _lieb,
+        reads=_reading("stft", "norms"),
+    ),
+    "weights": Check(
+        {"weights": Key(each(parse_weight_scan), ())},
+        _weights,
+        _validate_weights,
+        lambda options: [ws.source for ws in options["weights"]],
+    ),
     "support": Check(
         {"support": Key(each(parse_support_mode), ())},
         _support,
         lambda scn, _: _require_entry(scn.options, "support", "mode"),
+        _reading("stft", "norms"),
     ),
     "decay": Check({}, _decay),
 }
@@ -435,18 +463,25 @@ def load_config(path: Path) -> list[Scenario]:
 
 
 def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
-    """The scenario's report and CSV tables. A check's ValueError is raised
-    again as "check: reason"."""
+    """The scenario's report and CSV tables. The checks run in config order,
+    and each context member is dropped after the last check that reads it,
+    so a field is held only while some check still needs it. A check's
+    ValueError is raised again as "check: reason"."""
     ctx = ScenarioContext(scn)
+    names = scn.options["checks"]
+    last_reader = {member: i for i, name in enumerate(names) for member in CHECKS[name].reads(scn.options)}
     checks: dict[str, dict] = {}
     tables: Tables = {}
-    for name in scn.options["checks"]:
+    for i, name in enumerate(names):
         check = CHECKS[name]
         try:
             checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc
         tables.update(check_tables)
+        for member, j in last_reader.items():
+            if j == i:
+                ctx.drop(member)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
 
 

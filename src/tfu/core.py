@@ -281,8 +281,11 @@ def _require_finite(arr: np.ndarray, what: str, origin: tuple[int, ...] | None =
     """Raise naming the first node, in row-major order, where a float64 or
     complex128 array is not finite. arr may be a block of a larger array
     whose index origin is at origin; the node is then named in the larger
-    array's coordinates."""
-    if not np.isfinite(arr.ravel("K").view(np.float64)).all():  # for complex, the real view is the faster test
+    array's coordinates. The values are tested in memory order, one block of
+    _FFT_BLOCK_BYTES at a time, so no mask of the whole array is held."""
+    floats = arr.ravel("K").view(np.float64)  # for complex, the real view is the faster test
+    step = _FFT_BLOCK_BYTES // 8
+    if not all(np.isfinite(floats[i : i + step]).all() for i in range(0, floats.size, step)):
         idx = np.argwhere(~np.isfinite(arr))[0] + (origin or 0)
         raise ValueError(f"non-finite {what} value at node {tuple(int(v) for v in idx)}")
 
@@ -441,12 +444,14 @@ def _centered_fft(values: np.ndarray, step: float) -> np.ndarray:
     return values
 
 
-def _require_decayed(values: np.ndarray, tol: float) -> None:
+def _require_decayed(values: np.ndarray, tol: float, peak: float | None = None) -> None:
     """Refuse 1-D or 2-D values whose largest modulus on the boundary (the
     first and last index along each axis) exceeds tol times their peak
     modulus: the implicit zero extension would misrepresent the transform.
-    The peak is taken by _max_abs, and the edges are contiguous copies."""
-    peak = _max_abs(values)
+    The peak is taken by _max_abs unless the caller has it already, and
+    the edges are contiguous copies."""
+    if peak is None:
+        peak = _max_abs(values)
     edge = max(
         float(np.max(np.abs(np.take(values, i, axis=axis))))
         for axis in range(values.ndim)
@@ -512,10 +517,11 @@ def _swap_quadrants(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray) -> np.ndarray:
+def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = None) -> np.ndarray:
     """The transform fourier_2d gives of the finite complex128 field values
     on grid, with its axes swapped: row k holds the transform at the dual
-    xi-node k.
+    xi-node k. peak, if given, is _max_abs(values), which the decay check
+    then does not take again.
 
     values must be C-contiguous and writable, and belong to the caller no
     longer (a caller that still needs them passes a copy): the transform is
@@ -529,7 +535,7 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray) -> np.ndarray:
     only the memory order is faster. A non-square field, which only
     fourier_2d can pass, is transposed through a copy.
     """
-    _require_decayed(values, BOUNDARY_DECAY_TOL_2D)
+    _require_decayed(values, BOUNDARY_DECAY_TOL_2D, peak)
     inner = _centered_fft(_swap_quadrants(values), grid.xi_step)
     swapped = _centered_fft(_transposed(inner), grid.x_step)
     _require_finite(swapped.T, "field")

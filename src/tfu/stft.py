@@ -11,6 +11,7 @@ approximates the continuous STFT with quadrature error only
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,19 +21,29 @@ from tfu.core import _STEP_RTOL, SampledSignal, TFArray, TFGrid, _centered_fft, 
 
 def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
     """Sampled V_g f on grid, TFGrid.from_layout of the layout that f and g
-    share (else ValueError); row j is the x_j column, column k is xi_k.
+    share (else ValueError); row j is the x_j column, column k is xi_k: the
+    rows of _stft_rows over the whole plane."""
+    return TFArray._fresh(grid, _stft_rows(f, g, grid)(np.zeros(grid.shape, dtype=np.complex128), 0))
+
+
+def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Callable[[np.ndarray, int], np.ndarray]:
+    """rows(out, start): rows start ... start + len(out) - 1 of the sampled
+    V_g f on grid (as compute_stft), computed in out and returned. out must
+    be complex128, C-contiguous and zero-filled; f, g and grid are checked,
+    and the shifted windows set up, once, when rows is made.
 
     Row j's column product f_i conj(g_{i - s_j}), s_j = j - n/2, is written
     straight into ifftshift order (sample i at index (i + n/2) mod n), which
     the in-place centered FFT takes. The shifted windows are rows of a
     sliding view of the zero-padded conj(g), so the products are two masked
-    multiplies, and the nodes outside the window stay +0.
+    multiplies, and the nodes outside the window keep out's +0. Each row is
+    computed on its own, so any split of the rows gives the bits of one
+    call over all of them.
     """
     if f.count != g.count or not math.isclose(f.step, g.step, rel_tol=_STEP_RTOL):
         raise ValueError(f"window layout ({g.count}, {g.step}) does not match signal layout ({f.count}, {f.step})")
     require_plane(grid, f.layout)
     n, h = f.count, f.count // 2
-    product = np.zeros((n, n), dtype=np.complex128)
     padded = np.zeros(3 * n, dtype=np.complex128)
     padded[n : 2 * n] = np.conj(g.samples)
     inside = np.zeros(3 * n, dtype=bool)
@@ -40,9 +51,14 @@ def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
     windows = slice(n + h, h, -1)  # the view's row m is padded[m : m + n]; row j needs m = n - s_j
     gconj = sliding_window_view(padded, n)[windows]
     mask = sliding_window_view(inside, n)[windows]
-    np.multiply(f.samples[h:], gconj[:, h:], out=product[:, :h], where=mask[:, h:])
-    np.multiply(f.samples[:h], gconj[:, :h], out=product[:, h:], where=mask[:, :h])
-    return TFArray._fresh(grid, _centered_fft(product, f.step))
+
+    def rows(out: np.ndarray, start: int) -> np.ndarray:
+        js = slice(start, start + len(out))
+        np.multiply(f.samples[h:], gconj[js, h:], out=out[:, :h], where=mask[js, h:])
+        np.multiply(f.samples[:h], gconj[js, :h], out=out[:, h:], where=mask[js, :h])
+        return _centered_fft(out, f.step)
+
+    return rows
 
 
 def energy_defect(v: TFArray, fn: float, gn: float) -> float:

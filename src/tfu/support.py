@@ -93,11 +93,21 @@ def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
 
     Both sides are scaled by the same power of two (see
     tfu.core._norm_scale), so no power under- or overflows for tiny or huge
-    norms.
+    norms. At a p so large that either side still leaves the float range,
+    0 (a ratio of 0 would verify nothing) or inf, ValueError names p.
     """
     lieb_exponent(p)
-    total, norm_p = _scaled_power_sum(v, p, fn, gn)
-    return total / ((2.0 / p) * norm_p)
+    try:
+        total, norm_p = _scaled_power_sum(v, p, fn, gn)
+    except OverflowError:  # (fn gn 2^-k)^p
+        raise ValueError(f"p = {p:g}: the reference (2/p) (|f| |g|)^p overflows") from None
+    reference = (2.0 / p) * norm_p
+    if not (0.0 < total < math.inf and 0.0 < reference < math.inf):
+        raise ValueError(
+            f"p = {p:g}: the |V|^p sum ({total:g}) or its reference (2/p) (|f| |g|)^p ({reference:g}) "
+            "underflows to 0 or overflows"
+        )
+    return total / reference
 
 
 def lower_bound(mode: SupportMode, d: int = 1) -> float:

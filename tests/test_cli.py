@@ -1,4 +1,6 @@
+import collections
 import configparser
+import functools
 import json
 import math
 import os
@@ -904,6 +906,48 @@ def test_scenario_computes_its_stft_once(tmp_path, monkeypatch):
     (scn,) = cli.load_config(config)
     report, _ = cli.run_scenario(scn)
     assert report["passed"] and len(calls) == 1
+
+
+def test_scenarios_compute_each_member_once_and_only_if_declared(monkeypatch):
+    # run_scenario drops a context member after the last check that declares
+    # it (Check.reads): a check that read it undeclared after that would
+    # compute it again, and one that no enabled check declares not at all
+    computed = collections.Counter()
+
+    def counting(compute):
+        @functools.wraps(compute)
+        def counted(ctx):
+            computed[compute.__name__] += 1
+            return compute(ctx)
+
+        return counted
+
+    members = [name for name, value in vars(cli.ScenarioContext).items() if isinstance(value, cli._cached)]
+    assert set(members) == {"stft", "norms", "closed", "pair", "pair_exact"}
+    for name in members:
+        monkeypatch.setattr(cli.ScenarioContext, name, cli._cached(counting(vars(cli.ScenarioContext)[name].compute)))
+    large_grid = Path(__file__).parent / "golden/large_grid/large_grid.ini"
+    for scn in cli.load_config(cli._resolve_config("paper-suite")) + cli.load_config(large_grid):
+        computed.clear()
+        cli.run_scenario(scn)
+        declared = {member for name in scn.options["checks"] for member in cli.CHECKS[name].reads(scn.options)}
+        assert set(computed) <= declared, scn.name
+        assert set(computed.values()) <= {1}, (scn.name, computed)
+
+
+def test_lieb_p_beyond_the_float_range_is_an_error_on_both_layouts(tmp_path):
+    # (2/p) (|f| |g|)^p underflows at N = 1024, and at N = 256 the |V|^p sum
+    # does, which read as ZeroDivisionError and as an empty pass with ratio 0
+    config = write_config(
+        tmp_path,
+        "[default]\nchecks = lieb\nlieb_p = 1e300\n"
+        "[large]\ncount = 1024\nstep = 0.03125\nchecks = lieb\nlieb_p = 1e300\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", config, "--out", str(out), "--no-timestamp"]) == 1
+    errors = read_json(out / "summary.json")["errors"]
+    assert [e.split(":", 2)[:2] for e in errors] == [["[default] lieb", " p = 1e+300"], ["[large] lieb", " p = 1e+300"]]
+    assert all("underflows" in e for e in errors)
 
 
 def test_readme_check_table_lists_the_registry():

@@ -7,16 +7,19 @@ the quadrants of its input in place, block by block of rows, and runs its
 second pass along rows after an in-place tiled transpose. Each must give
 the bits of the plain formula step * fftshift(fft(ifftshift(v))), signed
 zeros included. The identity checks compare the transform, axes swapped,
-with row reflections read through views, and share STFTs between the pairs
-of a tuple: their defects must equal those of the formulas with full
+with row reflections read through views, and form their products from
+row blocks of the STFTs, each distinct pair's rows computed once: their
+defects must equal those of the formulas with full
 rotated copies. The other fast paths: the underflow-gated |V|^p, max |.|
 taken in row blocks, fields taken over without a copy, the finiteness
 check they keep, and the chirp read from a table of roots of unity instead
-of an exp at every node. At N = 1024 the checks' traced peaks are bounded
-in units of one field's bytes.
+of an exp at every node. At N = 1024 the checks' and scenarios' traced
+peaks are bounded in units of one field's bytes.
 """
 
+import collections
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfu
-from tfu import cli, identity
+from tfu import cli, core, identity
 from tfu.core import (
     DEFAULT_LAYOUT,
     SampledSignal,
@@ -42,7 +45,7 @@ from tfu.core import (
 )
 from tfu.identity import build_auxiliary, fundamental_identity_defect, point_reflection, rotation_invariance_defect
 from tfu.reference import translate_modulate
-from tfu.stft import compute_stft
+from tfu.stft import _stft_rows, compute_stft
 from tfu.support import lieb_ratio
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -138,9 +141,9 @@ def test_closed_form_deviation_peak_memory_is_a_block(large):
 @pytest.mark.parametrize(
     "picks, fields",
     [
-        # (h1, G, h1, h1): the kept (h1, h1) field, the transformed first
-        # product, and the second product with its other factor
-        ((1, 0, 1, 1), 3.2),
+        # (h1, G, h1, h1): the whole (h1, h1) field, which the second
+        # product overwrites, and the transformed first product
+        ((1, 0, 1, 1), 2.2),
         # (G, G, G, G): one product and the copy that is transformed
         ((0, 0, 0, 0), 2.2),
     ],
@@ -152,10 +155,49 @@ def test_identity_defect_peak_memory(large, picks, fields):
     assert peak <= fields * 16 * 2**20
 
 
+@pytest.fixture(scope="module")
+def large_grid_scenarios():
+    """The scenarios of the large-grid golden config, at N = 1024, by name."""
+    return {scn.name: scn for scn in cli.load_config(Path(__file__).parent / "golden/large_grid/large_grid.ini")}
+
+
+@pytest.mark.parametrize(
+    "name, fields",
+    [
+        # V with its |V| and the closed form with a scan's integrand; closed
+        # is dropped after weights, its last reader, before support sorts |V|
+        ("unit-pair", 2.8),
+        # each tuple alone, as test_identity_defect_peak_memory
+        ("identity", 2.2),
+    ],
+)
+def test_scenario_peak_memory(large_grid_scenarios, name, fields):
+    scn = large_grid_scenarios[name]
+    assert traced_peak(lambda: cli.run_scenario(scn)) <= fields * 16 * 2**20
+
+
 def test_rotation_defect_peak_memory_is_one_copy(large):
     grid, G, _ = large
     aux = build_auxiliary(G, G, grid, 1.0, 0.441)
     assert traced_peak(lambda: rotation_invariance_defect(aux)) <= 1.2 * aux.values.nbytes
+
+
+def test_rotation_defect_takes_the_peak_once(monkeypatch):
+    grid = TFGrid.from_layout(DEFAULT_LAYOUT)
+    G = tfu.sample(tfu.unit_gaussian(), DEFAULT_LAYOUT)
+    aux = build_auxiliary(G, G, grid, 0.5, 0.25)
+    expected = rotation_invariance_defect(aux)
+    calls = []
+    max_abs = core._max_abs
+
+    def counting(a, b=None):
+        calls.append(b)
+        return max_abs(a, b)
+
+    monkeypatch.setattr(core, "_max_abs", counting)
+    monkeypatch.setattr(identity, "_max_abs", counting)
+    assert rotation_invariance_defect(aux) == expected
+    assert len(calls) == 2  # max |F_Z|, which the decay check is given, and the gap
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (16, 16), (600, 600), (600, 64), (64, 600), (1024, 1024)])
@@ -310,15 +352,16 @@ def test_auxiliary_equals_the_copying_formula_at_any_count(count):
     assert same_bits(build_auxiliary(f, g, grid, z, zeta).values, expected)
 
 
-def small_bank():
-    """G, h1, h2, a wider Gaussian, and three copies of G: equal to it, but other objects."""
+def default_bank():
+    """G, h1, h2, a wider Gaussian, and three copies of G: equal to it, but
+    other objects. On the default layout a block holds 128 of the 256 rows."""
     fns = (tfu.unit_gaussian(), tfu.hermite(1), tfu.hermite(2), tfu.unit_gaussian(2.0))
-    bank = [tfu.sample(fn, SMALL) for fn in fns]
+    bank = [tfu.sample(fn, DEFAULT_LAYOUT) for fn in fns]
     return bank + [SampledSignal(bank[0].samples, bank[0].step) for _ in range(3)]
 
 
 @pytest.mark.parametrize(
-    "picks, calls",
+    "picks, pairs",
     [
         ((0, 0, 0, 0), 1),  # one pair, one product
         ((1, 0, 1, 1), 3),  # (h1, G, h1, h1): pairs (h1, h1), (G, h1), (h1, G)
@@ -326,19 +369,25 @@ def small_bank():
         ((0, 4, 5, 6), 4),  # four equal signals, but four objects: sharing goes by identity
     ],
 )
-def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, calls):
-    counted = []
+def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
+    counted = collections.Counter()
 
     def counting(f, g, grid):
-        counted.append((f, g))
-        return compute_stft(f, g, grid)
+        rows = _stft_rows(f, g, grid)
 
-    bank = small_bank()
-    grid = TFGrid.from_layout(SMALL)
+        def counted_rows(out, start):
+            counted[id(f), id(g)] += len(out)
+            return rows(out, start)
+
+        return counted_rows
+
+    bank = default_bank()
+    grid = TFGrid.from_layout(DEFAULT_LAYOUT)
     expected = copying_identity_defect(*(bank[i] for i in picks), grid)
-    monkeypatch.setattr(identity, "compute_stft", counting)
+    monkeypatch.setattr(identity, "_stft_rows", counting)
     assert fundamental_identity_defect(*(bank[i] for i in picks), grid) == expected
-    assert len(counted) == calls
+    assert len(counted) == pairs
+    assert set(counted.values()) == {DEFAULT_LAYOUT.count}  # each pair's rows, once
 
 
 def every_binade(size, seed=7):

@@ -62,6 +62,14 @@ def test_ratio_directions_for_hermite_window(layout, grid, bank_stfts):
     assert tfu.lieb_ratio(v, 1.5, 1.0, 1.0) >= 1.0
 
 
+@pytest.mark.parametrize("gn, message", [(1.0, "underflows"), (0.9, "underflows"), (1.2, "overflows")])
+def test_ratio_refuses_p_beyond_the_float_range(unit_pair, grid, gn, message):
+    # at p = 1e300 the sum of |V|^p underflows to 0, and (gn 2^-k)^p to 0 or inf
+    v = tfu.compute_stft(*unit_pair, grid)
+    with pytest.raises(ValueError, match=rf"^p = 1e\+300: .*{message}"):
+        tfu.lieb_ratio(v, 1e300, 1.0, gn)
+
+
 def test_ratio_rejects_zero_norms(closed_field):
     with pytest.raises(ValueError, match="degenerate pair"):
         tfu.lieb_ratio(closed_field, 2.0, 0.0, 1.0)
