@@ -93,19 +93,21 @@ def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
 
     Both sides are scaled by the same power of two (see
     tfu.core._norm_scale), so no power under- or overflows for tiny or huge
-    norms. At a p so large that either side still leaves the float range,
-    0 (a ratio of 0 would verify nothing) or inf, ValueError names p.
+    norms. At a p so large that a side still under- or overflows (a ratio
+    of 0 would verify nothing), ValueError names p.
     """
     lieb_exponent(p)
     try:
-        total, norm_p = _scaled_power_sum(v, p, fn, gn)
-    except OverflowError:  # (fn gn 2^-k)^p
+        with np.errstate(over="ignore"):  # a |V|^p that overflows is refused as a non-finite leaf
+            total, norm_p = _scaled_power_sum(v, p, fn, gn)
+    except OverflowError:  # the float power (fn gn 2^-k)^p
         raise ValueError(f"p = {p:g}: the reference (2/p) (|f| |g|)^p overflows") from None
+    except ValueError as exc:
+        raise ValueError(f"p = {p:g}: {exc}") from exc
     reference = (2.0 / p) * norm_p
-    if not (0.0 < total < math.inf and 0.0 < reference < math.inf):
+    if total == 0.0 or reference == 0.0:
         raise ValueError(
-            f"p = {p:g}: the |V|^p sum ({total:g}) or its reference (2/p) (|f| |g|)^p ({reference:g}) "
-            "underflows to 0 or overflows"
+            f"p = {p:g}: the |V|^p sum ({total:g}) or its reference (2/p) (|f| |g|)^p ({reference:g}) underflows to 0"
         )
     return total / reference
 

@@ -367,6 +367,8 @@ def default_bank():
         ((1, 0, 1, 1), 3),  # (h1, G, h1, h1): pairs (h1, h1), (G, h1), (h1, G)
         ((1, 2, 0, 3), 4),  # four distinct signals
         ((0, 4, 5, 6), 4),  # four equal signals, but four objects: sharing goes by identity
+        ((1, 1, 0, 1), 3),  # (h1, h1, G, h1): (h1, h1) is b of the first product and a of the second
+        ((1, 1, 0, 0), 3),  # (h1, h1, G, G): the first product is conj(V_G h1) V_G h1
     ],
 )
 def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):

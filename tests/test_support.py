@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -62,12 +63,20 @@ def test_ratio_directions_for_hermite_window(layout, grid, bank_stfts):
     assert tfu.lieb_ratio(v, 1.5, 1.0, 1.0) >= 1.0
 
 
-@pytest.mark.parametrize("gn, message", [(1.0, "underflows"), (0.9, "underflows"), (1.2, "overflows")])
-def test_ratio_refuses_p_beyond_the_float_range(unit_pair, grid, gn, message):
-    # at p = 1e300 the sum of |V|^p underflows to 0, and (gn 2^-k)^p to 0 or inf
-    v = tfu.compute_stft(*unit_pair, grid)
-    with pytest.raises(ValueError, match=rf"^p = 1e\+300: .*{message}"):
-        tfu.lieb_ratio(v, 1e300, 1.0, gn)
+@pytest.mark.parametrize(
+    "amplitude, gn, message",
+    [
+        (1.0, 1.0, "the |V|^p sum (0) or its reference"),  # |V|^p underflows
+        (1.0, 0.9, "underflows to 0"),  # so does (gn 2^-k)^p
+        (1.0, 1.2, "the reference (2/p) (|f| |g|)^p overflows"),
+        (1.3, 1.0, "non-finite integrand value at node"),  # |V|^p overflows where |V| 2^-k > 1
+    ],
+)
+def test_ratio_refuses_p_beyond_the_float_range(layout, grid, unit_pair, amplitude, gn, message):
+    f = tfu.sample(tfu.gaussian(1.0, amplitude=2**0.25 * amplitude), layout)
+    v = tfu.compute_stft(f, unit_pair[1], grid)
+    with pytest.raises(ValueError, match=r"^p = 1e\+300: .*" + re.escape(message)):
+        tfu.lieb_ratio(v, 1e300, amplitude, gn)
 
 
 def test_ratio_rejects_zero_norms(closed_field):
