@@ -78,6 +78,7 @@ from tfu.specs import (
     signal_count,
     signal_step,
     split_list,
+    tolerance,
 )
 from tfu.stft import compute_stft, energy_defect
 from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound
@@ -375,7 +376,7 @@ CHECKS: dict[str, Check] = {
     "identity": Check({"identity_tuples": Key(each(identity_tuple), ())}, _identity, _validate_identity),
     "rotation": Check({"rotation_z": Key(each(shift_pair), ((0.0, 0.0),))}, _rotation, _validate_rotation),
     "lieb": Check(
-        {"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(finite_float, None)},
+        {"lieb_p": Key(lieb_exponents, (2.0,)), "lieb_equality_tol": Key(tolerance, None)},
         _lieb,
         reads=_reading("stft", "norms"),
     ),
@@ -397,9 +398,11 @@ CHECKS: dict[str, Check] = {
 
 def _check_names(raw: str) -> tuple[str, ...]:
     names = tuple(split_list(raw))
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CHECKS:
             raise ConfigError(f"unknown check '{name}'")
+        if name in names[:i]:
+            raise ConfigError(f"check '{name}' is named more than once")
     return names
 
 

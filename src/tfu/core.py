@@ -223,18 +223,18 @@ class _cached:
 class TFArray:
     """Complex field sampled on a TFGrid; entries are validated finite.
 
-    The constructor copies values, so later changes to the caller's array
-    change nothing. |V| and its descending sort are computed once per field,
-    on first use, and shared by the functionals that read every |V|: Lp
-    sums and greedy support. Maxima of |V| (_max_abs) and the 2-D transform
-    take |.| one row block at a time and cache nothing.
+    The constructor copies values into C order, so later changes to the
+    caller's array change nothing. |V| and its descending sort are computed
+    once per field, on first use, and shared by the functionals that read
+    every |V|: Lp sums and greedy support. Maxima of |V| (_max_abs) and the
+    2-D transform take |.| one row block at a time and cache nothing.
     """
 
     grid: TFGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.complex128)
+        arr = np.array(self.values, dtype=np.complex128, order="C")
         _check_field(self.grid, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -523,20 +523,22 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
     xi-node k. peak, if given, is _max_abs(values), which the decay check
     then does not take again.
 
-    values must be C-contiguous and writable, and belong to the caller no
-    longer (a caller that still needs them passes a copy): the transform is
-    computed in them and returned, with no N^2 temporary. Their quadrants
-    are swapped in place into ifftshift order over both axes
-    (_swap_quadrants) for the axis-1 transform, whose output is still in
-    ifftshift order along axis 0. Transposed in place, that axis becomes
-    the contiguous axis 1 for the second transform. numpy copies each
-    strided line into a contiguous buffer before pocketfft runs on it, so a
-    line transformed along axis 1 gets the bits it would get along axis 0;
-    only the memory order is faster. A non-square field, which only
-    fourier_2d can pass, is transposed through a copy.
+    values must be C-contiguous. Writable values are taken over: the
+    transform is computed in them and returned, with no N^2 temporary, and
+    their quadrants are swapped in place (_swap_quadrants). Read-only
+    values, as a TFArray's, are only read, into one np.fft.ifftshift copy
+    in which the transform is computed. Either way the input of the axis-1
+    transform is in ifftshift order over both axes, and its output is
+    still in ifftshift order along axis 0. Transposed in place, that axis
+    becomes the contiguous axis 1 for the second transform. numpy copies
+    each strided line into a contiguous buffer before pocketfft runs on
+    it, so a line transformed along axis 1 gets the bits it would get
+    along axis 0; only the memory order is faster. A non-square field,
+    which only fourier_2d can pass, is transposed through a copy.
     """
     _require_decayed(values, BOUNDARY_DECAY_TOL_2D, peak)
-    inner = _centered_fft(_swap_quadrants(values), grid.xi_step)
+    shifted = _swap_quadrants(values) if values.flags.writeable else np.fft.ifftshift(values)
+    inner = _centered_fft(shifted, grid.xi_step)
     swapped = _centered_fft(_transposed(inner), grid.x_step)
     _require_finite(swapped.T, "field")
     return swapped
@@ -545,10 +547,10 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
 def fourier_2d(a: TFArray) -> TFArray:
     """Continuous 2-D Fourier transform of the field, on the dual TFGrid.
 
-    The transform comes from _fourier_2d_swapped, on a copy of the values,
-    and its axes are swapped back in place. The identity checks
-    (tfu.identity) use the swapped array directly: the quarter rotation
-    (-xi, x) they compare with is then a reflection of rows, which they
-    read through views.
+    The transform comes from _fourier_2d_swapped, which reads the field's
+    read-only values into one shifted copy, and its axes are swapped back
+    in place. The identity checks (tfu.identity) use the swapped array
+    directly: the quarter rotation (-xi, x) they compare with is then a
+    reflection of rows, which they read through views.
     """
-    return TFArray._fresh(a.grid.dual(), _transposed(_fourier_2d_swapped(a.grid, a.values.copy())))
+    return TFArray._fresh(a.grid.dual(), _transposed(_fourier_2d_swapped(a.grid, a.values)))

@@ -22,11 +22,12 @@ No rotated or reflected copy is made. The plane transform is taken with its
 axes swapped (tfu.core._fourier_2d_swapped), so its row k holds the values
 at xi-node k; the rotated field at (x_j, xi_k) is row -k mod N of the field
 at x-node j, and the two are compared row by row through views. F_Z's point
-reflection is read through views as well. The product identity forms its
-two products from row blocks of the STFTs, computing each distinct
-(signal, window) pair's rows once per call and matching signals by object
-identity: the command line passes one SampledSignal per function spec, so
-a repeated spec is one object. It holds at most two fields at a time.
+reflection is read through views as well. The product identity forms both
+its products in one pass over row blocks of the STFTs, computing each
+distinct (signal, window) pair's rows once per block and matching signals
+by object identity: the command line passes one SampledSignal per
+function spec, so a repeated spec is one object. It holds two fields and a
+block per distinct pair.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def _rotation_gap(swapped: np.ndarray, v: np.ndarray) -> float:
 
 def rotation_invariance_defect(a: TFArray) -> float:
     """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z,
-    transformed in a copy of its values; the decay check before the
-    transform takes max |F_Z| from here."""
+    transformed in one shifted copy of its read-only values; the decay
+    check before the transform takes max |F_Z| from here."""
     _require_rotatable(a.grid)
     scale = _max_abs(a.values)
     if scale == 0.0:
         raise ValueError("field is identically zero")
-    return _rotation_gap(_fourier_2d_swapped(a.grid, a.values.copy(), scale), a.values) / scale
+    return _rotation_gap(_fourier_2d_swapped(a.grid, a.values, scale), a.values) / scale
 
 
 def fundamental_identity_defect(
@@ -118,60 +119,38 @@ def fundamental_identity_defect(
     """Normalized max-abs gap between the two sides of the product identity.
 
     The sides are products conj(b) * a of the STFTs of four (signal,
-    window) pairs, formed one block of about _FFT_BLOCK_BYTES of whole rows
-    at a time straight into the product's array. Pairs are matched by
-    object identity, and each distinct pair's rows are computed once
-    (tfu.stft._stft_rows, set up once per pair): a pair that both products
-    use is computed whole, and the second product is formed in its memory;
-    any other pair one block at a time, in one of two reused buffers. When
-    f2 is g1 the two products are the same array, formed once, and the
-    transform takes a copy of it. Otherwise the first product is
-    transformed in place. Either way at most two fields are held."""
+    window) pairs, both formed in one pass over blocks of about
+    _FFT_BLOCK_BYTES of whole rows. In each block, the rows of every
+    distinct pair are computed once (tfu.stft._stft_rows, set up once per
+    pair) into that pair's own block buffer, and each product's rows take
+    conj(b), then are multiplied by a in place: the operand order is fixed,
+    as the complex multiply rounds a * b and b * a differently. Pairs are
+    matched by object identity (SampledSignal compares by identity). The
+    first product is then transformed in place, so two fields and a few
+    blocks are held."""
     _require_rotatable(grid)
     n = grid.x_count
+    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n)))
     # (b, a) of each product conj(b) * a:
     # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)
-    first, second = ((f2, g2), (f1, g1)), ((g1, g2), (f1, f2))
-
-    def key(pair: tuple[SampledSignal, SampledSignal]) -> tuple[int, int]:
-        return id(pair[0]), id(pair[1])
-
-    stft_rows = {key(pair): _stft_rows(*pair, grid) for pair in first + second}
-    whole: dict[tuple[int, int], np.ndarray] = {}
-    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n)))
-    spare = np.empty((2, block, n), dtype=np.complex128)
-
-    def rows(pair, buffer: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """V_g f for pair = (f, g) at rows start ... stop - 1: a view of its
-        whole field, or computed in the buffer."""
-        if key(pair) in whole:
-            return whole[key(pair)][start:stop]
-        out = buffer[: stop - start]
-        out[...] = 0
-        return stft_rows[key(pair)](out, start)
-
-    def product(b, a, out: np.ndarray) -> np.ndarray:
-        """out = conj(b) * a, a block of rows at a time, for the pairs b and
-        a. The conjugate is taken in b's own rows when they are computed in
-        a buffer or belong to out; else in spare[0]. The operand order is
-        fixed: the complex multiply rounds a * b and b * a differently."""
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            va = rows(a, spare[1], start, stop)
-            vb = va if key(b) == key(a) else rows(b, spare[0], start, stop)
-            conj_b = np.conjugate(vb, out=out[start:stop] if whole.get(key(b)) is out else spare[0, : stop - start])
-            np.multiply(conj_b, va, out=out[start:stop])
-        _require_finite(out, "field")
-        return out
-
-    if f2 is g1:  # the two products are one array
-        rhs = product(*first, np.empty((n, n), dtype=np.complex128))
-        swapped = _fourier_2d_swapped(grid, rhs.copy())
-    else:
-        for k in {key(pair) for pair in first} & {key(pair) for pair in second}:  # at most one
-            whole[k] = stft_rows[k](np.zeros((n, n), dtype=np.complex128), 0)
-        swapped = _fourier_2d_swapped(grid, product(*first, np.empty((n, n), dtype=np.complex128)))
-        rhs = product(*second, next(iter(whole.values())) if whole else np.empty((n, n), dtype=np.complex128))
+    sides = (((f2, g2), (f1, g1)), ((g1, g2), (f1, f2)))
+    distinct = dict.fromkeys(pair for side in sides for pair in side)
+    pairs = [(pair, _stft_rows(*pair, grid), np.empty((block, n), dtype=np.complex128)) for pair in distinct]
+    products = [np.empty((n, n), dtype=np.complex128) for _ in sides]
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = {}
+        for pair, stft_rows, buffer in pairs:
+            out = buffer[: stop - start]
+            out[...] = 0
+            rows[pair] = stft_rows(out, start)
+        for (b, a), product in zip(sides, products):
+            out = np.conjugate(rows[b], out=product[start:stop])
+            np.multiply(out, rows[a], out=out)
+    for product in products:
+        _require_finite(product, "field")
+    lhs, rhs = products
+    swapped = _fourier_2d_swapped(grid, lhs)
     scale = max(_max_abs(swapped), _max_abs(rhs))
     if scale == 0.0:
         return 0.0

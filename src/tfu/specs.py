@@ -41,6 +41,14 @@ def finite_float(raw: str) -> float:
     return value
 
 
+def tolerance(raw: str, name: str = "a tolerance") -> float:
+    """A pass tolerance: finite and >= 0, as a negative one fails every check."""
+    value = finite_float(raw)
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {raw}")
+    return value
+
+
 def positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -184,7 +192,7 @@ def parse_weight_scan(spec: str) -> WeightScanSpec:
         raise ConfigError(f"unknown verdict expectation {expect!r} in {spec!r}")
     radii = scan_radii(map(finite_float, params.pop("radii").split(":"))) if "radii" in params else DIVERGENCE_RADII
     slope = finite_float(params.pop("slope")) if "slope" in params else None
-    slope_tol = finite_float(params.pop("slope_tol", "0"))
+    slope_tol = tolerance(params.pop("slope_tol", "0"), "slope_tol")
     if params:
         raise ConfigError(f"unknown weight scan parameter(s) {sorted(params)} in {spec!r}")
     return WeightScanSpec(weight, source, expect, radii, slope, slope_tol)

@@ -634,12 +634,28 @@ def test_load_config_refuses_retired_keys(tmp_path, key):
             "weights: growth scan needs at least 4 radii, got 3",
         ),
         ("checks = weights\nweights = radial_half p=1 radii=3:2:1:4\n", "weights: radii must be strictly increasing"),
+        # a check named twice ran twice and kept one report entry
+        ("checks = lieb, isometry, lieb\n", "checks: check 'lieb' is named more than once"),
+        # a negative tolerance failed every ratio or fit it judged
+        ("checks = lieb\nlieb_equality_tol = -1\n", "lieb_equality_tol: a tolerance must be >= 0, got -1"),
+        ("checks = lieb\nlieb_equality_tol = -1e-300\n", "lieb_equality_tol: a tolerance must be >= 0, got -1e-300"),
+        (
+            "checks = weights\nweights = radial_half p=1 slope=1 slope_tol=-0.1\n",
+            "weights: slope_tol must be >= 0, got -0.1",
+        ),
     ],
 )
 def test_load_config_applies_config_only_rules(tmp_path, body, message):
     config = write_config(tmp_path, f"[a]\nchecks = isometry\n[s]\n{body}")
     with pytest.raises(cli.ConfigError, match=rf"^\[s\] {message}"):
         cli.load_config(config)
+
+
+def test_load_config_accepts_zero_tolerances(tmp_path):
+    body = "checks = lieb, weights\nlieb_equality_tol = 0\nweights = radial_half p=1 slope=1 slope_tol=0\n"
+    (scn,) = cli.load_config(write_config(tmp_path, f"[s]\n{body}"))
+    assert scn.options["lieb_equality_tol"] == 0.0
+    assert scn.options["weights"][0].slope_tol == 0.0
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,15 @@
 The centered FFT transforms its ifftshift-ordered input in place, one block
 of rows at a time (the last block may be short), compute_stft writes its
 column products straight into that order, and the 2-D transform swaps
-the quadrants of its input in place, block by block of rows, and runs its
-second pass along rows after an in-place tiled transpose. Each must give
-the bits of the plain formula step * fftshift(fft(ifftshift(v))), signed
-zeros included. The identity checks compare the transform, axes swapped,
-with row reflections read through views, and form their products from
-row blocks of the STFTs, each distinct pair's rows computed once: their
-defects must equal those of the formulas with full
-rotated copies. The other fast paths: the underflow-gated |V|^p, max |.|
+the quadrants of a writable input in place, block by block of rows (a
+read-only one is read into one shifted copy), and runs its second pass
+along rows after an in-place tiled transpose. Each must give the bits of
+the plain formula step * fftshift(fft(ifftshift(v))), signed zeros
+included. The identity checks compare the transform, axes swapped, with
+row reflections read through views, and form both products in one pass
+over row blocks of the STFTs, each distinct pair's rows computed once per
+block: their defects must equal those of the formulas with full rotated
+copies. The other fast paths: the underflow-gated |V|^p, max |.|
 taken in row blocks, fields taken over without a copy, the finiteness
 check they keep, and the chirp read from a table of roots of unity instead
 of an exp at every node. At N = 1024 the checks' and scenarios' traced
@@ -141,16 +142,19 @@ def test_closed_form_deviation_peak_memory_is_a_block(large):
 @pytest.mark.parametrize(
     "picks, fields",
     [
-        # (h1, G, h1, h1): the whole (h1, h1) field, which the second
-        # product overwrites, and the transformed first product
+        # each case holds the two products, the first transformed in
+        # place, and one row block per distinct pair:
+        # (h1, G, h1, h1), three pairs
         ((1, 0, 1, 1), 2.2),
-        # (G, G, G, G): one product and the copy that is transformed
+        # (G, G, G, G), one pair whose rows form both products
         ((0, 0, 0, 0), 2.2),
+        # (h1, h2, G, G), four distinct pairs, the most blocks
+        ((1, 2, 0, 0), 2.2),
     ],
 )
 def test_identity_defect_peak_memory(large, picks, fields):
     grid, G, h1 = large
-    signals = [G, h1]
+    signals = [G, h1, tfu.sample(tfu.hermite(2), LARGE)]
     peak = traced_peak(lambda: fundamental_identity_defect(*(signals[i] for i in picks), grid))
     assert peak <= fields * 16 * 2**20
 
@@ -218,6 +222,20 @@ def test_fourier_2d_swapped_transforms_in_place(n):
     swapped = _fourier_2d_swapped(grid, given)
     assert swapped is given
     assert same_bits(swapped, np.ascontiguousarray(expected))
+
+
+def test_fourier_2d_swapped_reads_read_only_values():
+    values = random_complex(3, (64, 64))
+    values[[0, -1], :] = 0
+    values[:, [0, -1]] = 0
+    grid = TFGrid(x_step=0.1, xi_step=1 / 3, x_count=64, xi_count=64)
+    given = values.copy()
+    expected = _fourier_2d_swapped(grid, given.copy())
+    given.setflags(write=False)
+    swapped = _fourier_2d_swapped(grid, given)
+    assert swapped is not given
+    assert same_bits(given, values)  # untouched
+    assert same_bits(swapped, expected)
 
 
 @pytest.mark.parametrize("shape", [(7,), (16, 16), (33, 1024), (600, 600)])
