@@ -493,11 +493,16 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
 
 
 def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Call write on a temporary file beside path, then rename it over path."""
+    """Call write on a temporary file beside path, renamed over path; removed if either fails."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        write(fh)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -665,9 +670,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         reports[name] = report
         if not args.no_timestamp:
             report = report | {"timestamp": datetime.now(timezone.utc).isoformat()}
-        _write_json(out_dir / f"{name}.json", report)
-        for suffix, (header, rows) in tables.items():
-            _write_csv(out_dir / f"{name}__{suffix}.csv", header, rows)
+        try:  # an unwritable report must not lose the others
+            _write_json(out_dir / f"{name}.json", report)
+            for suffix, (header, rows) in tables.items():
+                _write_csv(out_dir / f"{name}__{suffix}.csv", header, rows)
+        except OSError as exc:
+            errors.append(f"[{name}] cannot write its reports: {exc}")
 
     summary = {
         "config": config.name,

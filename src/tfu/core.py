@@ -38,10 +38,10 @@ BOUNDARY_DECAY_TOL_2D = 1e-10
 _STEP_RTOL = 1e-12
 
 #: Bytes of an N^2 array that one step of a blockwise pass works on, shared
-#: by every such pass: the rows _centered_fft transforms at a time (32 rows
-#: at N = 1024), the row blocks of _max_abs and of _fourier_2d_swapped's
-#: quadrant swap, and the float64 leaves of a _plane_sum block. A block stays
-#: in cache, and a pass holds about one block of temporaries whatever N.
+#: by every such pass: the row blocks of _max_abs and the float64 leaves of
+#: a _plane_sum block; _centered_fft transforms half a block of rows at a
+#: time (16 rows at N = 1024). A block stays in cache, and a pass holds
+#: about one block of temporaries whatever N.
 _FFT_BLOCK_BYTES = 1 << 19
 #: Leaves per _plane_sum block: 2^16, a power of two, so that each block is
 #: an aligned subtree of the cascade's tree.
@@ -415,33 +415,31 @@ def _max_abs(a: np.ndarray, b: np.ndarray | None = None) -> float:
     return float(np.max(peaks))
 
 
-def _centered_fft(values: np.ndarray, step: float) -> np.ndarray:
+def _centered_fft(values: np.ndarray, step: float, out: np.ndarray | None = None) -> np.ndarray:
     """Riemann-sum Fourier transform on an origin-centered lattice along the
-    last axis, in place.
+    last axis of values (one signal, or one per row, in lattice order),
+    written into out (default: values itself, in place) and returned.
 
-    values (one signal, or one signal per row) must already be in ifftshift
-    order along the last axis (index k holds lattice point (k + N/2) mod N),
-    be complex128 and writable, and belong to the caller no longer: it is
-    transformed in place and returned. For even N the result is
-    step * sum_k v_k exp(-2 pi i (k - N/2)(m - N/2) / N), i.e.
-    continuous-FT samples on the dual lattice, the same bits as
-    step * fftshift(fft(ifftshift(v))). The rows go in blocks of about
-    _FFT_BLOCK_BYTES: each block's FFT, then its fftshift and step scaling
-    through one reused spare of half the block, while the block is still in
-    cache. pocketfft transforms each row on its own, so the blocks give the
-    bits of one whole-array call.
+    For even N the result is step * sum_k v_k exp(-2 pi i (k - N/2)(m - N/2) / N),
+    continuous-FT samples on the dual lattice, with the bits of
+    step * fftshift(fft(ifftshift(v))). The rows go in blocks of about half
+    _FFT_BLOCK_BYTES: each is read into one reused spare with its halves
+    swapped, transformed there, and scaled by step into out with its halves
+    swapped back. pocketfft transforms each row on its own, so the blocks
+    give the bits of one whole-array call.
     """
-    rows = np.atleast_2d(values)
+    out = values if out is None else out
+    rows, dest = np.atleast_2d(values, out)
     h = rows.shape[1] // 2
-    block = max(1, _FFT_BLOCK_BYTES // rows[0].nbytes)
-    spare = np.empty((min(block, len(rows)), h), dtype=values.dtype)
+    block = max(1, _FFT_BLOCK_BYTES // (2 * rows[0].nbytes))
+    spare = np.empty((min(block, len(rows)), 2 * h), dtype=np.complex128)
     for i in range(0, len(rows), block):
-        out = rows[i : i + block]
-        np.fft.fft(out, out=out)
-        upper = np.multiply(out[:, :h], step, out=spare[: len(out)])
-        np.multiply(out[:, h:], step, out=out[:, :h])
-        out[:, h:] = upper
-    return values
+        part = spare[: len(rows[i : i + block])]
+        part[:, :h], part[:, h:] = rows[i : i + block, h:], rows[i : i + block, :h]
+        np.fft.fft(part, out=part)
+        np.multiply(part[:, h:], step, out=dest[i : i + block, :h])
+        np.multiply(part[:, :h], step, out=dest[i : i + block, h:])
+    return out
 
 
 def _require_decayed(values: np.ndarray, tol: float, peak: float | None = None) -> None:
@@ -469,7 +467,7 @@ def discrete_fourier(s: SampledSignal) -> SampledSignal:
     Requires the signal to have decayed at its window boundary.
     """
     _require_decayed(s.samples, BOUNDARY_DECAY_TOL_1D)
-    return SampledSignal(_centered_fft(np.fft.ifftshift(s.samples), s.step), s.layout.dual_step)
+    return SampledSignal(_centered_fft(s.samples, s.step, np.empty_like(s.samples)), s.layout.dual_step)
 
 
 #: Side of the square tiles _transposed swaps.
@@ -499,46 +497,22 @@ def _transposed(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _swap_quadrants(values: np.ndarray) -> np.ndarray:
-    """np.fft.ifftshift(values) over both axes of an even-sized 2-D array,
-    in place: the row blocks of the top half trade places with those of the
-    bottom half, each moved rolled by half a row, through one spare of about
-    _FFT_BLOCK_BYTES. Values are only moved, so every bit is kept."""
-    h, m = values.shape[0] // 2, values.shape[1] // 2
-    block = max(1, _FFT_BLOCK_BYTES // values[0].nbytes)
-    spare = np.empty((min(block, h), 2 * m), dtype=values.dtype)
-    for i in range(0, h, block):
-        top = values[i : min(i + block, h)]
-        bottom = values[h + i : h + i + len(top)]
-        held = spare[: len(top)]
-        held[:, :m], held[:, m:] = top[:, m:], top[:, :m]
-        top[:, :m], top[:, m:] = bottom[:, m:], bottom[:, :m]
-        bottom[...] = held
-    return values
-
-
 def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = None) -> np.ndarray:
     """The transform fourier_2d gives of the finite complex128 field values
     on grid, with its axes swapped: row k holds the transform at the dual
     xi-node k. peak, if given, is _max_abs(values), which the decay check
     then does not take again.
 
-    values must be C-contiguous. Writable values are taken over: the
-    transform is computed in them and returned, with no N^2 temporary, and
-    their quadrants are swapped in place (_swap_quadrants). Read-only
-    values, as a TFArray's, are only read, into one np.fft.ifftshift copy
-    in which the transform is computed. Either way the input of the axis-1
-    transform is in ifftshift order over both axes, and its output is
-    still in ifftshift order along axis 0. Transposed in place, that axis
-    becomes the contiguous axis 1 for the second transform. numpy copies
-    each strided line into a contiguous buffer before pocketfft runs on
-    it, so a line transformed along axis 1 gets the bits it would get
-    along axis 0; only the memory order is faster. A non-square field,
-    which only fourier_2d can pass, is transposed through a copy.
+    values must be C-contiguous. Writable values are transformed in place
+    and returned; read-only ones, as a TFArray's, into one fresh array. The
+    axis-1 transform is transposed in place, so that the axis-0 transform
+    runs along contiguous rows: numpy copies each strided line into a
+    contiguous buffer before pocketfft runs on it, so only the memory order
+    changes, not the bits. A non-square field, which only fourier_2d can
+    pass, is transposed through a copy.
     """
     _require_decayed(values, BOUNDARY_DECAY_TOL_2D, peak)
-    shifted = _swap_quadrants(values) if values.flags.writeable else np.fft.ifftshift(values)
-    inner = _centered_fft(shifted, grid.xi_step)
+    inner = _centered_fft(values, grid.xi_step, None if values.flags.writeable else np.empty_like(values))
     swapped = _centered_fft(_transposed(inner), grid.x_step)
     _require_finite(swapped.T, "field")
     return swapped
@@ -548,7 +522,7 @@ def fourier_2d(a: TFArray) -> TFArray:
     """Continuous 2-D Fourier transform of the field, on the dual TFGrid.
 
     The transform comes from _fourier_2d_swapped, which reads the field's
-    read-only values into one shifted copy, and its axes are swapped back
+    read-only values into one fresh array, and its axes are swapped back
     in place. The identity checks (tfu.identity) use the swapped array
     directly: the quarter rotation (-xi, x) they compare with is then a
     reflection of rows, which they read through views.

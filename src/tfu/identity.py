@@ -22,12 +22,10 @@ No rotated or reflected copy is made. The plane transform is taken with its
 axes swapped (tfu.core._fourier_2d_swapped), so its row k holds the values
 at xi-node k; the rotated field at (x_j, xi_k) is row -k mod N of the field
 at x-node j, and the two are compared row by row through views. F_Z's point
-reflection is read through views as well. The product identity forms both
-its products in one pass over row blocks of the STFTs, computing each
-distinct (signal, window) pair's rows once per block and matching signals
-by object identity: the command line passes one SampledSignal per
-function spec, so a repeated spec is one object. It holds two fields and a
-block per distinct pair.
+reflection is read through views as well. The product identity computes
+each distinct (signal, window) pair's STFT rows once, matching signals by
+object identity: the command line passes one SampledSignal per function
+spec, so a repeated spec is one object.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ def _rotation_gap(swapped: np.ndarray, v: np.ndarray) -> float:
 
 def rotation_invariance_defect(a: TFArray) -> float:
     """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z,
-    transformed in one shifted copy of its read-only values; the decay
+    transformed in one fresh array, as its values are read-only; the decay
     check before the transform takes max |F_Z| from here."""
     _require_rotatable(a.grid)
     scale = _max_abs(a.values)
@@ -119,22 +117,20 @@ def fundamental_identity_defect(
     """Normalized max-abs gap between the two sides of the product identity.
 
     The sides are products conj(b) * a of the STFTs of four (signal,
-    window) pairs, both formed in one pass over blocks of about
-    _FFT_BLOCK_BYTES of whole rows. In each block, the rows of every
-    distinct pair are computed once (tfu.stft._stft_rows, set up once per
-    pair) into that pair's own block buffer, and each product's rows take
-    conj(b), then are multiplied by a in place: the operand order is fixed,
-    as the complex multiply rounds a * b and b * a differently. Pairs are
-    matched by object identity (SampledSignal compares by identity). The
-    first product is then transformed in place, so two fields and a few
-    blocks are held."""
+    window) pairs, both formed in one pass over blocks of whole rows. In
+    each block, the rows of every distinct pair (matched by identity) are
+    computed once by tfu.stft._stft_rows into the pair's own buffer, the
+    buffers together about _FFT_BLOCK_BYTES; each product's rows take
+    conj(b), then are multiplied by a in place, in that fixed order, as the
+    complex multiply rounds a * b and b * a differently. The first product
+    is then transformed in place: two fields and about one block are held."""
     _require_rotatable(grid)
     n = grid.x_count
-    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n)))
     # (b, a) of each product conj(b) * a:
     # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)
     sides = (((f2, g2), (f1, g1)), ((g1, g2), (f1, f2)))
     distinct = dict.fromkeys(pair for side in sides for pair in side)
+    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n * len(distinct))))
     pairs = [(pair, _stft_rows(*pair, grid), np.empty((block, n), dtype=np.complex128)) for pair in distinct]
     products = [np.empty((n, n), dtype=np.complex128) for _ in sides]
     for start in range(0, n, block):

@@ -32,13 +32,11 @@ def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Callable[[np
     be complex128, C-contiguous and zero-filled; f, g and grid are checked,
     and the shifted windows set up, once, when rows is made.
 
-    Row j's column product f_i conj(g_{i - s_j}), s_j = j - n/2, is written
-    straight into ifftshift order (sample i at index (i + n/2) mod n), which
-    the in-place centered FFT takes. The shifted windows are rows of a
-    sliding view of the zero-padded conj(g), so the products are two masked
-    multiplies, and the nodes outside the window keep out's +0. Each row is
-    computed on its own, so any split of the rows gives the bits of one
-    call over all of them.
+    Row j's column product f_i conj(g_{i - s_j}), s_j = j - n/2, takes the
+    shifted window from a sliding view of the zero-padded conj(g): one
+    masked multiply, in which the nodes outside the window keep out's +0.
+    The centered FFT then transforms out in place. Each row is computed on
+    its own, so any split of the rows gives the bits of one call over all.
     """
     if f.count != g.count or not math.isclose(f.step, g.step, rel_tol=_STEP_RTOL):
         raise ValueError(f"window layout ({g.count}, {g.step}) does not match signal layout ({f.count}, {f.step})")
@@ -54,8 +52,7 @@ def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Callable[[np
 
     def rows(out: np.ndarray, start: int) -> np.ndarray:
         js = slice(start, start + len(out))
-        np.multiply(f.samples[h:], gconj[js, h:], out=out[:, :h], where=mask[js, h:])
-        np.multiply(f.samples[:h], gconj[js, :h], out=out[:, h:], where=mask[js, :h])
+        np.multiply(f.samples, gconj[js], out=out, where=mask[js])
         return _centered_fft(out, f.step)
 
     return rows

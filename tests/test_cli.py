@@ -510,6 +510,29 @@ def test_run_scenario_fault_keeps_other_reports(tmp_path, capsys, monkeypatch):
     assert "error: [z] ZeroDivisionError: float division by zero" in capsys.readouterr().err
 
 
+def test_run_unwritable_report_keeps_other_reports(tmp_path, capsys):
+    config = write_config(tmp_path, "[a]\nchecks = isometry\n[b]\nchecks = isometry\n")
+    out = tmp_path / "out"
+    (out / "a.json").mkdir(parents=True)  # the rename over it fails
+    rc = cli.main(["run", config, "--out", str(out), "--no-timestamp"])
+    assert rc == 1
+    assert read_json(out / "b.json")["passed"]
+    (error,) = read_json(out / "summary.json")["errors"]
+    assert error.startswith("[a] cannot write its reports: ")
+    assert "error: [a] cannot write its reports: " in capsys.readouterr().err
+    assert not list(out.glob("*.tmp"))
+
+
+def test_atomic_write_removes_its_temporary_file_when_the_write_fails(tmp_path):
+    def write(fh):
+        fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(tmp_path / "r.json", write)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

@@ -1,21 +1,22 @@
 """The one-pass field paths against the formulas they replace.
 
-The centered FFT transforms its ifftshift-ordered input in place, one block
-of rows at a time (the last block may be short), compute_stft writes its
-column products straight into that order, and the 2-D transform swaps
-the quadrants of a writable input in place, block by block of rows (a
-read-only one is read into one shifted copy), and runs its second pass
-along rows after an in-place tiled transpose. Each must give the bits of
-the plain formula step * fftshift(fft(ifftshift(v))), signed zeros
-included. The identity checks compare the transform, axes swapped, with
-row reflections read through views, and form both products in one pass
-over row blocks of the STFTs, each distinct pair's rows computed once per
-block: their defects must equal those of the formulas with full rotated
-copies. The other fast paths: the underflow-gated |V|^p, max |.|
-taken in row blocks, fields taken over without a copy, the finiteness
-check they keep, and the chirp read from a table of roots of unity instead
-of an exp at every node. At N = 1024 the checks' and scenarios' traced
-peaks are bounded in units of one field's bytes.
+The centered FFT reads its input in lattice order into one spare block of
+rows at a time (the last block may be short), with the halves swapped, and
+writes the transform in place or into a given array; compute_stft forms
+its column products with one masked multiply, and the 2-D transform runs
+in place on a writable input (a read-only one is read into one fresh
+array) and takes its second pass along rows after an in-place tiled
+transpose. Each must give the bits of the plain formula
+step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
+checks compare the transform, axes swapped, with row reflections read
+through views, and form both products in one pass over row blocks of the
+STFTs, each distinct pair's rows computed once per block: their defects
+must equal those of the formulas with full rotated copies. The other fast
+paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
+taken over without a copy, the finiteness check they keep, and the chirp
+read from a table of roots of unity instead of an exp at every node. The
+checks' and scenarios' traced peaks are bounded in units of one field's
+bytes, at N = 1024 and, for the product identity, at N = 256 too.
 """
 
 import collections
@@ -41,7 +42,6 @@ from tfu.core import (
     _chirp,
     _fourier_2d_swapped,
     _max_abs,
-    _swap_quadrants,
     fourier_2d,
 )
 from tfu.identity import build_auxiliary, fundamental_identity_defect, point_reflection, rotation_invariance_defect
@@ -81,16 +81,23 @@ def same_bits(a, b):
 @given(n=even_counts, m=even_counts, step=steps, seed=seeds)
 def test_centered_fft_matches_shift_formula(n, m, step, seed):
     v = random_complex(seed, (n, m))
-    assert same_bits(_centered_fft(np.fft.ifftshift(v, axes=-1), step), shift_formula(v, step, -1))
+    expected = shift_formula(v, step, -1)
+    assert same_bits(_centered_fft(v.copy(), step), expected)
     row = v[0]
-    assert same_bits(_centered_fft(np.fft.ifftshift(row), step), shift_formula(row, step, -1))
+    assert same_bits(_centered_fft(row.copy(), step), shift_formula(row, step, -1))
+    given = v.copy()
+    given.setflags(write=False)
+    out = np.empty_like(v)
+    assert _centered_fft(given, step, out) is out
+    assert same_bits(out, expected)
+    assert same_bits(given, v)  # untouched
 
 
 @pytest.mark.parametrize("rows", [1, 31, 33, 257])
 def test_centered_fft_rows_in_partial_blocks(rows):
-    """At N = 1024 a block holds 32 rows: these counts end in a part block."""
+    """At N = 1024 a block holds 16 rows: these counts end in a part block."""
     v = random_complex(rows, (rows, 1024))
-    assert same_bits(_centered_fft(np.fft.ifftshift(v, axes=-1), 1 / 32), shift_formula(v, 1 / 32, -1))
+    assert same_bits(_centered_fft(v.copy(), 1 / 32), shift_formula(v, 1 / 32, -1))
 
 
 def traced_peak(call):
@@ -104,7 +111,7 @@ def traced_peak(call):
 
 
 def test_centered_fft_peak_memory_is_one_block():
-    values = np.fft.ifftshift(random_complex(5, (1024, 1024)), axes=-1)
+    values = random_complex(5, (1024, 1024))
     assert traced_peak(lambda: _centered_fft(values, 1 / 32)) < values.nbytes / 8
 
 
@@ -142,21 +149,29 @@ def test_closed_form_deviation_peak_memory_is_a_block(large):
 @pytest.mark.parametrize(
     "picks, fields",
     [
-        # each case holds the two products, the first transformed in
-        # place, and one row block per distinct pair:
+        # each case holds the two products, the first transformed in place,
+        # and about one block of rows, split over the distinct pairs.
+        # Picks 0, 1, 2 are G, h1, h2 at N = 1024, where a block is F/32:
         # (h1, G, h1, h1), three pairs
         ((1, 0, 1, 1), 2.2),
         # (G, G, G, G), one pair whose rows form both products
         ((0, 0, 0, 0), 2.2),
-        # (h1, h2, G, G), four distinct pairs, the most blocks
+        # (h1, h2, G, G), four distinct pairs
         ((1, 2, 0, 0), 2.2),
+        # picks 3, 4, 5 are G, h1, h2 at N = 256, where a block is F/2
+        ((4, 3, 4, 4), 3.3),
+        ((3, 3, 3, 3), 3.3),
+        ((4, 5, 3, 3), 3.3),
     ],
 )
 def test_identity_defect_peak_memory(large, picks, fields):
-    grid, G, h1 = large
-    signals = [G, h1, tfu.sample(tfu.hermite(2), LARGE)]
+    _, G, h1 = large
+    fns = (tfu.unit_gaussian(), tfu.hermite(1), tfu.hermite(2))
+    signals = [G, h1, tfu.sample(fns[2], LARGE), *(tfu.sample(fn, DEFAULT_LAYOUT) for fn in fns)]
+    layout = signals[picks[0]].layout
+    grid = TFGrid.from_layout(layout)
     peak = traced_peak(lambda: fundamental_identity_defect(*(signals[i] for i in picks), grid))
-    assert peak <= fields * 16 * 2**20
+    assert peak <= fields * 16 * layout.count**2
 
 
 @pytest.fixture(scope="module")
@@ -204,13 +219,6 @@ def test_rotation_defect_takes_the_peak_once(monkeypatch):
     assert len(calls) == 2  # max |F_Z|, which the decay check is given, and the gap
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (16, 16), (600, 600), (600, 64), (64, 600), (1024, 1024)])
-def test_swap_quadrants_is_ifftshift(shape):
-    # at 600 columns a block holds 54 rows, so the 300 rows of a half end in a part block
-    v = random_complex(shape[0] + shape[1], shape)
-    assert same_bits(_swap_quadrants(v.copy()), np.fft.ifftshift(v))
-
-
 @pytest.mark.parametrize("n", [16, 600])
 def test_fourier_2d_swapped_transforms_in_place(n):
     values = random_complex(n, (n, n))
@@ -253,7 +261,7 @@ def test_centered_fft_matches_direct_dft(n, step, seed):
     # exact integer phases mod n, so the direct sum carries no phase rounding
     phase = np.outer(k, k) % n
     direct = step * (np.exp(-2j * np.pi * phase / n) @ v)
-    fast = _centered_fft(np.fft.ifftshift(v), step)
+    fast = _centered_fft(v.copy(), step)
     assert np.linalg.norm(fast - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
@@ -372,7 +380,8 @@ def test_auxiliary_equals_the_copying_formula_at_any_count(count):
 
 def default_bank():
     """G, h1, h2, a wider Gaussian, and three copies of G: equal to it, but
-    other objects. On the default layout a block holds 128 of the 256 rows."""
+    other objects. On the default layout the 256 rows go in blocks of 128
+    rows split over the distinct pairs: 128, 64, 42 or 32 rows."""
     fns = (tfu.unit_gaussian(), tfu.hermite(1), tfu.hermite(2), tfu.unit_gaussian(2.0))
     bank = [tfu.sample(fn, DEFAULT_LAYOUT) for fn in fns]
     return bank + [SampledSignal(bank[0].samples, bank[0].step) for _ in range(3)]
