@@ -24,16 +24,21 @@ def cascade_sum(values: np.ndarray) -> float:
     return float(buf[0])
 
 
-def prefix_count(masses: np.ndarray, threshold: float) -> int:
-    """First prefix length whose running sum reaches threshold, or -1.
+def prefix_count(masses: np.ndarray, threshold: float, carried: float = 0.0) -> int:
+    """First prefix length whose running sum, started at carried, reaches
+    threshold, or -1.
 
     The running sum is the plain left-to-right accumulation (np.cumsum),
     taken in place: a contiguous float64 masses, which the caller gives up,
-    is overwritten with it.
+    is overwritten with it, so its last entry is the sum to carry into the
+    next block of masses. carried is added to the first mass before the
+    accumulation, which is the first addition np.cumsum would make over the
+    blocks together, so a split into blocks changes no bit of the sums.
     """
     if threshold <= 0.0:
         return 0
     csum = np.ascontiguousarray(masses, dtype=np.float64)
+    csum[:1] += carried
     np.cumsum(csum, out=csum)
     idx = int(np.searchsorted(csum, threshold, side="left"))
     if idx >= csum.size:

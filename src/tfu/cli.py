@@ -54,13 +54,15 @@ from tfu.core import (
     SignalLayout,
     TFArray,
     TFGrid,
+    TFModulus,
     _cached,
-    _max_abs,
+    _moduli,
+    _modulus,
     _require_decayed,
     discrete_fourier,
 )
 from tfu.identity import _require_rotatable, build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
-from tfu.reference import fourier_closed_form, gaussian_stft_field, sample, translate_modulate
+from tfu.reference import _gaussian_rows, fourier_closed_form, sample, translate_modulate
 from tfu.specs import (
     _VARIANTS,
     ConfigError,
@@ -80,9 +82,9 @@ from tfu.specs import (
     split_list,
     tolerance,
 )
-from tfu.stft import compute_stft, energy_defect
+from tfu.stft import _stft_rows, compute_stft, energy_defect
 from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound
-from tfu.weights import decay_fit, growth_scan, pair_field, require_inside
+from tfu.weights import _pair_rows, decay_fit, growth_scan, require_inside
 
 #: Fixed pass thresholds; a config sets only lieb_equality_tol and a scan's slope_tol.
 ISOMETRY_TOL = CLOSED_FORM_TOL = 1e-8
@@ -105,9 +107,16 @@ class Scenario:
 
 class ScenarioContext:
     """What the checks of one scenario share: the scenario's samples, and
-    fields and norms computed on first use. run_scenario drops each of
-    them, with a field's cached |V| and sort, after the last check that
-    declares it (Check.reads); one read after that would compute it again."""
+    fields and norms computed on first use. A field is held as its modulus
+    (tfu.core.TFModulus), as every check that reads one reads only |.|: it
+    is filled one block of rows at a time from the field's row source
+    (tfu.core.Rows), the one that compute_stft, gaussian_stft_field or
+    pair_field gives the whole plane, so no complex field is held. When
+    closed_form is enabled, stft and closed are filled together, in the one
+    pass that also takes the deviation between them (closed_deviation).
+    run_scenario drops each member, with a field's sort, after the last
+    check that declares it (Check.reads); one read after that would compute
+    it again."""
 
     def __init__(self, scn: Scenario) -> None:
         self.signals, self.fhat = scn.signals, scn.fhat
@@ -115,11 +124,15 @@ class ScenarioContext:
         self.g_spec: FunctionSpec = scn.options["g"]
         self.f, self.g = self.signals[self.f_spec.text], self.signals[self.g_spec.text]
         self.grid = TFGrid.from_layout(scn.layout)
+        self._paired = "closed_form" in scn.options["checks"]
+        self._deviation: float | None = None
 
     @_cached
-    def stft(self) -> TFArray:
-        """V_g f on the scenario's grid."""
-        return compute_stft(self.f, self.g, self.grid)
+    def stft(self) -> TFModulus:
+        """|V_g f| on the scenario's grid."""
+        if self._paired:
+            return self._stft_and_closed()[0]
+        return _modulus(self.grid, _stft_rows(self.f, self.g, self.grid))
 
     @_cached
     def norms(self) -> tuple[float, float]:
@@ -127,20 +140,38 @@ class ScenarioContext:
         return self.f.l2_norm(), self.g.l2_norm()
 
     @_cached
-    def closed(self) -> TFArray:
-        """The exact Gaussian-pair STFT, which is V_g f for the unit pair that
-        load_config requires of the checks that use it."""
-        return gaussian_stft_field(self.grid)
+    def closed(self) -> TFModulus:
+        """|.| of the exact Gaussian-pair STFT, which is V_g f for the unit
+        pair that load_config requires of the checks that use it."""
+        if self._paired:
+            return self._stft_and_closed()[1]
+        return _modulus(self.grid, _gaussian_rows(self.grid))
 
     @_cached
-    def pair(self) -> TFArray:
-        """f(x) fhat(xi) with the numeric transform of f."""
-        return pair_field(self.f)
+    def pair(self) -> TFModulus:
+        """|f(x) fhat(xi)| with the numeric transform of f."""
+        return _modulus(*_pair_rows(self.f))
 
     @_cached
-    def pair_exact(self) -> TFArray:
-        """f(x) fhat(xi) with the closed-form transform samples taken at load."""
-        return pair_field(self.f, self.fhat)
+    def pair_exact(self) -> TFModulus:
+        """|f(x) fhat(xi)| with the closed-form transform samples taken at load."""
+        return _modulus(*_pair_rows(self.f, self.fhat))
+
+    @property
+    def closed_deviation(self) -> float:
+        """max |V_g f - closed|, taken in the pass that fills stft and closed."""
+        if self._deviation is None:
+            self._stft_and_closed()
+        return self._deviation
+
+    def _stft_and_closed(self) -> tuple[TFModulus, TFModulus]:
+        """One pass over the rows of V_g f and of the closed form: both
+        moduli, cached as stft and closed, and the deviation between them."""
+        (stft, closed), self._deviation = _moduli(
+            self.grid, _stft_rows(self.f, self.g, self.grid), _gaussian_rows(self.grid)
+        )
+        self.__dict__.update(stft=stft, closed=closed)
+        return stft, closed
 
     def drop(self, name: str) -> None:
         """Forget the computed value of name, one of the cached members above, if any."""
@@ -166,7 +197,7 @@ def _isometry(ctx: ScenarioContext) -> tuple[dict, Tables]:
 
 
 def _closed_form(ctx: ScenarioContext) -> tuple[dict, Tables]:
-    dev = _max_abs(ctx.stft.values, ctx.closed.values)
+    dev = ctx.closed_deviation
     return {"max_abs_deviation": dev, "tolerance": CLOSED_FORM_TOL, "passed": dev < CLOSED_FORM_TOL}, {}
 
 

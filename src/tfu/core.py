@@ -17,6 +17,8 @@ Conventions used throughout the package:
   pairwise cascade (see tfu._kernels): results reproduce bit for bit. Plane
   integrands are formed in aligned blocks of _SUM_BLOCK row-major nodes,
   each a subtree of that same cascade, so no N^2 integrand array is held.
+* A field that is read only through |V| is held as a TFModulus, filled
+  from the field's row source (Rows) one block of whole rows at a time.
 """
 
 from __future__ import annotations
@@ -219,15 +221,33 @@ class _cached:
         return value
 
 
+class _Sorted:
+    """The descending sort of a field's |V| (its magnitude), computed once,
+    on first use, and shared by the greedy support of every mode."""
+
+    @_cached
+    def descending(self) -> np.ndarray:
+        """|V| of all nodes, flattened and sorted descending (contiguous: a
+        reversed view of np.sort can change the last bits of a power). The
+        negated |V| is sorted in place and negated back, in one array: the
+        bits of -np.sort(-|V|)."""
+        desc = np.negative(self.magnitude.ravel())
+        desc.sort()
+        np.negative(desc, out=desc)
+        desc.setflags(write=False)
+        return desc
+
+
 @dataclass(frozen=True, eq=False)
-class TFArray:
+class TFArray(_Sorted):
     """Complex field sampled on a TFGrid; entries are validated finite.
 
     The constructor copies values into C order, so later changes to the
     caller's array change nothing. |V| and its descending sort are computed
     once per field, on first use, and shared by the functionals that read
-    every |V|: Lp sums and greedy support. Maxima of |V| (_max_abs) and the
-    2-D transform take |.| one row block at a time and cache nothing.
+    every |V|: Lp sums, weighted masses and greedy support. Maxima of |V|
+    (_max_abs) and the 2-D transform take |.| one row block at a time and
+    cache nothing.
     """
 
     grid: TFGrid
@@ -258,17 +278,71 @@ class TFArray:
         mag.setflags(write=False)
         return mag
 
-    @_cached
-    def descending(self) -> np.ndarray:
-        """|V| of all nodes, flattened and sorted descending (contiguous: a
-        reversed view of np.sort can change the last bits of a power). The
-        negated |V| is sorted in place and negated back, in one array: the
-        bits of -np.sort(-|V|)."""
-        desc = np.negative(self.magnitude.ravel())
-        desc.sort()
-        np.negative(desc, out=desc)
-        desc.setflags(write=False)
-        return desc
+
+@dataclass(frozen=True, eq=False)
+class TFModulus(_Sorted):
+    """|V| of a complex field on a TFGrid, as read-only float64 values, for
+    the functionals that read only |V|: Lp sums, weighted masses and greedy
+    support read its grid, magnitude and descending as they read a
+    TFArray's. Made by _moduli from the field's rows, so the complex field
+    (16 count^2 bytes) is never held, only |V| (8 count^2 bytes) and, once
+    sorted, its descending sort (as many again).
+    """
+
+    grid: TFGrid
+    values: np.ndarray
+
+    @property
+    def magnitude(self) -> np.ndarray:
+        """|V| at every node: values itself."""
+        return self.values
+
+
+#: A row source: rows(out, start) computes rows start ... start + len(out) - 1
+#: of a complex field in out, a zero-filled complex128 C-contiguous block of
+#: whole rows, and returns it (tfu.stft._stft_rows is one). Each row is
+#: computed on its own, so any split of the rows gives the bits of one call
+#: over all of them.
+Rows = Callable[[np.ndarray, int], np.ndarray]
+
+
+def _moduli(grid: TFGrid, *sources: Rows) -> tuple[list[TFModulus], float]:
+    """The TFModulus of the field that each source gives on grid, filled in
+    one pass over blocks of whole rows, and, for two sources a and b,
+    max |a - b| over the pass (0.0 for one).
+
+    The sources share one block of about _FFT_BLOCK_BYTES, one buffer each.
+    Each source's rows are checked finite, the first non-finite node named
+    in the grid's coordinates as TFArray names it, and their moduli are
+    written into the source's float64 array; as |.| and the difference are
+    elementwise and the blocks are whole rows, the moduli and the maximum
+    have the bits of |.| and _max_abs of the whole fields.
+    """
+    n, m = grid.shape
+    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * m * len(sources))))
+    buffers = [np.empty((block, m), dtype=np.complex128) for _ in sources]
+    moduli = [np.empty(grid.shape) for _ in sources]
+    gap = 0.0
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = []
+        for rows_of, buffer, mag in zip(sources, buffers, moduli):
+            out = buffer[: stop - start]
+            out[...] = 0
+            out = rows_of(out, start)
+            _require_finite(out, "field", origin=(start, 0))
+            np.abs(out, out=mag[start:stop])
+            rows.append(out)
+        if len(rows) == 2:
+            gap = max(gap, _max_abs(*rows))
+    for mag in moduli:
+        mag.setflags(write=False)
+    return [TFModulus(grid, mag) for mag in moduli], gap
+
+
+def _modulus(grid: TFGrid, rows: Rows) -> TFModulus:
+    """The TFModulus of the field whose rows the source gives (see _moduli)."""
+    return _moduli(grid, rows)[0][0]
 
 
 def _check_field(grid: TFGrid, arr: np.ndarray) -> None:
@@ -290,9 +364,23 @@ def _require_finite(arr: np.ndarray, what: str, origin: tuple[int, ...] | None =
         raise ValueError(f"non-finite {what} value at node {tuple(int(v) for v in idx)}")
 
 
-def _chirp(grid: TFGrid, sign: int, half: bool = False) -> np.ndarray:
-    """exp(sign 2 pi i x xi) at every node, or exp(sign pi i x xi) if half,
-    as a fresh complex128 array.
+def _chirp_period(grid: TFGrid, half: bool) -> int:
+    """The period P of _chirp's phase on grid: M = 1/(x_step xi_step), or 2M
+    if half; ValueError unless M is a positive integer (to _STEP_RTOL)."""
+    ratio = 1.0 / grid.x_step / grid.xi_step  # inf if it overflows
+    if not 0.5 <= ratio < math.inf or abs(ratio - round(ratio)) > _STEP_RTOL * ratio:
+        raise ValueError(
+            "chirp needs a grid whose 1/(x_step * xi_step) is a positive integer, "
+            f"got {ratio!r}"
+        )
+    return round(ratio) * (2 if half else 1)
+
+
+def _chirp(grid: TFGrid, sign: int, half: bool = False, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+    """exp(sign 2 pi i x xi) at every node, or exp(sign pi i x xi) if half:
+    rows start ... start + len(out) - 1 of it written into out, a complex128
+    C-contiguous block of whole rows, and returned; by default all rows, in
+    a fresh array.
 
     The grid must satisfy the lattice rule: 1/(x_step xi_step) is a positive
     integer M (to _STEP_RTOL). Then x_j xi_k = j'k'/M for the signed node
@@ -301,25 +389,28 @@ def _chirp(grid: TFGrid, sign: int, half: bool = False) -> np.ndarray:
     exact integer index j'k' mod P. The table holds no more turns than the
     2Q + 1 values of j'k', |j'k'| <= Q, so its size is bounded by the
     grid's, whatever M; and as no angle exceeds pi in magnitude, every
-    entry is within a few ulps, whatever the size of x xi.
+    entry is within a few ulps, whatever the size of x xi. The int64 index
+    is formed one block of about _FFT_BLOCK_BYTES of rows at a time; each
+    block is gathered straight into out (mode="clip", which the index never
+    needs, lets np.take write out without a buffer), so any split of the
+    rows gives the same bits.
     """
-    ratio = 1.0 / grid.x_step / grid.xi_step  # inf if it overflows
-    if not 0.5 <= ratio < math.inf or abs(ratio - round(ratio)) > _STEP_RTOL * ratio:
-        raise ValueError(
-            "chirp needs a grid whose 1/(x_step * xi_step) is a positive integer, "
-            f"got {ratio!r}"
-        )
-    period = round(ratio) * (2 if half else 1)
+    period = _chirp_period(grid, half)
+    if out is None:
+        out = np.empty(grid.shape, dtype=np.complex128)
     reach = (grid.x_count // 2) * (grid.xi_count // 2)  # Q
     offset = min(reach, period // 2)  # table entry i holds turn i - offset
     size = min(period, 2 * reach + 1)
     table = np.exp((sign * 2j * np.pi / period) * (np.arange(size) - offset))
-    j = np.arange(grid.x_count, dtype=np.int64) - grid.x_count // 2
+    j = np.arange(start, start + len(out), dtype=np.int64) - grid.x_count // 2
     k = np.arange(grid.xi_count, dtype=np.int64) - grid.xi_count // 2
-    index = np.multiply.outer(j, k)
-    index += offset
-    index %= size  # the residue mod P; when P > 2Q, index is already below size
-    return np.take(table, index)
+    block = max(1, _FFT_BLOCK_BYTES // (8 * grid.xi_count))
+    for i in range(0, len(out), block):
+        index = np.multiply.outer(j[i : i + block], k)
+        index += offset
+        index %= size  # the residue mod P; when P > 2Q, index is already below size
+        np.take(table, index, out=out[i : i + block], mode="clip")
+    return out
 
 
 def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
@@ -390,7 +481,7 @@ def _scaled(a: np.ndarray, k: int) -> np.ndarray:
     return np.ldexp(a, -k) if k else a
 
 
-def _scaled_power_sum(v: TFArray, p: float, fn: float, gn: float) -> tuple[float, float]:
+def _scaled_power_sum(v: TFArray | TFModulus, p: float, fn: float, gn: float) -> tuple[float, float]:
     """cell_measure * sum of (|V| 2^-k)^p and (fn gn 2^-k)^p, with k from
     _norm_scale: the two sides of an Lp comparison, in range."""
     k, norm = _norm_scale(fn, gn)

@@ -11,12 +11,11 @@ approximates the continuous STFT with quadrature error only
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tfu.core import _STEP_RTOL, SampledSignal, TFArray, TFGrid, _centered_fft, _scaled_power_sum, require_plane
+from tfu.core import _STEP_RTOL, Rows, SampledSignal, TFArray, TFGrid, TFModulus, _centered_fft, _scaled_power_sum, require_plane
 
 
 def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
@@ -26,11 +25,12 @@ def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
     return TFArray._fresh(grid, _stft_rows(f, g, grid)(np.zeros(grid.shape, dtype=np.complex128), 0))
 
 
-def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Callable[[np.ndarray, int], np.ndarray]:
-    """rows(out, start): rows start ... start + len(out) - 1 of the sampled
-    V_g f on grid (as compute_stft), computed in out and returned. out must
-    be complex128, C-contiguous and zero-filled; f, g and grid are checked,
-    and the shifted windows set up, once, when rows is made.
+def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Rows:
+    """The row source (tfu.core.Rows) of the sampled V_g f on grid:
+    rows(out, start) computes rows start ... start + len(out) - 1 in out, a
+    zero-filled complex128 C-contiguous block, and returns it. f, g and
+    grid are checked, and the shifted windows set up, once, when rows is
+    made.
 
     Row j's column product f_i conj(g_{i - s_j}), s_j = j - n/2, takes the
     shifted window from a sliding view of the zero-padded conj(g): one
@@ -58,7 +58,7 @@ def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Callable[[np
     return rows
 
 
-def energy_defect(v: TFArray, fn: float, gn: float) -> float:
+def energy_defect(v: TFArray | TFModulus, fn: float, gn: float) -> float:
     """Relative gap between the plane energy of a computed field V_g f and
     fn^2 gn^2, with fn = |f|_2 and gn = |g|_2.
 

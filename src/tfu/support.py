@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from tfu.core import (
     SampledSignal,
     TFArray,
     TFGrid,
+    TFModulus,
     _abs_power,
     _norm_scale,
     _plane_sum,
@@ -88,7 +90,7 @@ def lieb_exponent(p: float) -> float:
     return p
 
 
-def lieb_ratio(v: TFArray, p: float, fn: float, gn: float) -> float:
+def lieb_ratio(v: TFArray | TFModulus, p: float, fn: float, gn: float) -> float:
     """quadrature(|V|^p) / ((2/p)^d (fn gn)^p), d = 1 for these grids.
 
     Both sides are scaled by the same power of two (see
@@ -139,20 +141,34 @@ def lower_bound(mode: SupportMode, d: int = 1) -> float:
             ) from None
 
 
-def sorted_cell_masses(v: TFArray, p: float, k: int = 0) -> np.ndarray:
+def sorted_cell_masses(v: TFArray | TFModulus, p: float, k: int = 0) -> Iterator[np.ndarray]:
     """The cells' cell_measure-weighted (2^-k |V|)^p masses, by |V| descending,
-    as a fresh array: each block of _SUM_BLOCK cells is scaled, powered and
-    weighted into it, so no other array of all the cells is made."""
+    one fresh block of _SUM_BLOCK cells at a time: each block of the sort is
+    scaled, powered and weighted when it is reached, so no array of all the
+    cells' masses is made."""
     desc = v.descending
-    masses = np.empty(desc.size)
     for i in range(0, desc.size, _SUM_BLOCK):
-        part = masses[i : i + _SUM_BLOCK]
-        np.multiply(v.grid.cell_measure, _abs_power(_scaled(desc[i : i + _SUM_BLOCK], k), p), out=part)
-    return masses
+        yield np.multiply(v.grid.cell_measure, _abs_power(_scaled(desc[i : i + _SUM_BLOCK], k), p))
+
+
+def _prefix_cells(v: TFArray | TFModulus, p: float, k: int, threshold: float) -> int:
+    """The fewest cells, by |V| descending, whose (2^-k |V|)^p masses reach
+    threshold, or -1: _kernels.prefix_count of all the masses, taken one
+    block of sorted_cell_masses at a time. Each block is given the running
+    sum of the blocks before it, which prefix_count leaves as the block's
+    last entry, so the sums have the bits of one np.cumsum over all cells;
+    the scan stops at the first block that reaches threshold."""
+    scanned, carried = 0, 0.0
+    for masses in sorted_cell_masses(v, p, k):
+        count = _kernels.prefix_count(masses, threshold, carried)
+        if count >= 0:
+            return scanned + count
+        scanned, carried = scanned + masses.size, masses[-1]
+    return -1
 
 
 def greedy_essential_support(
-    v: TFArray, mode: SupportMode, fn: float, gn: float
+    v: TFArray | TFModulus, mode: SupportMode, fn: float, gn: float
 ) -> SupportReport:
     """Minimal greedy cell set meeting the mode's mass threshold.
 
@@ -160,7 +176,8 @@ def greedy_essential_support(
     from tfu.core._norm_scale, which has the same support and keeps them in
     range for tiny or huge norms. The scaling is applied to the field's
     shared |V| and its descending sort, so the field is sorted once for all
-    modes; the masses' running sums accumulate in the masses' own array.
+    modes; the masses are formed and summed one block at a time, up to the
+    block that reaches the threshold (_prefix_cells).
     """
     k, norm = _norm_scale(fn, gn)
     if v.descending[0] == 0:  # |z| = 0 only for z = 0
@@ -170,7 +187,7 @@ def greedy_essential_support(
     l1p = mode.variant is SupportVariant.LP_VS_L1P
     reference = _plane_sum(v.grid, v.magnitude, lambda m: _scaled(m, k)) if l1p else norm
     threshold = (1 - mode.epsilon) * reference**mass_p
-    count = _kernels.prefix_count(sorted_cell_masses(v, mass_p, k), threshold)
+    count = _prefix_cells(v, mass_p, k, threshold)
     bound = lower_bound(mode, d=1)
     if count < 0:
         note = "threshold exceeds the total available mass"

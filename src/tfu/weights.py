@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from tfu.core import SampledSignal, TFArray, TFGrid, _require_finite, discrete_fourier, pairwise_sum
+from tfu.core import Rows, SampledSignal, TFArray, TFGrid, TFModulus, _require_finite, discrete_fourier, pairwise_sum
 
 
 class WeightFamily(enum.Enum):
@@ -71,10 +71,10 @@ class WeightSpec:
             return np.pi * self.p * x**2 / 2 + np.pi * self.p * xi**2 / 2
         if fam is WeightFamily.RADIAL_FULL:
             return np.pi * self.p * x**2 + np.pi * self.p * xi**2
-        if fam is WeightFamily.HYPERBOLIC:
-            return np.pi * self.p * np.abs(x * xi)
-        if fam is WeightFamily.PAIR_HYPERBOLIC:
-            return 2 * np.pi * self.p * np.abs(x * xi)
+        if fam is WeightFamily.HYPERBOLIC or fam is WeightFamily.PAIR_HYPERBOLIC:
+            rate = np.pi * self.p if fam is WeightFamily.HYPERBOLIC else 2 * np.pi * self.p
+            plane = np.multiply(x, xi)
+            return np.multiply(np.abs(plane, out=plane), rate, out=plane)  # rate |x xi|, in one array
         expo = 2 * np.pi if fam is WeightFamily.BONAMI_DENOMINATOR else np.pi
         return expo * np.abs(x * xi) - self.N * np.log1p(np.abs(x) + np.abs(xi))
 
@@ -116,13 +116,13 @@ def _span(nodes: np.ndarray, r: float) -> tuple[int, int]:
     return lo, max(lo, hi)
 
 
-def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
+def _masses(field: TFArray | TFModulus, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
     """Truncated masses of exp(p log|field| + log w) at the increasing radii.
 
     The integrand is formed, exponentiated and checked finite only on the
     index block of the largest square (corner values can overflow outside
-    it), from |field| taken on that block alone, so no |.| of the whole
-    field is cached; a non-finite value is named by its full-grid node. Each
+    it), from the field's magnitude on that block; a non-finite value is
+    named by its full-grid node. Each
     radius adds its ring to the previous mass: mass i is cell_measure *
     total_i, with total_i = total_{i-1} + ring_i and ring_i the integrand
     summed over the nodes of square i outside square i - 1, as four
@@ -134,8 +134,7 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     x, xi = grid.x_nodes(), grid.xi_nodes()
     (j0, j1), (k0, k1) = _span(x, top), _span(xi, top)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
-        integrand = np.abs(field.values[j0:j1, k0:k1])
-        np.log(integrand, out=integrand)
+        integrand = np.log(field.magnitude[j0:j1, k0:k1])
         integrand *= w.p
         integrand += w.log_weight(x[j0:j1, None], xi[None, k0:k1])
         np.exp(integrand, out=integrand)
@@ -160,13 +159,14 @@ def _masses(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> tuple[fl
     return tuple(masses)
 
 
-def weighted_mass(field: TFArray, w: WeightSpec, R: float) -> float:
+def weighted_mass(field: TFArray | TFModulus, w: WeightSpec, R: float) -> float:
     """Quadrature of |field|^p * weight over the half-open square of radius R."""
     return _masses(field, w, (R,))[0]
 
 
 def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
-    """The rank-one field f(x) fhat(xi) on the signal-by-dual grid.
+    """The rank-one field f(x) fhat(xi) on the signal-by-dual grid: the rows
+    of _pair_rows over the whole plane.
 
     fhat defaults to discrete_fourier(f). Exact closed-form samples can be
     passed instead when far-tail fidelity matters: the FFT's absolute noise
@@ -174,12 +174,21 @@ def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
     exp(2 pi |x xi|)-type weights once |xi| exceeds about 3.4 on the
     default grid.
     """
+    grid, rows = _pair_rows(f, fhat)
+    return TFArray._fresh(grid, rows(np.zeros(grid.shape, dtype=np.complex128), 0))
+
+
+def _pair_rows(f: SampledSignal, fhat: SampledSignal | None = None) -> tuple[TFGrid, Rows]:
+    """The grid of pair_field(f, fhat) and its row source (tfu.core.Rows):
+    row j is f_j times the samples of fhat, the rows of np.outer."""
     if fhat is None:
         fhat = discrete_fourier(f)
-    grid = TFGrid(
-        x_step=f.step, xi_step=fhat.step, x_count=f.count, xi_count=fhat.count
-    )
-    return TFArray._fresh(grid, np.outer(f.samples, fhat.samples))
+    grid = TFGrid(x_step=f.step, xi_step=fhat.step, x_count=f.count, xi_count=fhat.count)
+
+    def rows(out: np.ndarray, start: int) -> np.ndarray:
+        return np.multiply(f.samples[start : start + len(out), None], fhat.samples, out=out)
+
+    return grid, rows
 
 
 def scan_radii(radii: Iterable[float]) -> tuple[float, ...]:
@@ -199,7 +208,7 @@ def require_inside(grid: TFGrid, radius: float) -> None:
         raise ValueError(f"R={radius} exceeds grid half-extent {half_extent}")
 
 
-def growth_scan(field: TFArray, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
+def growth_scan(field: TFArray | TFModulus, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
     """Classify the weighted integral of |field|^p as convergent/divergent;
     a signal's product f(x) fhat(xi) is scanned as pair_field(f, fhat)."""
     radii = scan_radii(radii)

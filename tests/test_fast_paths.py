@@ -14,15 +14,17 @@ STFTs, each distinct pair's rows computed once per block: their defects
 must equal those of the formulas with full rotated copies. The other fast
 paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
-read from a table of roots of unity instead of an exp at every node. The
+read from a table of roots of unity instead of an exp at every node, in
+any split of its rows. The scenario context's moduli, filled one block of
+rows at a time, must have the bits of |.| of the whole fields. The
 checks' and scenarios' traced peaks are bounded in units of one field's
 bytes, at N = 1024 and, for the product identity, at N = 256 too.
 """
 
 import collections
+import itertools
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,8 +46,10 @@ from tfu.core import (
     _max_abs,
     fourier_2d,
 )
+from tfu.cli import Scenario, ScenarioContext
 from tfu.identity import build_auxiliary, fundamental_identity_defect, point_reflection, rotation_invariance_defect
 from tfu.reference import translate_modulate
+from tfu.specs import function_spec
 from tfu.stft import _stft_rows, compute_stft
 from tfu.support import lieb_ratio
 
@@ -140,10 +144,10 @@ def test_descending_peak_memory_is_the_sorted_array(large):
     assert traced_peak(lambda: v.descending) <= 0.55 * v.values.nbytes
 
 
-def test_closed_form_deviation_peak_memory_is_a_block(large):
-    grid, G, _ = large
-    ctx = SimpleNamespace(stft=compute_stft(G, G, grid), closed=tfu.gaussian_stft_field(grid))
-    assert traced_peak(lambda: cli._closed_form(ctx)) <= ctx.stft.values.nbytes / 8
+def test_closed_form_deviation_peak_memory_is_a_block(large_grid_scenarios):
+    # the one pass fills both moduli, F/2 each, and holds one block of rows
+    ctx = cli.ScenarioContext(large_grid_scenarios["unit-pair"])
+    assert traced_peak(lambda: cli._closed_form(ctx)) <= 1.1 * 16 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -183,11 +187,18 @@ def large_grid_scenarios():
 @pytest.mark.parametrize(
     "name, fields",
     [
-        # V with its |V| and the closed form with a scan's integrand; closed
-        # is dropped after weights, its last reader, before support sorts |V|
-        ("unit-pair", 2.8),
+        # |V| and |closed| with a scan's integrand; closed is dropped after
+        # weights, its last reader, before support sorts |V| and forms one
+        # block of masses at a time
+        ("unit-pair", 1.2),
+        # |V| with a scan's integrand
+        ("bank", 0.8),
+        # |closed| with the integrand of radius 8, a quarter of the plane
+        ("overflow-radial-full", 0.8),
         # each tuple alone, as test_identity_defect_peak_memory
         ("identity", 2.2),
+        # F_Z and its transform, as test_rotation_defect_peak_memory_is_one_copy
+        ("rotation", 2.1),
     ],
 )
 def test_scenario_peak_memory(large_grid_scenarios, name, fields):
@@ -487,3 +498,55 @@ def test_chirp_table_is_bounded_by_the_grid():
     grid = TFGrid(x_step=1e-6, xi_step=1e-6, x_count=16, xi_count=16)
     x, xi = grid.meshgrid()
     assert np.max(np.abs(_chirp(grid, 1) - np.exp(2j * np.pi * x * xi))) <= 2.0**-50
+
+
+#: The test bank's (f, g) specs, as a config names them
+BANK_PAIRS = [(f"gaussian:a={a}", g) for a in ("0.5", "1", "2") for g in ("gaussian:a=1", "hermite:n=1", "hermite:n=2")]
+
+
+def scenario(f_text, g_text, layout, checks):
+    """A scenario as load_config builds it, with fhat sampled for pair_exact."""
+    f_spec, g_spec = function_spec(f_text), function_spec(g_text)
+    options = {name: key.default for name, key in cli._KEYS.items()} | {"f": f_spec, "g": g_spec, "checks": checks}
+    signals = {spec.text: tfu.sample(spec.fn, layout) for spec in (f_spec, g_spec)}
+    fhat = tfu.sample(tfu.fourier_closed_form(f_spec.fn), layout.dual())
+    return Scenario("s", layout, options, signals, fhat)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(pair=st.sampled_from(BANK_PAIRS), layout=st.sampled_from([DEFAULT_LAYOUT, LARGE]), paired=st.booleans())
+def test_context_moduli_equal_the_whole_fields(pair, layout, paired):
+    # the context fills each modulus from row blocks of the field's row
+    # source; with closed_form enabled, stft and closed in one pass
+    scn = scenario(*pair, layout, ("closed_form", "weights") if paired else ("weights",))
+    ctx = ScenarioContext(scn)
+    f, g = (scn.signals[text] for text in pair)
+    grid = TFGrid.from_layout(layout)
+    v, closed = compute_stft(f, g, grid), tfu.gaussian_stft_field(grid)
+    fields = {
+        "stft": v,
+        "closed": closed,
+        "pair": tfu.pair_field(f),
+        "pair_exact": tfu.pair_field(f, scn.fhat),
+    }
+    for name, field in fields.items():
+        modulus = getattr(ctx, name)
+        assert modulus.grid == field.grid, name
+        assert not modulus.values.flags.writeable
+        assert same_bits(modulus.magnitude, np.abs(field.values)), name
+    assert same_bits(ctx.stft.descending, v.descending)
+    if paired:
+        assert ctx.closed_deviation == _max_abs(v.values, closed.values)
+
+
+@derandomized
+@given(layout=dual_layouts, sign=st.sampled_from([-1, 1]), half=st.booleans(), seed=seeds)
+def test_chirp_rows_in_any_split_equal_the_whole_grid(layout, sign, half, seed):
+    grid = TFGrid.from_layout(layout)
+    whole = _chirp(grid, sign, half)
+    n = grid.x_count
+    cuts = np.random.default_rng(seed).integers(0, n + 1, size=4)
+    out = np.empty_like(whole)
+    for start, stop in itertools.pairwise([0, *sorted(cuts), n]):
+        _chirp(grid, sign, half, out=out[start:stop], start=start)
+    assert same_bits(out, whole)

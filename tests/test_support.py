@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tfu
-from tfu import cli
-from tfu.core import TFArray, TFGrid, _norm_scale, _plane_sum
-from tfu.support import SupportMode, SupportVariant, sorted_cell_masses
+from tfu import _kernels, cli
+from tfu.core import _SUM_BLOCK, TFArray, TFGrid, _norm_scale, _plane_sum
+from tfu.support import SupportMode, SupportVariant, _prefix_cells, sorted_cell_masses
 
 
 def mode(variant, p, eps):
@@ -300,13 +300,50 @@ def test_greedy_support_equals_brute_force(variant, shape, step, levels, u, eps,
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_sorted_cell_masses_match_a_stable_argsort_bit_for_bit(p):
     rng = np.random.default_rng(7)
-    grid = TFGrid(x_step=1.0 / 16, xi_step=1.0 / 16, x_count=64, xi_count=64)
-    values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    values[::3, ::5] = values[1, 2]  # ties
-    field = TFArray(grid=grid, values=values)
-    flat = np.abs(values).ravel()
-    gathered = grid.cell_measure * flat[np.argsort(-flat, kind="stable")] ** p
-    assert sorted_cell_masses(field, p).tobytes() == gathered.tobytes()
+    for n in (64, 384):  # one block of masses, and 2.25 blocks
+        grid = TFGrid(x_step=1.0 / 16, xi_step=1.0 / 16, x_count=n, xi_count=n)
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        values[::3, ::5] = values[1, 2]  # ties
+        field = TFArray(grid=grid, values=values)
+        flat = np.abs(values).ravel()
+        gathered = grid.cell_measure * flat[np.argsort(-flat, kind="stable")] ** p
+        blocks = list(sorted_cell_masses(field, p))
+        assert [b.size for b in blocks[:-1]] == [_SUM_BLOCK] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == gathered.tobytes()
+
+
+@pytest.fixture(scope="module")
+def multi_block_field():
+    """A 512 x 512 field: its 2^18 cells are four blocks of masses. Its
+    moduli lie in [0.5, 1.5), so every mass still moves the running sum."""
+    rng = np.random.default_rng(11)
+    grid = TFGrid(x_step=1.0 / 16, xi_step=1.0 / 16, x_count=512, xi_count=512)
+    return TFArray(grid=grid, values=(rng.random((512, 512)) + 0.5) * np.exp(2j * np.pi * rng.random((512, 512))))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+@pytest.mark.parametrize(
+    "cells",
+    [
+        1,  # in the first block
+        1000,
+        _SUM_BLOCK - 1,
+        _SUM_BLOCK,  # the first block's last cell
+        _SUM_BLOCK + 1,  # the second block's first cell
+        2 * _SUM_BLOCK,
+        3 * _SUM_BLOCK + 12345,  # in the last block
+        4 * _SUM_BLOCK,  # the last cell
+        None,  # beyond the total: never reached
+    ],
+)
+def test_prefix_cells_in_blocks_equal_the_whole_array_count(multi_block_field, p, cells):
+    v = multi_block_field
+    masses = np.concatenate(list(sorted_cell_masses(v, p)))
+    sums = np.cumsum(masses)
+    threshold = np.nextafter(sums[-1], np.inf) if cells is None else sums[cells - 1]
+    expected = _kernels.prefix_count(masses, threshold)
+    assert expected == (-1 if cells is None else cells)
+    assert _prefix_cells(v, p, 0, threshold) == expected
 
 
 def test_greedy_prefix_is_optimal_exactly():
@@ -316,7 +353,7 @@ def test_greedy_prefix_is_optimal_exactly():
     grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=8, xi_count=8)
     for _ in range(5):
         field = TFArray(grid=grid, values=rng.random((8, 8)).astype(complex))
-        masses = sorted_cell_masses(field, p=1.0)
+        masses = np.concatenate(list(sorted_cell_masses(field, p=1.0)))
         vals = list(masses)
         for k in (1, 2, 3):
             greedy = 0.0
