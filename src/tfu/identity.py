@@ -22,15 +22,21 @@ No rotated or reflected copy is made. The plane transform is taken with its
 axes swapped (tfu.core._fourier_2d_swapped), so its row k holds the values
 at xi-node k; the rotated field at (x_j, xi_k) is row -k mod N of the field
 at x-node j, and the two are compared row by row through views. F_Z's point
-reflection is read through views as well. The product identity computes
-each distinct (signal, window) pair's STFT rows once, matching signals by
-object identity: the command line passes one SampledSignal per function
-spec, so a repeated spec is one object.
+reflection is read through views as well.
+
+The product identity holds one field: the left product, which the plane
+transform needs whole. The right product is formed one block of rows at a
+time in a second pass and compared with the transform block by block. Each
+side computes the STFT rows of each of its distinct (signal, window) pairs
+once, matching signals by object identity (the command line passes one
+SampledSignal per function spec, so a repeated spec is one object); a pair
+that both sides use is computed once per side.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,16 +90,28 @@ def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, 
     return TFArray._fresh(grid, field)
 
 
-def _rotation_gap(swapped: np.ndarray, v: np.ndarray) -> float:
+def _rotation_gap(swapped: np.ndarray, blocks: Iterable[tuple[int, np.ndarray]]) -> float:
     """max |FT(w) - v((-xi, x))| for swapped = core._fourier_2d_swapped(w),
-    whose row k holds FT(w) at xi-node k. Rotated, v at (x_j, xi_k) is
-    v[-k mod N, j], so the comparison is row k of swapped with row -k mod N
-    of v: row 0 with row 0 and the others in reverse order, through views.
-    swapped is overwritten with the difference, whose moduli are taken in
-    its own row order."""
-    np.subtract(swapped[0], v[0], out=swapped[0])
-    np.subtract(swapped[1:], v[:0:-1], out=swapped[1:])
-    return _max_abs(swapped)
+    whose row k holds FT(w) at xi-node k, and v given as blocks (start,
+    rows) of its rows in ascending order, together all of them. Rotated, v
+    at (x_j, xi_k) is v[-k mod N, j], so row r of v is compared with row
+    -r mod N of swapped: row 0 with row 0, and rows r >= 1 with rows N - r,
+    through a reversed view of the block. Each block is subtracted from its
+    rows of swapped as it arrives, and the moduli of the difference are
+    taken there, in swapped's own row order; row 0's difference is taken
+    with the last block, whose rows of swapped it adjoins."""
+    n = len(swapped)
+    gap = 0.0
+    for start, rows in blocks:
+        stop = start + len(rows)
+        if start == 0:
+            np.subtract(swapped[0], rows[0], out=swapped[0])
+        first = max(start, 1)
+        part = swapped[n - stop + 1 : n - first + 1]
+        np.subtract(part, rows[first - start :][::-1], out=part)
+        if stop > first:  # else the block is row 0 alone, whose difference the last block takes
+            gap = max(gap, _max_abs(swapped[0 if stop == n else n - stop + 1 : n - first + 1]))
+    return gap
 
 
 def rotation_invariance_defect(a: TFArray) -> float:
@@ -104,7 +122,42 @@ def rotation_invariance_defect(a: TFArray) -> float:
     scale = _max_abs(a.values)
     if scale == 0.0:
         raise ValueError("field is identically zero")
-    return _rotation_gap(_fourier_2d_swapped(a.grid, a.values, scale), a.values) / scale
+    return _rotation_gap(_fourier_2d_swapped(a.grid, a.values, scale), [(0, a.values)]) / scale
+
+
+Pair = tuple[SampledSignal, SampledSignal]
+
+
+def _product_rows(grid: TFGrid, b: Pair, a: Pair, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks (start, rows) of the product conj(V_b) * V_a of the STFTs of
+    the (signal, window) pairs b and a, in ascending order, each checked
+    finite (a non-finite node is named in the field's coordinates). The
+    rows go into out[start:], a field, if given, or else into one reused
+    block buffer, valid until the next block is made.
+
+    The rows of each distinct pair (matched by identity) are computed by
+    tfu.stft._stft_rows into the pair's own buffer; these buffers and the
+    block buffer together take about _FFT_BLOCK_BYTES. The product takes
+    conj(b), then is multiplied by a in place, in that fixed order, as the
+    complex multiply rounds a * b and b * a differently.
+    """
+    n = grid.x_count
+    distinct = dict.fromkeys((b, a))
+    buffers = len(distinct) + (out is None)
+    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n * buffers)))
+    pairs = [(pair, _stft_rows(*pair, grid), np.empty((block, n), dtype=np.complex128)) for pair in distinct]
+    spare = np.empty((block, n), dtype=np.complex128) if out is None else None
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = {}
+        for pair, stft_rows, buffer in pairs:
+            part = buffer[: stop - start]
+            part[...] = 0
+            rows[pair] = stft_rows(part, start)
+        product = np.conjugate(rows[b], out=spare[: stop - start] if out is None else out[start:stop])
+        np.multiply(product, rows[a], out=product)
+        _require_finite(product, "field", (start, 0))
+        yield start, product
 
 
 def fundamental_identity_defect(
@@ -116,38 +169,27 @@ def fundamental_identity_defect(
 ) -> float:
     """Normalized max-abs gap between the two sides of the product identity.
 
-    The sides are products conj(b) * a of the STFTs of four (signal,
-    window) pairs, both formed in one pass over blocks of whole rows. In
-    each block, the rows of every distinct pair (matched by identity) are
-    computed once by tfu.stft._stft_rows into the pair's own buffer, the
-    buffers together about _FFT_BLOCK_BYTES; each product's rows take
-    conj(b), then are multiplied by a in place, in that fixed order, as the
-    complex multiply rounds a * b and b * a differently. The first product
-    is then transformed in place: two fields and about one block are held."""
+    Each side is a product conj(b) * a of the STFTs of two (signal, window)
+    pairs, formed in a pass over blocks of whole rows (_product_rows). The
+    left side is formed whole, its peak taken block by block for the decay
+    check, and transformed in place. The right side is only compared, row
+    by row, with the transform's rows, so its second pass streams it: each
+    block's peak joins the scale and its gap is taken while the block is
+    in cache (_rotation_gap). One field and about one block are held; a
+    pair that both sides use is computed once per side.
+    """
     _require_rotatable(grid)
-    n = grid.x_count
-    # (b, a) of each product conj(b) * a:
     # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)
-    sides = (((f2, g2), (f1, g1)), ((g1, g2), (f1, f2)))
-    distinct = dict.fromkeys(pair for side in sides for pair in side)
-    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n * len(distinct))))
-    pairs = [(pair, _stft_rows(*pair, grid), np.empty((block, n), dtype=np.complex128)) for pair in distinct]
-    products = [np.empty((n, n), dtype=np.complex128) for _ in sides]
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = {}
-        for pair, stft_rows, buffer in pairs:
-            out = buffer[: stop - start]
-            out[...] = 0
-            rows[pair] = stft_rows(out, start)
-        for (b, a), product in zip(sides, products):
-            out = np.conjugate(rows[b], out=product[start:stop])
-            np.multiply(out, rows[a], out=out)
-    for product in products:
-        _require_finite(product, "field")
-    lhs, rhs = products
-    swapped = _fourier_2d_swapped(grid, lhs)
-    scale = max(_max_abs(swapped), _max_abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return _rotation_gap(swapped, rhs) / scale
+    lhs = np.empty(grid.shape, dtype=np.complex128)
+    peak = max(_max_abs(rows) for _, rows in _product_rows(grid, (f2, g2), (f1, g1), out=lhs))
+    swapped = _fourier_2d_swapped(grid, lhs, peak)
+    scale = _max_abs(swapped)
+
+    def compared() -> Iterator[tuple[int, np.ndarray]]:
+        nonlocal scale
+        for start, rows in _product_rows(grid, (g1, g2), (f1, f2)):
+            scale = max(scale, _max_abs(rows))
+            yield start, rows
+
+    gap = _rotation_gap(swapped, compared())
+    return 0.0 if scale == 0.0 else gap / scale

@@ -32,12 +32,13 @@ from tfu.core import (
     TFGrid,
     TFModulus,
     _abs_power,
+    _modulus,
     _norm_scale,
     _plane_sum,
     _scaled,
     _scaled_power_sum,
 )
-from tfu.stft import compute_stft
+from tfu.stft import _stft_rows
 
 
 class SupportVariant(enum.Enum):
@@ -201,10 +202,11 @@ def greedy_essential_support(
 def bound_sweep(
     f: SampledSignal, g: SampledSignal, grid: TFGrid, modes: list[SupportMode]
 ) -> list[SupportReport]:
-    """One STFT evaluation, one report per mode; failures are recorded
-    in the reports (bound_holds=False), never raised."""
+    """One STFT evaluation, held as its modulus (tfu.core._modulus), one
+    report per mode; failures are recorded in the reports
+    (bound_holds=False), never raised."""
     if not modes:
         return []
-    v = compute_stft(f, g, grid)
+    v = _modulus(grid, _stft_rows(f, g, grid))
     fn, gn = f.l2_norm(), g.l2_norm()
     return [greedy_essential_support(v, mode, fn, gn) for mode in modes]

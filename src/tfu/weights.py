@@ -71,12 +71,20 @@ class WeightSpec:
             return np.pi * self.p * x**2 / 2 + np.pi * self.p * xi**2 / 2
         if fam is WeightFamily.RADIAL_FULL:
             return np.pi * self.p * x**2 + np.pi * self.p * xi**2
+        rate = {
+            WeightFamily.HYPERBOLIC: np.pi * self.p,
+            WeightFamily.PAIR_HYPERBOLIC: 2 * np.pi * self.p,
+            WeightFamily.BONAMI_DENOMINATOR: 2 * np.pi,
+            WeightFamily.DEMANGE_DENOMINATOR: np.pi,
+        }[fam]
+        plane = np.multiply(x, xi)
+        np.multiply(np.abs(plane, out=plane), rate, out=plane)  # rate |x xi|, in one array
         if fam is WeightFamily.HYPERBOLIC or fam is WeightFamily.PAIR_HYPERBOLIC:
-            rate = np.pi * self.p if fam is WeightFamily.HYPERBOLIC else 2 * np.pi * self.p
-            plane = np.multiply(x, xi)
-            return np.multiply(np.abs(plane, out=plane), rate, out=plane)  # rate |x xi|, in one array
-        expo = 2 * np.pi if fam is WeightFamily.BONAMI_DENOMINATOR else np.pi
-        return expo * np.abs(x * xi) - self.N * np.log1p(np.abs(x) + np.abs(xi))
+            return plane
+        # less N log1p(|x| + |xi|), formed in a second array
+        denominator = np.add(np.abs(x), np.abs(xi))
+        np.multiply(np.log1p(denominator, out=denominator), self.N, out=denominator)
+        return np.subtract(plane, denominator, out=plane)
 
 
 @dataclass(frozen=True)

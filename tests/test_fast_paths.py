@@ -9,9 +9,11 @@ array) and takes its second pass along rows after an in-place tiled
 transpose. Each must give the bits of the plain formula
 step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
 checks compare the transform, axes swapped, with row reflections read
-through views, and form both products in one pass over row blocks of the
-STFTs, each distinct pair's rows computed once per block: their defects
-must equal those of the formulas with full rotated copies. The other fast
+through views; the product identity forms its left product in one pass
+over row blocks of the STFTs and streams its right product against the
+transform in a second, each side computing a distinct pair's rows once:
+their defects must equal those of the formulas with full rotated copies,
+and a non-finite product is named at its node. The other fast
 paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
 read from a table of roots of unity instead of an exp at every node, in
@@ -51,7 +53,8 @@ from tfu.identity import build_auxiliary, fundamental_identity_defect, point_ref
 from tfu.reference import translate_modulate
 from tfu.specs import function_spec
 from tfu.stft import _stft_rows, compute_stft
-from tfu.support import lieb_ratio
+from tfu.support import SupportMode, SupportVariant, bound_sweep, lieb_ratio
+from tfu.weights import WeightFamily, WeightSpec, growth_scan
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -153,19 +156,20 @@ def test_closed_form_deviation_peak_memory_is_a_block(large_grid_scenarios):
 @pytest.mark.parametrize(
     "picks, fields",
     [
-        # each case holds the two products, the first transformed in place,
-        # and about one block of rows, split over the distinct pairs.
+        # each case holds the left product, transformed in place, and about
+        # one block of rows, split over the side's distinct pairs (and, on
+        # the right side, the block of the product).
         # Picks 0, 1, 2 are G, h1, h2 at N = 1024, where a block is F/32:
-        # (h1, G, h1, h1), three pairs
-        ((1, 0, 1, 1), 2.2),
-        # (G, G, G, G), one pair whose rows form both products
-        ((0, 0, 0, 0), 2.2),
+        # (h1, G, h1, h1), two pairs a side, (h1, h1) on both
+        ((1, 0, 1, 1), 1.2),
+        # (G, G, G, G), one pair whose rows form both sides
+        ((0, 0, 0, 0), 1.2),
         # (h1, h2, G, G), four distinct pairs
-        ((1, 2, 0, 0), 2.2),
+        ((1, 2, 0, 0), 1.2),
         # picks 3, 4, 5 are G, h1, h2 at N = 256, where a block is F/2
-        ((4, 3, 4, 4), 3.3),
-        ((3, 3, 3, 3), 3.3),
-        ((4, 5, 3, 3), 3.3),
+        ((4, 3, 4, 4), 2.2),
+        ((3, 3, 3, 3), 2.2),
+        ((4, 5, 3, 3), 2.2),
     ],
 )
 def test_identity_defect_peak_memory(large, picks, fields):
@@ -196,7 +200,7 @@ def large_grid_scenarios():
         # |closed| with the integrand of radius 8, a quarter of the plane
         ("overflow-radial-full", 0.8),
         # each tuple alone, as test_identity_defect_peak_memory
-        ("identity", 2.2),
+        ("identity", 1.2),
         # F_Z and its transform, as test_rotation_defect_peak_memory_is_one_copy
         ("rotation", 2.1),
     ],
@@ -204,6 +208,22 @@ def large_grid_scenarios():
 def test_scenario_peak_memory(large_grid_scenarios, name, fields):
     scn = large_grid_scenarios[name]
     assert traced_peak(lambda: cli.run_scenario(scn)) <= fields * 16 * 2**20
+
+
+def test_bound_sweep_peak_memory_is_the_modulus_and_its_sort(large):
+    # |V| and its descending sort, F/2 each, and a block of rows or masses
+    grid, G, h1 = large
+    modes = [SupportMode(SupportVariant.L1_FRACTION, 2.0, 0.1), SupportMode(SupportVariant.LP_VS_ENERGY, 2.0, 0.25)]
+    assert traced_peak(lambda: bound_sweep(G, h1, grid, modes)) <= 1.1 * 16 * 2**20
+
+
+@pytest.mark.parametrize("family, N", [(WeightFamily.BONAMI_DENOMINATOR, 2.0), (WeightFamily.DEMANGE_DENOMINATOR, 0.5)])
+def test_denominator_weight_scan_peak_memory(closed_field, family, N):
+    # at radius 8 the square is the whole N = 256 plane: the integrand and
+    # the log-weight's two plane arrays, F/2 each (F = 1 MiB here)
+    closed_field.magnitude
+    peak = traced_peak(lambda: growth_scan(closed_field, WeightSpec(family, N=N), (4.0, 5.0, 6.0, 8.0)))
+    assert peak <= 1.7 * closed_field.values.nbytes
 
 
 def test_rotation_defect_peak_memory_is_one_copy(large):
@@ -398,6 +418,19 @@ def default_bank():
     return bank + [SampledSignal(bank[0].samples, bank[0].step) for _ in range(3)]
 
 
+@derandomized
+@given(n=even_counts, seed=seeds, first=st.booleans())
+def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed, first):
+    # the compared rows come in blocks, one row 0 alone if first; row k of
+    # swapped meets row -k mod n of v
+    swapped, v = random_complex(seed, (n, n)), random_complex(seed + 1, (n, n))
+    expected = float(np.max(np.abs(swapped - point_reflection(v, 0))))
+    cuts = sorted({*np.random.default_rng(seed).integers(1, n, size=3), *([1] if first else [])})
+    blocks = [(start, v[start:stop]) for start, stop in itertools.pairwise([0, *cuts, n])]
+    assert identity._rotation_gap(swapped.copy(), blocks) == expected
+    assert identity._rotation_gap(swapped.copy(), [(0, v)]) == expected
+
+
 @pytest.mark.parametrize(
     "picks, pairs",
     [
@@ -410,6 +443,7 @@ def default_bank():
     ],
 )
 def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
+    """Once per side: a pair that both sides use is computed in each pass."""
     counted = collections.Counter()
 
     def counting(f, g, grid):
@@ -423,11 +457,42 @@ def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
 
     bank = default_bank()
     grid = TFGrid.from_layout(DEFAULT_LAYOUT)
-    expected = copying_identity_defect(*(bank[i] for i in picks), grid)
+    f1, f2, g1, g2 = (bank[i] for i in picks)
+    expected = copying_identity_defect(f1, f2, g1, g2, grid)
     monkeypatch.setattr(identity, "_stft_rows", counting)
-    assert fundamental_identity_defect(*(bank[i] for i in picks), grid) == expected
+    assert fundamental_identity_defect(f1, f2, g1, g2, grid) == expected
+    sides = [{(id(f2), id(g2)), (id(f1), id(g1))}, {(id(g1), id(g2)), (id(f1), id(f2))}]
     assert len(counted) == pairs
-    assert set(counted.values()) == {DEFAULT_LAYOUT.count}  # each pair's rows, once
+    assert counted == {pair: DEFAULT_LAYOUT.count * sum(pair in side for side in sides) for pair in counted}
+
+
+def nan_in_rows(monkeypatch, pair, node):
+    """Make identity's row sources put a nan at node in the rows of pair."""
+
+    def poisoned(f, g, grid):
+        rows = _stft_rows(f, g, grid)
+
+        def poisoned_rows(out, start):
+            out = rows(out, start)
+            if (f, g) == pair and start <= node[0] < start + len(out):
+                out[node[0] - start, node[1]] = np.nan
+            return out
+
+        return poisoned_rows
+
+    monkeypatch.setattr(identity, "_stft_rows", poisoned)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (2, 0)], ids=["right", "left"])
+def test_identity_names_a_non_finite_product_at_its_node(monkeypatch, pair):
+    # (h1, h2, G, G): the sides share no pair; (G, G) is the right side's,
+    # streamed against the transform, and (h2, G) the left side's. Were a
+    # nan in the left product let through, the decay check would pass it
+    # and the transform's check would name a node of the transform instead.
+    G, h1, h2 = bank = default_bank()[:3]
+    nan_in_rows(monkeypatch, tuple(bank[i] for i in pair), (200, 7))
+    with pytest.raises(ValueError, match=r"^non-finite field value at node \(200, 7\)$"):
+        fundamental_identity_defect(h1, h2, G, G, TFGrid.from_layout(DEFAULT_LAYOUT))
 
 
 def every_binade(size, seed=7):

@@ -402,6 +402,14 @@ SUITE_MODES = [
 ]
 
 
+def test_sweep_reports_equal_those_of_the_complex_field(bank_pairs, bank_stfts, grid):
+    # the sweep reads |V| from a modulus; its reports are those of the field
+    for name, f, g in bank_pairs:
+        v = bank_stfts[name]
+        fn, gn = f.l2_norm(), g.l2_norm()
+        assert tfu.bound_sweep(f, g, grid, SUITE_MODES) == [tfu.greedy_essential_support(v, m, fn, gn) for m in SUITE_MODES]
+
+
 @pytest.mark.parametrize("amplitude", [1e-100, 1e100])
 def test_greedy_support_is_amplitude_invariant(layout, grid, unit_pair, amplitude):
     # (fn gn)^p, |V|^p and the thresholds under- or overflow at these

@@ -352,3 +352,12 @@ def test_decay_fit_underflow(layout):
     silent = tfu.SampledSignal(np.zeros(layout.count, dtype=complex), layout.step)
     with pytest.raises(ValueError, match="tail underflow"):
         tfu.decay_fit(silent)
+
+
+@pytest.mark.parametrize("family, expo, N", [(WeightFamily.BONAMI_DENOMINATOR, 2 * np.pi, 2.0), (WeightFamily.DEMANGE_DENOMINATOR, np.pi, 0.5)])
+def test_denominator_log_weight_keeps_the_expression_bits(grid, family, expo, N):
+    # formed in two plane arrays in place, with the bits of the expression
+    x, xi = grid.x_nodes()[:, None], grid.xi_nodes()[None, :]
+    expected = expo * np.abs(x * xi) - N * np.log1p(np.abs(x) + np.abs(xi))
+    got = spec(family, N=N).log_weight(x, xi)
+    assert got.shape == expected.shape and np.array_equal(got.view(np.int64), expected.view(np.int64))
