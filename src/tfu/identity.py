@@ -177,6 +177,11 @@ def fundamental_identity_defect(
     block's peak joins the scale and its gap is taken while the block is
     in cache (_rotation_gap). One field and about one block are held; a
     pair that both sides use is computed once per side.
+
+    The checks therefore run in this order: the left product's finiteness,
+    its decay, the transform's, then the right product's finiteness. An
+    input whose left product is not decayed and whose right product is not
+    finite is refused as unsound truncation.
     """
     _require_rotatable(grid)
     # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)

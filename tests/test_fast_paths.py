@@ -466,16 +466,19 @@ def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
     assert counted == {pair: DEFAULT_LAYOUT.count * sum(pair in side for side in sides) for pair in counted}
 
 
-def nan_in_rows(monkeypatch, pair, node):
-    """Make identity's row sources put a nan at node in the rows of pair."""
+def poison_rows(monkeypatch, poisons):
+    """Make identity's row sources write, for each pair in poisons, its
+    value at its node: poisons maps pair -> (node, value)."""
 
     def poisoned(f, g, grid):
         rows = _stft_rows(f, g, grid)
 
         def poisoned_rows(out, start):
             out = rows(out, start)
-            if (f, g) == pair and start <= node[0] < start + len(out):
-                out[node[0] - start, node[1]] = np.nan
+            if (f, g) in poisons:
+                (row, col), value = poisons[f, g]
+                if start <= row < start + len(out):
+                    out[row - start, col] = value
             return out
 
         return poisoned_rows
@@ -490,8 +493,18 @@ def test_identity_names_a_non_finite_product_at_its_node(monkeypatch, pair):
     # nan in the left product let through, the decay check would pass it
     # and the transform's check would name a node of the transform instead.
     G, h1, h2 = bank = default_bank()[:3]
-    nan_in_rows(monkeypatch, tuple(bank[i] for i in pair), (200, 7))
+    poison_rows(monkeypatch, {tuple(bank[i] for i in pair): ((200, 7), np.nan)})
     with pytest.raises(ValueError, match=r"^non-finite field value at node \(200, 7\)$"):
+        fundamental_identity_defect(h1, h2, G, G, TFGrid.from_layout(DEFAULT_LAYOUT))
+
+
+def test_identity_checks_the_left_decay_before_the_right_finiteness(monkeypatch):
+    # (h1, h2, G, G) again: the left product is large at an edge node, and
+    # the right one, formed only after the left is transformed, holds a nan
+    G, h1, h2 = default_bank()[:3]
+    edge = ((128, 0), 1e3)
+    poison_rows(monkeypatch, {(h1, G): edge, (h2, G): edge, (G, G): ((200, 7), np.nan)})
+    with pytest.raises(ValueError, match=r"^truncation unsound: "):
         fundamental_identity_defect(h1, h2, G, G, TFGrid.from_layout(DEFAULT_LAYOUT))
 
 
