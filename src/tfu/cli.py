@@ -109,9 +109,10 @@ class ScenarioContext:
     """What the checks of one scenario share: the scenario's samples, and
     fields and norms computed on first use. A field is held as its modulus
     (tfu.core.TFModulus), as every check that reads one reads only |.|: it
-    is filled one block of rows at a time from the field's row source
-    (tfu.core.Rows), the one that compute_stft, gaussian_stft_field or
-    pair_field gives the whole plane, so no complex field is held. When
+    is filled by tfu.core._moduli, one block of rows at a time, from the
+    field's row source (tfu.core.Rows), the one that compute_stft,
+    gaussian_stft_field or pair_field fills over the whole plane
+    (tfu.core._fill), so no complex field is held. When
     closed_form is enabled, stft and closed are filled together, in the one
     pass that also takes the deviation between them (closed_deviation).
     run_scenario drops each member, with a field's sort, after the last
@@ -573,14 +574,25 @@ def export_tfarray(v: TFArray, path: str | Path) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-#: Cells per block that import_tfarray parses at a time (whole x rows, at least one).
-_IMPORT_BLOCK_CELLS = 1024
-
-
 def _data_lines(fh: TextIO) -> Iterator[str]:
     """The lines of fh that np.loadtxt reads as rows: those left with text
     once a "#" comment is cut off."""
     return (line for line in fh if not (line.isspace() or "#" in line and not line.partition("#")[0].strip()))
+
+
+def _columns(path: str | Path, usecols: tuple[int, int]) -> np.ndarray:
+    """Two columns of the data rows of an export_tfarray file, as float64
+    pairs, one row per data row; ValueError names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header
+        lines = _data_lines(fh)
+        first = next(lines, None)
+        if first is None:  # which np.loadtxt would warn of
+            return np.empty((0, 2))
+        try:
+            return np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=usecols, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def import_tfarray(path: str | Path) -> TFArray:
@@ -591,44 +603,25 @@ def import_tfarray(path: str | Path) -> TFArray:
     node, each run over the xi nodes of the first, at least two nodes on
     each axis, and the nodes those of a TFGrid; otherwise ValueError names
     the file. Blank and "#" comment lines are skipped, as np.loadtxt does.
-    A first pass counts the rows; the second parses whole x rows a block at
-    a time into the one complex array that the TFArray takes over."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # the header
-        lines = _data_lines(fh)
-        first = next(lines, "")
-        first_x = first.split(",", 1)[0]
-        rows = xi_count = int(bool(first))
-        for line in lines:
-            if rows == xi_count and line.split(",", 1)[0] == first_x:
-                xi_count += 1
-            rows += 1
-        x_count = rows // xi_count if xi_count else 0
-        if min(x_count, xi_count) < 2:
-            raise ValueError(f"{path}: need at least two x and two xi nodes, got {x_count} x {xi_count}")
-        if rows != x_count * xi_count:
-            raise ValueError(f"{path}: {rows} rows are not a full grid of x rows of {xi_count} xi nodes each")
-
-        fh.seek(0)
-        fh.readline()
-        lines = _data_lines(fh)
-        values = np.empty((x_count, xi_count), dtype=np.complex128)  # re + 1j * im would turn some -0 parts into +0
-        x = np.empty(x_count)
-        per_block = max(1, _IMPORT_BLOCK_CELLS // xi_count)
-        for start in range(0, x_count, per_block):
-            stop = min(start + per_block, x_count)
-            try:
-                data = np.loadtxt(
-                    itertools.islice(lines, (stop - start) * xi_count), delimiter=",", usecols=(0, 1, 2, 3), ndmin=2
-                ).reshape(stop - start, xi_count, 4)
-            except ValueError as exc:
-                raise ValueError(f"{path}: x rows {start}-{stop - 1}: {exc}") from exc
-            if start == 0:
-                xi = data[0, :, 1].copy()
-            x[start:stop] = data[:, 0, 0]
-            if not (np.all(data[:, :, 0] == x[start:stop, None]) and np.all(data[:, :, 1] == xi)):
-                raise ValueError(f"{path}: x rows {start}-{stop - 1} do not each hold one x over the first's xi nodes")
-            values.real[start:stop], values.imag[start:stop] = data[:, :, 2], data[:, :, 3]
+    The file is read in two np.loadtxt passes: the x and xi columns, which
+    give and check the grid, then the re and im columns, whose float64
+    pairs are viewed as the complex array that the TFArray takes over
+    (re + 1j * im would turn some -0 parts into +0)."""
+    nodes = _columns(path, (0, 1))
+    rows = len(nodes)
+    later = nodes[:, 0] != nodes[:1, 0]  # the rows whose x is not the first row's
+    xi_count = int(later.argmax()) if later.any() else rows
+    x_count = rows // xi_count if xi_count else 0
+    if min(x_count, xi_count) < 2:
+        raise ValueError(f"{path}: need at least two x and two xi nodes, got {x_count} x {xi_count}")
+    if rows != x_count * xi_count:
+        raise ValueError(f"{path}: {rows} rows are not a full grid of x rows of {xi_count} xi nodes each")
+    nodes = nodes.reshape(x_count, xi_count, 2)
+    x, xi = nodes[:, 0, 0].copy(), nodes[0, :, 1].copy()
+    if not (np.all(nodes[:, :, 0] == x[:, None]) and np.all(nodes[:, :, 1] == xi)):
+        raise ValueError(f"{path}: x rows 0-{x_count - 1} do not each hold one x over the first's xi nodes")
+    del nodes, later  # so that the values' pass holds about one field
+    values = _columns(path, (2, 3)).view(np.complex128).reshape(x_count, xi_count)
     try:
         # a grid's nodes count/2 - 1 and count/2 are -step and 0, exactly; the
         # difference of two other nodes may miss a step that is not dyadic

@@ -17,15 +17,18 @@ Conventions used throughout the package:
   pairwise cascade (see tfu._kernels): results reproduce bit for bit. Plane
   integrands are formed in aligned blocks of _SUM_BLOCK row-major nodes,
   each a subtree of that same cascade, so no N^2 integrand array is held.
-* A field that is read only through |V| is held as a TFModulus, filled
-  from the field's row source (Rows) one block of whole rows at a time.
+* A field is computed by its row source (Rows), which writes every node of
+  the block of whole rows it is given. Two functions split sources into
+  blocks: _row_blocks, one pass over reused buffers (a field read only
+  through |V| is held as a TFModulus filled this way), and _fill, the
+  whole field in one fresh array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,9 +43,9 @@ BOUNDARY_DECAY_TOL_2D = 1e-10
 _STEP_RTOL = 1e-12
 
 #: Bytes of an N^2 array that one step of a blockwise pass works on, shared
-#: by every such pass: the row blocks of _max_abs and the float64 leaves of
-#: a _plane_sum block; _centered_fft transforms half a block of rows at a
-#: time (16 rows at N = 1024). A block stays in cache, and a pass holds
+#: by every such pass: the row blocks of _max_abs, _row_blocks and _fill and
+#: the float64 leaves of a _plane_sum block; _centered_fft transforms half a
+#: block of rows at a time (16 rows at N = 1024). A block stays in cache, and a pass holds
 #: about one block of temporaries whatever N.
 _FFT_BLOCK_BYTES = 1 << 19
 #: Leaves per _plane_sum block: 2^16, a power of two, so that each block is
@@ -298,41 +301,55 @@ class TFModulus(_Sorted):
         return self.values
 
 
-#: A row source: rows(out, start) computes rows start ... start + len(out) - 1
-#: of a complex field in out, a zero-filled complex128 C-contiguous block of
-#: whole rows, and returns it (tfu.stft._stft_rows is one). Each row is
-#: computed on its own, so any split of the rows gives the bits of one call
-#: over all of them.
+#: A row source: rows(out, start) writes rows start ... start + len(out) - 1
+#: of a complex field into out, a complex128 C-contiguous block of whole
+#: rows, every node of it, and returns it (tfu.stft._stft_rows is one). Each
+#: row is computed on its own, so any split of the rows gives the bits of
+#: one call over all of them. Sources are split only by _row_blocks and _fill.
 Rows = Callable[[np.ndarray, int], np.ndarray]
+
+
+def _row_blocks(grid: TFGrid, sources: Sequence[Rows], spares: int = 0) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """One pass over blocks of whole rows of the fields the sources give on
+    grid: (start, blocks) in ascending start, blocks holding each source's
+    rows start ... start + len - 1, then spares more blocks of that shape
+    for the caller to write. The blocks are views of buffers that share
+    about _FFT_BLOCK_BYTES and are reused: each is valid until the next."""
+    n, m = grid.shape
+    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * m * (len(sources) + spares))))
+    buffers = [np.empty((block, m), dtype=np.complex128) for _ in range(len(sources) + spares)]
+    for start in range(0, n, block):
+        parts = [buffer[: min(block, n - start)] for buffer in buffers]
+        yield start, [rows(part, start) for rows, part in zip(sources, parts)] + parts[len(sources) :]
+
+
+def _fill(grid: TFGrid, rows: Rows) -> np.ndarray:
+    """The field that rows gives on grid, written one block of about
+    _FFT_BLOCK_BYTES of whole rows at a time into one fresh, writable array."""
+    field = np.empty(grid.shape, dtype=np.complex128)
+    block = max(1, _FFT_BLOCK_BYTES // (16 * grid.xi_count))
+    for start in range(0, grid.x_count, block):
+        rows(field[start : start + block], start)
+    return field
 
 
 def _moduli(grid: TFGrid, *sources: Rows) -> tuple[list[TFModulus], float]:
     """The TFModulus of the field that each source gives on grid, filled in
-    one pass over blocks of whole rows, and, for two sources a and b,
-    max |a - b| over the pass (0.0 for one).
+    one pass of _row_blocks, and, for two sources a and b, max |a - b| over
+    the pass (0.0 for one).
 
-    The sources share one block of about _FFT_BLOCK_BYTES, one buffer each.
     Each source's rows are checked finite, the first non-finite node named
     in the grid's coordinates as TFArray names it, and their moduli are
     written into the source's float64 array; as |.| and the difference are
     elementwise and the blocks are whole rows, the moduli and the maximum
     have the bits of |.| and _max_abs of the whole fields.
     """
-    n, m = grid.shape
-    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * m * len(sources))))
-    buffers = [np.empty((block, m), dtype=np.complex128) for _ in sources]
     moduli = [np.empty(grid.shape) for _ in sources]
     gap = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = []
-        for rows_of, buffer, mag in zip(sources, buffers, moduli):
-            out = buffer[: stop - start]
-            out[...] = 0
-            out = rows_of(out, start)
+    for start, rows in _row_blocks(grid, sources):
+        for out, mag in zip(rows, moduli):
             _require_finite(out, "field", origin=(start, 0))
-            np.abs(out, out=mag[start:stop])
-            rows.append(out)
+            np.abs(out, out=mag[start : start + len(out)])
         if len(rows) == 2:
             gap = max(gap, _max_abs(*rows))
     for mag in moduli:
@@ -364,53 +381,42 @@ def _require_finite(arr: np.ndarray, what: str, origin: tuple[int, ...] | None =
         raise ValueError(f"non-finite {what} value at node {tuple(int(v) for v in idx)}")
 
 
-def _chirp_period(grid: TFGrid, half: bool) -> int:
-    """The period P of _chirp's phase on grid: M = 1/(x_step xi_step), or 2M
-    if half; ValueError unless M is a positive integer (to _STEP_RTOL)."""
+def _chirp_rows(grid: TFGrid, sign: int, half: bool = False) -> Rows:
+    """The row source (Rows) of exp(sign 2 pi i x xi) on grid, or of
+    exp(sign pi i x xi) if half. The grid is checked, and the table built,
+    when the source is made.
+
+    The grid must satisfy the lattice rule, or ValueError: 1/(x_step xi_step)
+    is a positive integer M (to _STEP_RTOL). Then x_j xi_k = j'k'/M for the
+    signed node indices j', k', and the phase is a P-th root of unity,
+    P = M (2M if half): one np.exp over a table of turns t, |t| <= P/2, gathered by the
+    exact integer index j'k' mod P. The table holds no more turns than the
+    2Q + 1 values of j'k', |j'k'| <= Q, so its size is bounded by the
+    grid's, whatever M; and as no angle exceeds pi in magnitude, every
+    entry is within a few ulps, whatever the size of x xi. Each block's
+    int64 index is gathered straight into the block (mode="clip", which the
+    index never needs, lets np.take write out without a buffer).
+    """
     ratio = 1.0 / grid.x_step / grid.xi_step  # inf if it overflows
     if not 0.5 <= ratio < math.inf or abs(ratio - round(ratio)) > _STEP_RTOL * ratio:
         raise ValueError(
             "chirp needs a grid whose 1/(x_step * xi_step) is a positive integer, "
             f"got {ratio!r}"
         )
-    return round(ratio) * (2 if half else 1)
-
-
-def _chirp(grid: TFGrid, sign: int, half: bool = False, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
-    """exp(sign 2 pi i x xi) at every node, or exp(sign pi i x xi) if half:
-    rows start ... start + len(out) - 1 of it written into out, a complex128
-    C-contiguous block of whole rows, and returned; by default all rows, in
-    a fresh array.
-
-    The grid must satisfy the lattice rule: 1/(x_step xi_step) is a positive
-    integer M (to _STEP_RTOL). Then x_j xi_k = j'k'/M for the signed node
-    indices j', k', and the phase is a P-th root of unity, P = M (2M if
-    half): one np.exp over a table of turns t, |t| <= P/2, gathered by the
-    exact integer index j'k' mod P. The table holds no more turns than the
-    2Q + 1 values of j'k', |j'k'| <= Q, so its size is bounded by the
-    grid's, whatever M; and as no angle exceeds pi in magnitude, every
-    entry is within a few ulps, whatever the size of x xi. The int64 index
-    is formed one block of about _FFT_BLOCK_BYTES of rows at a time; each
-    block is gathered straight into out (mode="clip", which the index never
-    needs, lets np.take write out without a buffer), so any split of the
-    rows gives the same bits.
-    """
-    period = _chirp_period(grid, half)
-    if out is None:
-        out = np.empty(grid.shape, dtype=np.complex128)
+    period = round(ratio) * (2 if half else 1)
     reach = (grid.x_count // 2) * (grid.xi_count // 2)  # Q
     offset = min(reach, period // 2)  # table entry i holds turn i - offset
     size = min(period, 2 * reach + 1)
     table = np.exp((sign * 2j * np.pi / period) * (np.arange(size) - offset))
-    j = np.arange(start, start + len(out), dtype=np.int64) - grid.x_count // 2
     k = np.arange(grid.xi_count, dtype=np.int64) - grid.xi_count // 2
-    block = max(1, _FFT_BLOCK_BYTES // (8 * grid.xi_count))
-    for i in range(0, len(out), block):
-        index = np.multiply.outer(j[i : i + block], k)
+
+    def rows(out: np.ndarray, start: int) -> np.ndarray:
+        index = np.multiply.outer(np.arange(start, start + len(out), dtype=np.int64) - grid.x_count // 2, k)
         index += offset
         index %= size  # the residue mod P; when P > 2Q, index is already below size
-        np.take(table, index, out=out[i : i + block], mode="clip")
-    return out
+        return np.take(table, index, out=out, mode="clip")
+
+    return rows
 
 
 def _abs_power(a: np.ndarray, p: float) -> np.ndarray:

@@ -41,16 +41,17 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from tfu.core import (
-    _FFT_BLOCK_BYTES,
     _STEP_RTOL,
     SampledSignal,
     SignalLayout,
     TFArray,
     TFGrid,
-    _chirp,
+    _chirp_rows,
+    _fill,
     _fourier_2d_swapped,
     _max_abs,
     _require_finite,
+    _row_blocks,
     require_plane,
 )
 from tfu.reference import translate_modulate
@@ -71,13 +72,14 @@ def point_reflection(values: np.ndarray, axes: int | tuple[int, ...] = (0, 1)) -
 
 
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
-    """F_Z for the shift Z = (z, zeta), from a single STFT evaluation and its
-    point reflection, read through views. The grid must be the plane of a
-    self-dual layout (other grids raise ValueError before the STFT is
-    computed); the phase exp(2 pi i x xi) comes from a table of roots of
-    unity (tfu.core._chirp)."""
+    """F_Z for the shift Z = (z, zeta), from a single STFT evaluation
+    (compute_stft) and its point reflection, read through views. The grid
+    must be the plane of a self-dual layout (other grids raise ValueError
+    before the STFT is computed); the phase exp(2 pi i x xi) is filled
+    from a table of roots of unity (tfu.core._chirp_rows), and the STFT is
+    then multiplied into it in place."""
     _require_rotatable(grid)
-    field = _chirp(grid, 1)
+    field = _fill(grid, _chirp_rows(grid, 1))
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
     field *= v
     # v(-x, -xi) at node (j, k) is v[-j mod N, -k mod N]: index 0 maps to
@@ -132,30 +134,19 @@ def _product_rows(grid: TFGrid, b: Pair, a: Pair, out: np.ndarray | None = None)
     """Blocks (start, rows) of the product conj(V_b) * V_a of the STFTs of
     the (signal, window) pairs b and a, in ascending order, each checked
     finite (a non-finite node is named in the field's coordinates). The
-    rows go into out[start:], a field, if given, or else into one reused
-    block buffer, valid until the next block is made.
+    rows go into out[start:], a field, if given, or else into a spare block
+    of the pass, valid until the next block is made.
 
     The rows of each distinct pair (matched by identity) are computed by
-    tfu.stft._stft_rows into the pair's own buffer; these buffers and the
-    block buffer together take about _FFT_BLOCK_BYTES. The product takes
-    conj(b), then is multiplied by a in place, in that fixed order, as the
-    complex multiply rounds a * b and b * a differently.
+    tfu.stft._stft_rows in one pass of tfu.core._row_blocks. The product
+    takes conj(b), then is multiplied by a in place, in that fixed order,
+    as the complex multiply rounds a * b and b * a differently.
     """
-    n = grid.x_count
-    distinct = dict.fromkeys((b, a))
-    buffers = len(distinct) + (out is None)
-    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * n * buffers)))
-    pairs = [(pair, _stft_rows(*pair, grid), np.empty((block, n), dtype=np.complex128)) for pair in distinct]
-    spare = np.empty((block, n), dtype=np.complex128) if out is None else None
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = {}
-        for pair, stft_rows, buffer in pairs:
-            part = buffer[: stop - start]
-            part[...] = 0
-            rows[pair] = stft_rows(part, start)
-        product = np.conjugate(rows[b], out=spare[: stop - start] if out is None else out[start:stop])
-        np.multiply(product, rows[a], out=product)
+    distinct = {pair: i for i, pair in enumerate(dict.fromkeys((b, a)))}
+    sources = [_stft_rows(*pair, grid) for pair in distinct]
+    for start, rows in _row_blocks(grid, sources, spares=out is None):
+        product = rows[-1] if out is None else out[start : start + len(rows[0])]
+        np.multiply(np.conjugate(rows[distinct[b]], out=product), rows[distinct[a]], out=product)
         _require_finite(product, "field", (start, 0))
         yield start, product
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tfu.core import Rows, SampledSignal, SignalLayout, TFArray, TFGrid, _chirp, _chirp_period, lattice_multiple
+from tfu.core import Rows, SampledSignal, SignalLayout, TFArray, TFGrid, _chirp_rows, _fill, lattice_multiple
 
 GAUSSIAN = "gaussian"
 HERMITE = "hermite"
@@ -116,32 +116,32 @@ def gaussian_stft_field(grid: TFGrid) -> TFArray:
 
         V(x, xi) = exp(-pi i x xi) exp(-pi (x^2 + xi^2) / 2),
 
-    sampled on a grid: the rows of _gaussian_rows over the whole plane.
+    sampled on a grid: the rows of _gaussian_rows, filled over the whole
+    plane (tfu.core._fill), so the envelope is formed one block at a time.
     Exact sampling keeps far-tail values accurate to relative rounding
     error, which the heavily weighted integrals need; an FFT-computed field
     bottoms out at the double-precision noise floor instead.
 
-    The phase comes from a table of roots of unity (tfu.core._chirp), so the
+    The phase comes from a table of roots of unity (tfu.core._chirp_rows), so the
     grid must satisfy the lattice rule: 1/(x_step xi_step) is a positive
     integer, as on every TFGrid.from_layout grid; other grids raise
     ValueError. The envelope is the outer product of exp(-pi x^2 / 2) and
     exp(-pi xi^2 / 2).
     """
-    rows = _gaussian_rows(grid)
-    return TFArray._fresh(grid, rows(np.zeros(grid.shape, dtype=np.complex128), 0))
+    return TFArray._fresh(grid, _fill(grid, _gaussian_rows(grid)))
 
 
 def _gaussian_rows(grid: TFGrid) -> Rows:
     """The row source (tfu.core.Rows) of gaussian_stft_field(grid): each
-    block of rows takes the chirp's rows, then is multiplied in place by
-    the envelope's. A grid off the lattice rule is refused when the source
-    is made."""
-    _chirp_period(grid, half=True)
+    block is written whole by the chirp's source (tfu.core._chirp_rows),
+    then multiplied in place by the envelope's rows. A grid off the lattice
+    rule is refused when the source is made."""
+    chirp = _chirp_rows(grid, -1, half=True)
     envelope_x = np.exp(-np.pi * grid.x_nodes() ** 2 / 2)
     envelope_xi = np.exp(-np.pi * grid.xi_nodes() ** 2 / 2)
 
     def rows(out: np.ndarray, start: int) -> np.ndarray:
-        _chirp(grid, -1, half=True, out=out, start=start)
+        chirp(out, start)
         out *= np.multiply.outer(envelope_x[start : start + len(out)], envelope_xi)
         return out
 

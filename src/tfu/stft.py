@@ -15,26 +15,25 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tfu.core import _STEP_RTOL, Rows, SampledSignal, TFArray, TFGrid, TFModulus, _centered_fft, _scaled_power_sum, require_plane
+from tfu.core import _STEP_RTOL, Rows, SampledSignal, TFArray, TFGrid, TFModulus, _centered_fft, _fill, _scaled_power_sum, require_plane
 
 
 def compute_stft(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> TFArray:
     """Sampled V_g f on grid, TFGrid.from_layout of the layout that f and g
     share (else ValueError); row j is the x_j column, column k is xi_k: the
-    rows of _stft_rows over the whole plane."""
-    return TFArray._fresh(grid, _stft_rows(f, g, grid)(np.zeros(grid.shape, dtype=np.complex128), 0))
+    rows of _stft_rows, filled over the whole plane (tfu.core._fill)."""
+    return TFArray._fresh(grid, _fill(grid, _stft_rows(f, g, grid)))
 
 
 def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Rows:
     """The row source (tfu.core.Rows) of the sampled V_g f on grid:
-    rows(out, start) computes rows start ... start + len(out) - 1 in out, a
-    zero-filled complex128 C-contiguous block, and returns it. f, g and
-    grid are checked, and the shifted windows set up, once, when rows is
-    made.
+    rows(out, start) writes rows start ... start + len(out) - 1 into out, a
+    complex128 C-contiguous block, and returns it. f, g and grid are
+    checked, and the shifted windows set up, once, when rows is made.
 
     Row j's column product f_i conj(g_{i - s_j}), s_j = j - n/2, takes the
-    shifted window from a sliding view of the zero-padded conj(g): one
-    masked multiply, in which the nodes outside the window keep out's +0.
+    shifted window from a sliding view of the zero-padded conj(g): the block
+    is zeroed, then one masked multiply leaves +0 outside the window.
     The centered FFT then transforms out in place. Each row is computed on
     its own, so any split of the rows gives the bits of one call over all.
     """
@@ -52,6 +51,7 @@ def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Rows:
 
     def rows(out: np.ndarray, start: int) -> np.ndarray:
         js = slice(start, start + len(out))
+        out[...] = 0
         np.multiply(f.samples, gconj[js], out=out, where=mask[js])
         return _centered_fft(out, f.step)
 

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from tfu.core import Rows, SampledSignal, TFArray, TFGrid, TFModulus, _require_finite, discrete_fourier, pairwise_sum
+from tfu.core import Rows, SampledSignal, TFArray, TFGrid, TFModulus, _fill, _require_finite, discrete_fourier, pairwise_sum
 
 
 class WeightFamily(enum.Enum):
@@ -174,7 +174,7 @@ def weighted_mass(field: TFArray | TFModulus, w: WeightSpec, R: float) -> float:
 
 def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
     """The rank-one field f(x) fhat(xi) on the signal-by-dual grid: the rows
-    of _pair_rows over the whole plane.
+    of _pair_rows, filled over the whole plane (tfu.core._fill).
 
     fhat defaults to discrete_fourier(f). Exact closed-form samples can be
     passed instead when far-tail fidelity matters: the FFT's absolute noise
@@ -183,7 +183,7 @@ def pair_field(f: SampledSignal, fhat: SampledSignal | None = None) -> TFArray:
     default grid.
     """
     grid, rows = _pair_rows(f, fhat)
-    return TFArray._fresh(grid, rows(np.zeros(grid.shape, dtype=np.complex128), 0))
+    return TFArray._fresh(grid, _fill(grid, rows))
 
 
 def _pair_rows(f: SampledSignal, fhat: SampledSignal | None = None) -> tuple[TFGrid, Rows]:

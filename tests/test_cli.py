@@ -392,7 +392,11 @@ def _uneven_x(lines):
         pytest.param(lambda lines: lines[:7], _TOO_FEW + "1 x 6", id="one-x"),
         pytest.param(lambda lines: lines[:1] + lines[1::6], _TOO_FEW + "4 x 1", id="one-xi"),
         pytest.param(lambda lines: lines[:1], _TOO_FEW + "0 x 0", id="header-only"),
-        pytest.param(lambda lines: lines[:8] + ["oops\n"] + lines[9:], "x rows 0-3: ", id="not-a-number"),
+        pytest.param(
+            lambda lines: lines[:8] + ["oops\n"] + lines[9:],
+            "could not convert string 'oops' to float64 at row 7, column 1.",
+            id="not-a-number",
+        ),
     ],
 )
 def test_import_refuses_a_file_that_is_not_a_full_grid(tmp_path, edit, message):

@@ -16,11 +16,13 @@ their defects must equal those of the formulas with full rotated copies,
 and a non-finite product is named at its node. The other fast
 paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
-read from a table of roots of unity instead of an exp at every node, in
-any split of its rows. The scenario context's moduli, filled one block of
-rows at a time, must have the bits of |.| of the whole fields. The
-checks' and scenarios' traced peaks are bounded in units of one field's
-bytes, at N = 1024 and, for the product identity, at N = 256 too.
+read from a table of roots of unity instead of an exp at every node. Every
+row source writes every node of the block it is given: any split of its
+rows, into blocks filled with nan, gives the bits of _fill's whole field.
+The scenario context's moduli, filled one block of rows at a time, must
+have the bits of |.| of the whole fields. The checks', scenarios' and
+whole-plane fills' traced peaks are bounded in units of one field's bytes,
+at N = 1024 and, for the product identity, at N = 256 too.
 """
 
 import collections
@@ -43,18 +45,19 @@ from tfu.core import (
     TFGrid,
     _abs_power,
     _centered_fft,
-    _chirp,
+    _chirp_rows,
+    _fill,
     _fourier_2d_swapped,
     _max_abs,
     fourier_2d,
 )
 from tfu.cli import Scenario, ScenarioContext
 from tfu.identity import build_auxiliary, fundamental_identity_defect, point_reflection, rotation_invariance_defect
-from tfu.reference import translate_modulate
+from tfu.reference import _gaussian_rows, translate_modulate
 from tfu.specs import function_spec
 from tfu.stft import _stft_rows, compute_stft
 from tfu.support import SupportMode, SupportVariant, bound_sweep, lieb_ratio
-from tfu.weights import WeightFamily, WeightSpec, growth_scan
+from tfu.weights import WeightFamily, WeightSpec, _pair_rows, growth_scan
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -82,6 +85,11 @@ def shift_formula(v, step, axis):
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def chirp(grid, sign, half=False):
+    """The whole chirp on grid, as the library fills it."""
+    return _fill(grid, _chirp_rows(grid, sign, half))
 
 
 @derandomized
@@ -390,7 +398,7 @@ def test_rotation_defect_equals_the_copying_formula(f, g, z, zeta):
     grid = TFGrid.from_layout(DEFAULT_LAYOUT)
     aux = build_auxiliary(f, g, grid, z, zeta)
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
-    assert same_bits(aux.values, _chirp(grid, 1) * v * point_reflection(v))
+    assert same_bits(aux.values, chirp(grid, 1) * v * point_reflection(v))
     rotated = point_reflection(aux.values, 0).T
     expected = float(np.max(np.abs(fourier_2d(aux).values - rotated))) / float(np.max(aux.magnitude))
     assert rotation_invariance_defect(aux) == expected
@@ -405,7 +413,7 @@ def test_auxiliary_equals_the_copying_formula_at_any_count(count):
     f, g = tfu.sample(tfu.hermite(1), layout), tfu.sample(tfu.gaussian(1.5, 1 - 0.5j), layout)
     z = zeta = 2 * layout.step
     v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
-    expected = _chirp(grid, 1) * v * point_reflection(v)
+    expected = chirp(grid, 1) * v * point_reflection(v)
     assert same_bits(build_auxiliary(f, g, grid, z, zeta).values, expected)
 
 
@@ -568,14 +576,14 @@ def test_chirp_table_matches_exp(layout, sign, half):
     x, xi = grid.meshgrid()
     expected = np.exp((0.5 if half else 1.0) * sign * 2j * np.pi * x * xi)
     bound = 2.0**-50 * (1 + 2 * np.pi * np.max(np.abs(x * xi)))
-    assert np.max(np.abs(_chirp(grid, sign, half) - expected)) <= bound
+    assert np.max(np.abs(chirp(grid, sign, half) - expected)) <= bound
 
 
 def test_chirp_table_is_bounded_by_the_grid():
     # M = 10^12, but the table holds only the 2Q + 1 = 129 values of j'k'
     grid = TFGrid(x_step=1e-6, xi_step=1e-6, x_count=16, xi_count=16)
     x, xi = grid.meshgrid()
-    assert np.max(np.abs(_chirp(grid, 1) - np.exp(2j * np.pi * x * xi))) <= 2.0**-50
+    assert np.max(np.abs(chirp(grid, 1) - np.exp(2j * np.pi * x * xi))) <= 2.0**-50
 
 
 #: The test bank's (f, g) specs, as a config names them
@@ -617,14 +625,60 @@ def test_context_moduli_equal_the_whole_fields(pair, layout, paired):
         assert ctx.closed_deviation == _max_abs(v.values, closed.values)
 
 
-@derandomized
-@given(layout=dual_layouts, sign=st.sampled_from([-1, 1]), half=st.booleans(), seed=seeds)
-def test_chirp_rows_in_any_split_equal_the_whole_grid(layout, sign, half, seed):
+#: Every row source, with its arguments: the chirps by sign and half
+SOURCE_KINDS = ["stft", "gaussian", "pair", "pair-fhat", (1, False), (-1, False), (1, True), (-1, True)]
+#: the planes of the default and the large layout, where the bank decays
+PLANES = st.sampled_from([DEFAULT_LAYOUT, LARGE])
+#: (kind, layout): a chirp on any dual layout, the other sources on PLANES
+source_cases = st.sampled_from(SOURCE_KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), PLANES | dual_layouts if isinstance(kind, tuple) else PLANES)
+)
+
+
+def row_source(kind, layout, pair):
+    """The grid and row source of kind on layout, with the signals of the bank pair."""
     grid = TFGrid.from_layout(layout)
-    whole = _chirp(grid, sign, half)
+    if isinstance(kind, tuple):
+        return grid, _chirp_rows(grid, *kind)
+    if kind == "gaussian":
+        return grid, _gaussian_rows(grid)
+    scn = scenario(*pair, layout, ())
+    f, g = (scn.signals[text] for text in pair)
+    if kind == "stft":
+        return grid, _stft_rows(f, g, grid)
+    return _pair_rows(f, scn.fhat if kind == "pair-fhat" else None)
+
+
+def every_kind(test):
+    """test, with one example of each row source on the large plane."""
+    for i, kind in enumerate(SOURCE_KINDS):
+        test = example(case=(kind, LARGE), pair=BANK_PAIRS[i], seed=i)(test)
+    return test
+
+
+@every_kind
+@derandomized
+@given(case=source_cases, pair=st.sampled_from(BANK_PAIRS), seed=seeds)
+def test_row_sources_in_any_split_equal_the_whole_field(case, pair, seed):
+    # a source writes every node of its block: a nan left anywhere shows
+    grid, rows = row_source(*case, pair)
+    whole = _fill(grid, rows)
     n = grid.x_count
-    cuts = np.random.default_rng(seed).integers(0, n + 1, size=4)
-    out = np.empty_like(whole)
-    for start, stop in itertools.pairwise([0, *sorted(cuts), n]):
-        _chirp(grid, sign, half, out=out[start:stop], start=start)
+    cuts = sorted(set(np.random.default_rng(seed).integers(1, n, size=4)))
+    out = np.full(grid.shape, np.nan, dtype=np.complex128)
+    for start, stop in itertools.pairwise([0, *cuts, n]):
+        rows(out[start:stop], start)
     assert same_bits(out, whole)
+
+
+@pytest.mark.parametrize("fill", ["compute_stft", "gaussian_stft_field", "pair_field", "chirp"])
+def test_whole_plane_fill_peak_memory_is_the_field(large, fill):
+    # the field, F = 16 MiB, and one block of rows of temporaries
+    grid, G, h1 = large
+    calls = {
+        "compute_stft": lambda: compute_stft(G, h1, grid),
+        "gaussian_stft_field": lambda: tfu.gaussian_stft_field(grid),
+        "pair_field": lambda: tfu.pair_field(h1),
+        "chirp": lambda: chirp(grid, 1),
+    }
+    assert traced_peak(calls[fill]) <= 1.1 * 16 * 2**20
