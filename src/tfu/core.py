@@ -45,8 +45,8 @@ _STEP_RTOL = 1e-12
 #: Bytes of an N^2 array that one step of a blockwise pass works on, shared
 #: by every such pass: the row blocks of _max_abs, _row_blocks and _fill and
 #: the float64 leaves of a _plane_sum block; _centered_fft transforms half a
-#: block of rows at a time (16 rows at N = 1024). A block stays in cache, and a pass holds
-#: about one block of temporaries whatever N.
+#: block of rows at a time (16 rows at N = 1024). A block stays in cache,
+#: and a pass holds about one block of temporaries whatever N.
 _FFT_BLOCK_BYTES = 1 << 19
 #: Leaves per _plane_sum block: 2^16, a power of two, so that each block is
 #: an aligned subtree of the cascade's tree.
@@ -389,13 +389,14 @@ def _chirp_rows(grid: TFGrid, sign: int, half: bool = False) -> Rows:
     The grid must satisfy the lattice rule, or ValueError: 1/(x_step xi_step)
     is a positive integer M (to _STEP_RTOL). Then x_j xi_k = j'k'/M for the
     signed node indices j', k', and the phase is a P-th root of unity,
-    P = M (2M if half): one np.exp over a table of turns t, |t| <= P/2, gathered by the
-    exact integer index j'k' mod P. The table holds no more turns than the
-    2Q + 1 values of j'k', |j'k'| <= Q, so its size is bounded by the
-    grid's, whatever M; and as no angle exceeds pi in magnitude, every
-    entry is within a few ulps, whatever the size of x xi. Each block's
-    int64 index is gathered straight into the block (mode="clip", which the
-    index never needs, lets np.take write out without a buffer).
+    P = M (2M if half): one np.exp over a table of turns t, |t| <= P/2,
+    gathered by the exact integer index j'k' mod P. The table holds no more
+    turns than the 2Q + 1 values of j'k', |j'k'| <= Q, so its size is
+    bounded by the grid's, whatever M; and as no angle exceeds pi in
+    magnitude, every entry is within a few ulps, whatever the size of x xi.
+    Each block's int64 index is gathered straight into the block
+    (mode="clip", which the index never needs, lets np.take write out
+    without a buffer).
     """
     ratio = 1.0 / grid.x_step / grid.xi_step  # inf if it overflows
     if not 0.5 <= ratio < math.inf or abs(ratio - round(ratio)) > _STEP_RTOL * ratio:
@@ -528,7 +529,7 @@ def _centered_fft(values: np.ndarray, step: float, out: np.ndarray | None = None
     out = values if out is None else out
     rows, dest = np.atleast_2d(values, out)
     h = rows.shape[1] // 2
-    block = max(1, _FFT_BLOCK_BYTES // (2 * rows[0].nbytes))
+    block = max(1, _FFT_BLOCK_BYTES // (2 * rows.itemsize * rows.shape[1]))
     spare = np.empty((min(block, len(rows)), 2 * h), dtype=np.complex128)
     for i in range(0, len(rows), block):
         part = spare[: len(rows[i : i + block])]

@@ -122,10 +122,10 @@ def gaussian_stft_field(grid: TFGrid) -> TFArray:
     error, which the heavily weighted integrals need; an FFT-computed field
     bottoms out at the double-precision noise floor instead.
 
-    The phase comes from a table of roots of unity (tfu.core._chirp_rows), so the
-    grid must satisfy the lattice rule: 1/(x_step xi_step) is a positive
-    integer, as on every TFGrid.from_layout grid; other grids raise
-    ValueError. The envelope is the outer product of exp(-pi x^2 / 2) and
+    The phase comes from a table of roots of unity (tfu.core._chirp_rows),
+    so the grid must satisfy the lattice rule: 1/(x_step xi_step) is a
+    positive integer, as on every TFGrid.from_layout grid; other grids
+    raise ValueError. The envelope is the outer product of exp(-pi x^2 / 2) and
     exp(-pi xi^2 / 2).
     """
     return TFArray._fresh(grid, _fill(grid, _gaussian_rows(grid)))

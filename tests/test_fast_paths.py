@@ -664,9 +664,9 @@ def test_row_sources_in_any_split_equal_the_whole_field(case, pair, seed):
     grid, rows = row_source(*case, pair)
     whole = _fill(grid, rows)
     n = grid.x_count
-    cuts = sorted(set(np.random.default_rng(seed).integers(1, n, size=4)))
+    cuts = np.random.default_rng(seed).integers(0, n + 1, size=4)
     out = np.full(grid.shape, np.nan, dtype=np.complex128)
-    for start, stop in itertools.pairwise([0, *cuts, n]):
+    for start, stop in itertools.pairwise([0, *sorted([*cuts, cuts[0]]), n]):  # one empty block at least
         rows(out[start:stop], start)
     assert same_bits(out, whole)
 
