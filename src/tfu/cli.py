@@ -83,7 +83,7 @@ from tfu.specs import (
     tolerance,
 )
 from tfu.stft import _stft_rows, compute_stft, energy_defect
-from tfu.support import SupportMode, greedy_essential_support, lieb_ratio, lower_bound
+from tfu.support import SupportMode, _greedy_supports, lieb_ratio, lower_bound
 from tfu.weights import _pair_rows, decay_fit, growth_scan, require_inside
 
 #: Fixed pass thresholds; a config sets only lieb_equality_tol and a scan's slope_tol.
@@ -117,7 +117,11 @@ class ScenarioContext:
     pass that also takes the deviation between them (closed_deviation).
     run_scenario drops each member, with a field's sort, after the last
     check that declares it (Check.reads); one read after that would compute
-    it again."""
+    it again. That check owns the member (owned): its last read of a field
+    takes it (take), so that the check's functionals may overwrite its |V|
+    (support sorts it in place, a growth scan forms its integrand in it);
+    the context forgets it then. Every other read shares the held field,
+    which no one overwrites."""
 
     def __init__(self, scn: Scenario) -> None:
         self.signals, self.fhat = scn.signals, scn.fhat
@@ -127,6 +131,7 @@ class ScenarioContext:
         self.grid = TFGrid.from_layout(scn.layout)
         self._paired = "closed_form" in scn.options["checks"]
         self._deviation: float | None = None
+        self.owned: set[str] = set()  # the members the running check owns (run_scenario)
 
     @_cached
     def stft(self) -> TFModulus:
@@ -177,6 +182,17 @@ class ScenarioContext:
     def drop(self, name: str) -> None:
         """Forget the computed value of name, one of the cached members above, if any."""
         self.__dict__.pop(name, None)
+
+    def take(self, name: str) -> TFModulus:
+        """The field name, for the running check's last read of it. If the
+        check owns it, the field is forgotten and released (TFModulus._release):
+        the functionals it is given may overwrite it, and a later read
+        computes it again. Otherwise the held field, read only."""
+        field = getattr(self, name)
+        if name in self.owned:
+            self.drop(name)
+            field._release()
+        return field
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +257,11 @@ def _lieb(ctx: ScenarioContext, lieb_p, lieb_equality_tol) -> tuple[dict, Tables
 
 def _weights(ctx: ScenarioContext, weights) -> tuple[dict, Tables]:
     entries, rows = [], []
-    for ws in weights:
-        report = growth_scan(getattr(ctx, ws.source), ws.weight, ws.radii)
+    last = {ws.source: i for i, ws in enumerate(weights)}  # the last scan of each source takes it
+    for i, ws in enumerate(weights):
+        field = ctx.take(ws.source) if last[ws.source] == i else getattr(ctx, ws.source)
+        report = growth_scan(field, ws.weight, ws.radii)
+        del field  # an owned field, overwritten, is freed here
         ok = report.verdict == ws.expect
         if ws.slope is not None:
             ok = ok and abs(report.fitted_exponent - ws.slope) <= ws.slope_tol
@@ -264,8 +283,8 @@ def _weights(ctx: ScenarioContext, weights) -> tuple[dict, Tables]:
 
 def _support(ctx: ScenarioContext, support) -> tuple[dict, Tables]:
     entries, rows = [], []
-    for mode, expect in support:
-        rep = greedy_essential_support(ctx.stft, mode, *ctx.norms)
+    reports = _greedy_supports(ctx.take("stft"), [mode for mode, _ in support], *ctx.norms)
+    for (mode, expect), rep in zip(support, reports):
         if expect == "unsatisfiable":
             ok = not rep.satisfiable
         else:
@@ -499,8 +518,9 @@ def load_config(path: Path) -> list[Scenario]:
 
 def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
     """The scenario's report and CSV tables. The checks run in config order,
-    and each context member is dropped after the last check that reads it,
-    so a field is held only while some check still needs it. A check's
+    and each context member is owned by the last check that reads it, then
+    dropped, so a field is held only while some check still needs it, and
+    only its owner overwrites it (ScenarioContext.take). A check's
     ValueError is raised again as "check: reason"."""
     ctx = ScenarioContext(scn)
     names = scn.options["checks"]
@@ -509,14 +529,14 @@ def run_scenario(scn: Scenario) -> tuple[dict, Tables]:
     tables: Tables = {}
     for i, name in enumerate(names):
         check = CHECKS[name]
+        ctx.owned = {member for member, j in last_reader.items() if j == i}
         try:
             checks[name], check_tables = check.run(ctx, **{key: scn.options[key] for key in check.keys})
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc
         tables.update(check_tables)
-        for member, j in last_reader.items():
-            if j == i:
-                ctx.drop(member)
+        for member in ctx.owned:
+            ctx.drop(member)
     return {"name": scn.name, "passed": _all_passed(checks.values()), "checks": checks}, tables
 
 
@@ -582,13 +602,24 @@ def _data_lines(fh: TextIO) -> Iterator[str]:
 
 def _columns(path: str | Path, usecols: tuple[int, int]) -> np.ndarray:
     """Two columns of the data rows of an export_tfarray file, as float64
-    pairs, one row per data row; ValueError names the file."""
+    pairs, one row per data row; ValueError names the file.
+
+    np.loadtxt reads the file from its path, past the header, in its own
+    reader, which skips empty and "#" comment lines. It refuses a line of
+    whitespace or one indented before its "#", which _data_lines drops, so
+    a file it refuses is read again through _data_lines, which gives the
+    rows or the error. A file with no data row, of which np.loadtxt would
+    warn, gives an empty table."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # the header
         lines = _data_lines(fh)
         first = next(lines, None)
-        if first is None:  # which np.loadtxt would warn of
+        if first is None:
             return np.empty((0, 2))
+        try:
+            return np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
         try:
             return np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=usecols, ndmin=2)
         except ValueError as exc:

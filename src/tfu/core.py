@@ -224,19 +224,26 @@ class _cached:
         return value
 
 
+def _descending(magnitude: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """magnitude flattened and sorted descending, written into out (default:
+    a fresh array; magnitude's own flat view sorts it in place): the
+    negated values are sorted in place and negated back, which gives the
+    bits of -np.sort(-magnitude) in one contiguous array (a reversed view
+    of np.sort can change the last bits of a power)."""
+    desc = np.negative(magnitude.ravel(), out=out)
+    desc.sort()
+    return np.negative(desc, out=desc)
+
+
 class _Sorted:
     """The descending sort of a field's |V| (its magnitude), computed once,
     on first use, and shared by the greedy support of every mode."""
 
     @_cached
     def descending(self) -> np.ndarray:
-        """|V| of all nodes, flattened and sorted descending (contiguous: a
-        reversed view of np.sort can change the last bits of a power). The
-        negated |V| is sorted in place and negated back, in one array: the
-        bits of -np.sort(-|V|)."""
-        desc = np.negative(self.magnitude.ravel())
-        desc.sort()
-        np.negative(desc, out=desc)
+        """|V| of all nodes, flattened and sorted descending (_descending),
+        in a second array."""
+        desc = _descending(self.magnitude)
         desc.setflags(write=False)
         return desc
 
@@ -257,22 +264,22 @@ class TFArray(_Sorted):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.complex128, order="C")
-        _check_field(self.grid, arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        self._seal(np.array(self.values, dtype=np.complex128, order="C"))
 
     @classmethod
     def _fresh(cls, grid: TFGrid, values: np.ndarray) -> "TFArray":
         """A TFArray that takes over values, an array the library has just
         computed and keeps no other reference to; complex128 is not copied."""
-        values = np.asarray(values, dtype=np.complex128)
-        _check_field(grid, values)
-        values.setflags(write=False)
         a = object.__new__(cls)
         object.__setattr__(a, "grid", grid)
-        object.__setattr__(a, "values", values)
+        a._seal(np.asarray(values, dtype=np.complex128))
         return a
+
+    def _seal(self, values: np.ndarray) -> None:
+        """Check values against the grid, finite, and hold them read-only."""
+        _check_field(self.grid, values)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @_cached
     def magnitude(self) -> np.ndarray:
@@ -284,12 +291,18 @@ class TFArray(_Sorted):
 
 @dataclass(frozen=True, eq=False)
 class TFModulus(_Sorted):
-    """|V| of a complex field on a TFGrid, as read-only float64 values, for
-    the functionals that read only |V|: Lp sums, weighted masses and greedy
+    """|V| of a complex field on a TFGrid, as float64 values, for the
+    functionals that read only |V|: Lp sums, weighted masses and greedy
     support read its grid, magnitude and descending as they read a
     TFArray's. Made by _moduli from the field's rows, so the complex field
     (16 count^2 bytes) is never held, only |V| (8 count^2 bytes) and, once
     sorted, its descending sort (as many again).
+
+    The values are read-only while the modulus may be shared. Its one
+    holder, which reads its |V| no more after, may release it (_release)
+    to a functional that then overwrites it (_owned): greedy support sorts
+    |V| in values' own array instead of a second one, and a growth scan
+    forms its integrand there instead of in a fresh array.
     """
 
     grid: TFGrid
@@ -299,6 +312,24 @@ class TFModulus(_Sorted):
     def magnitude(self) -> np.ndarray:
         """|V| at every node: values itself."""
         return self.values
+
+    def _release(self) -> "TFModulus":
+        """This modulus, its values made writable, for a holder that reads
+        its |V| no more: the functionals it is then given may overwrite it."""
+        self.values.setflags(write=True)
+        return self
+
+    def _sort_in_place(self) -> np.ndarray:
+        """descending, for an owned modulus: |V| sorted in values' own array
+        (_descending), which no longer holds |V| in row-major order."""
+        flat = self.values.reshape(-1)
+        desc = self.__dict__["descending"] = _descending(flat, out=flat)
+        return desc
+
+
+def _owned(v: TFArray | TFModulus) -> bool:
+    """Whether v's |V| may be overwritten: v is a released TFModulus."""
+    return isinstance(v, TFModulus) and v.values.flags.writeable
 
 
 #: A row source: rows(out, start) writes rows start ... start + len(out) - 1
@@ -599,7 +630,8 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
     """The transform fourier_2d gives of the finite complex128 field values
     on grid, with its axes swapped: row k holds the transform at the dual
     xi-node k. peak, if given, is _max_abs(values), which the decay check
-    then does not take again.
+    then does not take again. The transform is not checked finite: the
+    caller checks it, by _require_finite(swapped.T, ...) or _finite_peak.
 
     values must be C-contiguous. Writable values are transformed in place
     and returned; read-only ones, as a TFArray's, into one fresh array. The
@@ -611,9 +643,18 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
     """
     _require_decayed(values, BOUNDARY_DECAY_TOL_2D, peak)
     inner = _centered_fft(values, grid.xi_step, None if values.flags.writeable else np.empty_like(values))
-    swapped = _centered_fft(_transposed(inner), grid.x_step)
-    _require_finite(swapped.T, "field")
-    return swapped
+    return _centered_fft(_transposed(inner), grid.x_step)
+
+
+def _finite_peak(swapped: np.ndarray) -> float:
+    """max |.| of a transform from _fourier_2d_swapped, checked finite in the
+    same pass: a non-finite value makes the maximum non-finite, and only
+    then is the first non-finite node searched and named, in the field's
+    (x, xi) coordinates."""
+    peak = _max_abs(swapped)
+    if not math.isfinite(peak):
+        _require_finite(swapped.T, "field")
+    return peak
 
 
 def fourier_2d(a: TFArray) -> TFArray:
@@ -625,4 +666,6 @@ def fourier_2d(a: TFArray) -> TFArray:
     directly: the quarter rotation (-xi, x) they compare with is then a
     reflection of rows, which they read through views.
     """
-    return TFArray._fresh(a.grid.dual(), _transposed(_fourier_2d_swapped(a.grid, a.values)))
+    swapped = _fourier_2d_swapped(a.grid, a.values)
+    _require_finite(swapped.T, "field")
+    return TFArray._fresh(a.grid.dual(), _transposed(swapped))

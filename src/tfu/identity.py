@@ -48,6 +48,7 @@ from tfu.core import (
     TFGrid,
     _chirp_rows,
     _fill,
+    _finite_peak,
     _fourier_2d_swapped,
     _max_abs,
     _require_finite,
@@ -124,7 +125,9 @@ def rotation_invariance_defect(a: TFArray) -> float:
     scale = _max_abs(a.values)
     if scale == 0.0:
         raise ValueError("field is identically zero")
-    return _rotation_gap(_fourier_2d_swapped(a.grid, a.values, scale), [(0, a.values)]) / scale
+    swapped = _fourier_2d_swapped(a.grid, a.values, scale)
+    _require_finite(swapped.T, "field")
+    return _rotation_gap(swapped, [(0, a.values)]) / scale
 
 
 Pair = tuple[SampledSignal, SampledSignal]
@@ -163,10 +166,11 @@ def fundamental_identity_defect(
     Each side is a product conj(b) * a of the STFTs of two (signal, window)
     pairs, formed in a pass over blocks of whole rows (_product_rows). The
     left side is formed whole, its peak taken block by block for the decay
-    check, and transformed in place. The right side is only compared, row
-    by row, with the transform's rows, so its second pass streams it: each
-    block's peak joins the scale and its gap is taken while the block is
-    in cache (_rotation_gap). One field and about one block are held; a
+    check, and transformed in place; one pass over the transform takes its
+    peak, the scale, and checks it finite (_finite_peak). The right side is
+    only compared, row by row, with the transform's rows, so its second
+    pass streams it: each block's peak joins the scale and its gap is taken
+    while the block is in cache (_rotation_gap). One field and about one block are held; a
     pair that both sides use is computed once per side.
 
     The checks therefore run in this order: the left product's finiteness,
@@ -179,7 +183,7 @@ def fundamental_identity_defect(
     lhs = np.empty(grid.shape, dtype=np.complex128)
     peak = max(_max_abs(rows) for _, rows in _product_rows(grid, (f2, g2), (f1, g1), out=lhs))
     swapped = _fourier_2d_swapped(grid, lhs, peak)
-    scale = _max_abs(swapped)
+    scale = _finite_peak(swapped)
 
     def compared() -> Iterator[tuple[int, np.ndarray]]:
         nonlocal scale

@@ -34,6 +34,7 @@ from tfu.core import (
     _abs_power,
     _modulus,
     _norm_scale,
+    _owned,
     _plane_sum,
     _scaled,
     _scaled_power_sum,
@@ -177,26 +178,43 @@ def greedy_essential_support(
     from tfu.core._norm_scale, which has the same support and keeps them in
     range for tiny or huge norms. The scaling is applied to the field's
     shared |V| and its descending sort, so the field is sorted once for all
-    modes; the masses are formed and summed one block at a time, up to the
-    block that reaches the threshold (_prefix_cells).
+    modes, into a second array: the caller's field is not overwritten. The
+    masses are formed and summed one block at a time, up to the block that
+    reaches the threshold (_prefix_cells).
     """
+    return _greedy_supports(v, [mode], fn, gn)[0]
+
+
+def _greedy_supports(
+    v: TFArray | TFModulus, modes: list[SupportMode], fn: float, gn: float
+) -> list[SupportReport]:
+    """greedy_essential_support of v for each mode. If v is owned (a
+    released TFModulus, see tfu.core._owned), the lp_vs_l1p references are
+    first summed from its row-major |V|, and |V| is then sorted descending
+    in its own array instead of a second one; v's |V| is overwritten."""
     k, norm = _norm_scale(fn, gn)
-    if v.descending[0] == 0:  # |z| = 0 only for z = 0
+    l1 = None  # the plane L1 norm of 2^-k V, the lp_vs_l1p reference
+    if any(mode.variant is SupportVariant.LP_VS_L1P for mode in modes):
+        l1 = _plane_sum(v.grid, v.magnitude, lambda m: _scaled(m, k))
+    desc = v._sort_in_place() if _owned(v) else v.descending
+    if desc[0] == 0:  # |z| = 0 only for z = 0
         raise ValueError("field is identically zero")
-    # masses (2^-k |V|)^mass_p against (1 - eps) reference^mass_p
-    mass_p = 1.0 if mode.variant is SupportVariant.L1_FRACTION else mode.p
-    l1p = mode.variant is SupportVariant.LP_VS_L1P
-    reference = _plane_sum(v.grid, v.magnitude, lambda m: _scaled(m, k)) if l1p else norm
-    threshold = (1 - mode.epsilon) * reference**mass_p
-    count = _prefix_cells(v, mass_p, k, threshold)
-    bound = lower_bound(mode, d=1)
-    if count < 0:
-        note = "threshold exceeds the total available mass"
-        return SupportReport(mode, measured_area=None, lower_bound=bound, satisfiable=False, cells=0, note=note)
-    area = count * v.grid.cell_measure
-    holds = area >= bound
-    note = "resolution-limited" if holds and area - bound < v.grid.cell_measure else ""
-    return SupportReport(mode, area, bound, satisfiable=True, cells=count, bound_holds=holds, note=note)
+    reports = []
+    for mode in modes:
+        # masses (2^-k |V|)^mass_p against (1 - eps) reference^mass_p
+        mass_p = 1.0 if mode.variant is SupportVariant.L1_FRACTION else mode.p
+        reference = l1 if mode.variant is SupportVariant.LP_VS_L1P else norm
+        count = _prefix_cells(v, mass_p, k, (1 - mode.epsilon) * reference**mass_p)
+        bound = lower_bound(mode, d=1)
+        if count < 0:
+            note = "threshold exceeds the total available mass"
+            reports.append(SupportReport(mode, measured_area=None, lower_bound=bound, satisfiable=False, cells=0, note=note))
+            continue
+        area = count * v.grid.cell_measure
+        holds = area >= bound
+        note = "resolution-limited" if holds and area - bound < v.grid.cell_measure else ""
+        reports.append(SupportReport(mode, area, bound, satisfiable=True, cells=count, bound_holds=holds, note=note))
+    return reports
 
 
 def bound_sweep(
@@ -204,9 +222,9 @@ def bound_sweep(
 ) -> list[SupportReport]:
     """One STFT evaluation, held as its modulus (tfu.core._modulus), one
     report per mode; failures are recorded in the reports
-    (bound_holds=False), never raised."""
+    (bound_holds=False), never raised. The sweep owns the modulus, so the
+    modes' greedy support sorts it in place (_greedy_supports)."""
     if not modes:
         return []
-    v = _modulus(grid, _stft_rows(f, g, grid))
-    fn, gn = f.l2_norm(), g.l2_norm()
-    return [greedy_essential_support(v, mode, fn, gn) for mode in modes]
+    v = _modulus(grid, _stft_rows(f, g, grid))._release()
+    return _greedy_supports(v, modes, f.l2_norm(), g.l2_norm())

@@ -34,7 +34,18 @@ from typing import Iterable
 
 import numpy as np
 
-from tfu.core import Rows, SampledSignal, TFArray, TFGrid, TFModulus, _fill, _require_finite, discrete_fourier, pairwise_sum
+from tfu.core import (
+    Rows,
+    SampledSignal,
+    TFArray,
+    TFGrid,
+    TFModulus,
+    _fill,
+    _owned,
+    _require_finite,
+    discrete_fourier,
+    pairwise_sum,
+)
 
 
 class WeightFamily(enum.Enum):
@@ -127,26 +138,30 @@ def _span(nodes: np.ndarray, r: float) -> tuple[int, int]:
 def _masses(field: TFArray | TFModulus, w: WeightSpec, radii: tuple[float, ...]) -> tuple[float, ...]:
     """Truncated masses of exp(p log|field| + log w) at the increasing radii.
 
-    The integrand is formed, exponentiated and checked finite only on the
-    index block of the largest square (corner values can overflow outside
-    it), from the field's magnitude on that block; a non-finite value is
-    named by its full-grid node. Each
+    The integrand is formed and exponentiated only on the index block of
+    the largest square (corner values can overflow outside it), from the
+    field's magnitude on that block: in that block of the magnitude itself
+    if the field is owned (a released TFModulus, see tfu.core._owned),
+    whose |V| is then overwritten, else in a fresh array. Each
     radius adds its ring to the previous mass: mass i is cell_measure *
     total_i, with total_i = total_{i-1} + ring_i and ring_i the integrand
     summed over the nodes of square i outside square i - 1, as four
     rectangular slices reduced by the cascade and added exactly rounded.
-    Rings are >= 0, so the masses are nondecreasing in R exactly.
+    Rings are >= 0, so the masses are nondecreasing in R exactly. The rings
+    cover the block, so a non-finite integrand value makes the last total
+    non-finite; only then is the block searched, and the first non-finite
+    value named by its full-grid node.
     """
     grid, top = field.grid, radii[-1]
     require_inside(grid, top)
     x, xi = grid.x_nodes(), grid.xi_nodes()
     (j0, j1), (k0, k1) = _span(x, top), _span(xi, top)
+    block = field.magnitude[j0:j1, k0:k1]
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf adds 0; inf fails the check
-        integrand = np.log(field.magnitude[j0:j1, k0:k1])
+        integrand = np.log(block, out=block if _owned(field) else None)
         integrand *= w.p
         integrand += w.log_weight(x[j0:j1, None], xi[None, k0:k1])
         np.exp(integrand, out=integrand)
-    _require_finite(integrand, "integrand", origin=(j0, k0))
     total, masses = 0.0, []
     c0 = c1 = d0 = d1 = 0  # the previous square's rows c0:c1 and columns d0:d1 in the block
     for r in radii:
@@ -164,6 +179,8 @@ def _masses(field: TFArray | TFModulus, w: WeightSpec, radii: tuple[float, ...])
         total += math.fsum(pairwise_sum(piece) for piece in ring)
         masses.append(grid.cell_measure * total)
         c0, c1, d0, d1 = a0, a1, b0, b1
+    if not math.isfinite(total):
+        _require_finite(integrand, "integrand", origin=(j0, k0))
     return tuple(masses)
 
 
@@ -218,7 +235,9 @@ def require_inside(grid: TFGrid, radius: float) -> None:
 
 def growth_scan(field: TFArray | TFModulus, w: WeightSpec, radii: tuple[float, ...]) -> GrowthReport:
     """Classify the weighted integral of |field|^p as convergent/divergent;
-    a signal's product f(x) fhat(xi) is scanned as pair_field(f, fhat)."""
+    a signal's product f(x) fhat(xi) is scanned as pair_field(f, fhat).
+    The caller's field is read only; an owned modulus (tfu.core._owned) is
+    overwritten by the scan's integrand (_masses)."""
     radii = scan_radii(radii)
     masses = _masses(field, w, radii)
 

@@ -953,6 +953,25 @@ def test_scenario_computes_its_stft_once(tmp_path, monkeypatch):
     assert report["passed"] and sum(rows) == scn.layout.count
 
 
+@pytest.mark.parametrize("layout", ["", "count = 1024\nstep = 0.03125\n"], ids=["default", "large"])
+@pytest.mark.parametrize("orders", [("support, lieb", "lieb, support"), ("weights, support", "support, weights")])
+def test_entries_do_not_depend_on_which_check_owns_the_field(tmp_path, layout, orders):
+    # the last check that reads |V| owns it: support then sorts it in place,
+    # and the last scan of it forms its integrand in it; in the other order
+    # that check shares it, sorted and scanned in fresh arrays
+    body = (
+        "f = hermite:n=1\nlieb_p = 1, 1.5, 2, 3.7\n"
+        "weights = radial_half p=1; hyperbolic p=2 radii=1:2:4:8\n"
+        "support = l1_fraction p=2 eps=0.1; lp_vs_l1p p=1.5 eps=0.1; lp_vs_energy p=2.5 eps=0.25; lp_vs_l1p p=1.2 eps=0.3\n"
+    )
+    runs = []
+    for checks in orders:
+        (scn,) = cli.load_config(write_config(tmp_path, f"[s]\n{layout}checks = {checks}\n{body}"))
+        runs.append(cli.run_scenario(scn))
+    (first, first_tables), (second, second_tables) = runs
+    assert first["checks"] == second["checks"] and first_tables == second_tables
+
+
 def test_scenarios_compute_each_member_once_and_only_if_declared(monkeypatch):
     # run_scenario drops a context member after the last check that declares
     # it (Check.reads): a check that read it undeclared after that would

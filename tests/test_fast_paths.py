@@ -20,9 +20,10 @@ read from a table of roots of unity instead of an exp at every node. Every
 row source writes every node of the block it is given: any split of its
 rows, into blocks filled with nan, gives the bits of _fill's whole field.
 The scenario context's moduli, filled one block of rows at a time, must
-have the bits of |.| of the whole fields. The checks', scenarios' and
-whole-plane fills' traced peaks are bounded in units of one field's bytes,
-at N = 1024 and, for the product identity, at N = 256 too.
+have the bits of |.| of the whole fields; a modulus that its last reader
+owns, and overwrites, must give the results of a shared one. The checks',
+scenarios' and whole-plane fills' traced peaks are bounded in units of one
+field's bytes, at N = 1024 and, for the product identity, at N = 256 too.
 """
 
 import collections
@@ -36,7 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfu
-from tfu import cli, core, identity
+from tfu import cli, core, identity, support
 from tfu.core import (
     DEFAULT_LAYOUT,
     SampledSignal,
@@ -47,6 +48,7 @@ from tfu.core import (
     _centered_fft,
     _chirp_rows,
     _fill,
+    _finite_peak,
     _fourier_2d_swapped,
     _max_abs,
     fourier_2d,
@@ -56,7 +58,7 @@ from tfu.identity import build_auxiliary, fundamental_identity_defect, point_ref
 from tfu.reference import _gaussian_rows, translate_modulate
 from tfu.specs import function_spec
 from tfu.stft import _stft_rows, compute_stft
-from tfu.support import SupportMode, SupportVariant, bound_sweep, lieb_ratio
+from tfu.support import SupportMode, SupportVariant, _greedy_supports, bound_sweep, lieb_ratio
 from tfu.weights import WeightFamily, WeightSpec, _pair_rows, growth_scan
 
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -199,14 +201,15 @@ def large_grid_scenarios():
 @pytest.mark.parametrize(
     "name, fields",
     [
-        # |V| and |closed| with a scan's integrand; closed is dropped after
-        # weights, its last reader, before support sorts |V| and forms one
-        # block of masses at a time
+        # |V| and |closed| with the first scan's integrand; closed is
+        # dropped after weights, its last reader, before support, which
+        # owns |V|, sorts it in place and forms one block of masses at a time
         ("unit-pair", 1.2),
         # |V| with a scan's integrand
         ("bank", 0.8),
-        # |closed| with the integrand of radius 8, a quarter of the plane
-        ("overflow-radial-full", 0.8),
+        # |closed|, whose block of radius 8, a quarter of the plane, holds
+        # the scan's integrand (weights owns closed), and the log-weight
+        ("overflow-radial-full", 0.7),
         # each tuple alone, as test_identity_defect_peak_memory
         ("identity", 1.2),
         # F_Z and its transform, as test_rotation_defect_peak_memory_is_one_copy
@@ -218,11 +221,51 @@ def test_scenario_peak_memory(large_grid_scenarios, name, fields):
     assert traced_peak(lambda: cli.run_scenario(scn)) <= fields * 16 * 2**20
 
 
-def test_bound_sweep_peak_memory_is_the_modulus_and_its_sort(large):
-    # |V| and its descending sort, F/2 each, and a block of rows or masses
+def test_bound_sweep_peak_memory_is_the_modulus(large):
+    # |V|, F/2, sorted in place, and a block of rows or masses
     grid, G, h1 = large
     modes = [SupportMode(SupportVariant.L1_FRACTION, 2.0, 0.1), SupportMode(SupportVariant.LP_VS_ENERGY, 2.0, 0.25)]
-    assert traced_peak(lambda: bound_sweep(G, h1, grid, modes)) <= 1.1 * 16 * 2**20
+    assert traced_peak(lambda: bound_sweep(G, h1, grid, modes)) <= 0.65 * 16 * 2**20
+
+
+def test_support_check_peak_memory_is_the_modulus(tmp_path):
+    # support, the last reader of |V|, sorts it in place: F/2 and a block
+    config = tmp_path / "support.ini"
+    config.write_text(
+        "[s]\ncount = 1024\nstep = 0.03125\nchecks = support\nsupport = l1_fraction p=2 eps=0.1; "
+        "lp_vs_energy p=2 eps=0.25; lp_vs_l1p p=1.5 eps=0.1 expect=unsatisfiable\n",
+        encoding="utf-8",
+    )
+    (scn,) = cli.load_config(config)
+    assert traced_peak(lambda: cli.run_scenario(scn)) <= 0.65 * 16 * 2**20
+
+
+def test_an_owned_modulus_gives_the_shared_modulus_results(monkeypatch):
+    # an owned modulus is sorted in place by support and holds a scan's
+    # integrand; the caller's modulus is read only, and both give the bits.
+    # The lp_vs_l1p reference is summed from the row-major |V| on both: for
+    # (G, G) here, the sorted |V| would sum to another last bit
+    grid = TFGrid.from_layout(DEFAULT_LAYOUT)
+    G = default_bank()[0]
+    norm = G.l2_norm()
+    modes = [
+        SupportMode(SupportVariant.L1_FRACTION, 2.0, 0.1),
+        SupportMode(SupportVariant.LP_VS_L1P, 1.5, 0.1),
+        SupportMode(SupportVariant.LP_VS_ENERGY, 2.5, 0.25),
+        SupportMode(SupportVariant.LP_VS_L1P, 1.2, 0.3),
+    ]
+    scan = (WeightSpec(WeightFamily.HYPERBOLIC, p=2), (1.0, 2.0, 4.0, 8.0))
+    sums = []
+    plane_sum = support._plane_sum
+    monkeypatch.setattr(support, "_plane_sum", lambda *args: sums.append(plane_sum(*args)) or sums[-1])
+    shared = core._modulus(grid, _stft_rows(G, G, grid))
+    before = shared.values.copy()
+    expected = [tfu.greedy_essential_support(shared, mode, norm, norm) for mode in modes]
+    shared_sums, sums[:] = sums[:], []
+    assert _greedy_supports(core._modulus(grid, _stft_rows(G, G, grid))._release(), modes, norm, norm) == expected
+    assert sums == shared_sums[:1]
+    assert tfu.growth_scan(shared, *scan) == tfu.growth_scan(core._modulus(grid, _stft_rows(G, G, grid))._release(), *scan)
+    assert same_bits(shared.values, before) and not shared.values.flags.writeable
 
 
 @pytest.mark.parametrize("family, N", [(WeightFamily.BONAMI_DENOMINATOR, 2.0), (WeightFamily.DEMANGE_DENOMINATOR, 0.5)])
@@ -256,6 +299,32 @@ def test_rotation_defect_takes_the_peak_once(monkeypatch):
     monkeypatch.setattr(identity, "_max_abs", counting)
     assert rotation_invariance_defect(aux) == expected
     assert len(calls) == 2  # max |F_Z|, which the decay check is given, and the gap
+
+
+def test_identity_checks_the_transform_in_its_peak_pass(monkeypatch):
+    # the transform's maximum is the scale and its finiteness check: no
+    # other pass tests the whole transform (a product block is 128 rows or fewer)
+    G = default_bank()[0]
+    shapes = []
+    require = core._require_finite
+
+    def recording(arr, what, origin=None):
+        shapes.append(arr.shape)
+        return require(arr, what, origin)
+
+    monkeypatch.setattr(core, "_require_finite", recording)
+    monkeypatch.setattr(identity, "_require_finite", recording)
+    fundamental_identity_defect(G, G, G, G, TFGrid.from_layout(DEFAULT_LAYOUT))
+    assert shapes and (256, 256) not in shapes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_peak_names_the_first_non_finite_node(bad):
+    swapped = random_complex(4, (64, 64))
+    swapped[9, 5] = swapped[40, 3] = complex(bad, 0)
+    with pytest.raises(ValueError, match=r"^non-finite field value at node \(3, 40\)$"):
+        _finite_peak(swapped)
+    assert _finite_peak(swapped[:9]) == float(np.max(np.abs(swapped[:9])))
 
 
 @pytest.mark.parametrize("n", [16, 600])
