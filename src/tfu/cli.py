@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
@@ -612,16 +611,15 @@ def _columns(path: str | Path, usecols: tuple[int, int]) -> np.ndarray:
     warn, gives an empty table."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # the header
-        lines = _data_lines(fh)
-        first = next(lines, None)
-        if first is None:
+        if next(_data_lines(fh), None) is None:
             return np.empty((0, 2))
         try:
             return np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError:
-            pass
+            fh.seek(0)
+            fh.readline()
         try:
-            return np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=usecols, ndmin=2)
+            return np.loadtxt(_data_lines(fh), delimiter=",", usecols=usecols, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
