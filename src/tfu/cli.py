@@ -60,7 +60,7 @@ from tfu.core import (
     _require_decayed,
     discrete_fourier,
 )
-from tfu.identity import _require_rotatable, build_auxiliary, fundamental_identity_defect, rotation_invariance_defect
+from tfu.identity import _require_rotatable, _rotation_defect, fundamental_identity_defect
 from tfu.reference import _gaussian_rows, fourier_closed_form, sample, translate_modulate
 from tfu.specs import (
     _VARIANTS,
@@ -230,7 +230,7 @@ def _rotation(ctx: ScenarioContext, rotation_z) -> tuple[dict, Tables]:
     results = []
     for z, zeta in rotation_z:
         try:
-            defect = rotation_invariance_defect(build_auxiliary(ctx.f, ctx.g, ctx.grid, z, zeta))
+            defect = _rotation_defect(ctx.f, ctx.g, ctx.grid, z, zeta)
         except ValueError as exc:
             raise ValueError(f"rotation_z ({z}, {zeta}): {exc}") from exc
         results.append({"z": z, "zeta": zeta, "defect": defect, "passed": defect < ROTATION_TOL})

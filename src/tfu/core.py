@@ -18,9 +18,11 @@ Conventions used throughout the package:
   integrands are formed in aligned blocks of _SUM_BLOCK row-major nodes,
   each a subtree of that same cascade, so no N^2 integrand array is held.
 * A field is computed by its row source (Rows), which writes every node of
-  the block of whole rows it is given. Two functions split sources into
+  the block of whole rows it is given. Three functions split sources into
   blocks: _row_blocks, one pass over reused buffers (a field read only
-  through |V| is held as a TFModulus filled this way), and _fill, the
+  through |V| is held as a TFModulus filled this way); _mirrored_blocks,
+  one pass over the pairs of blocks that the point reflection (-x, -xi)
+  maps onto each other, into reused buffers or a field; and _fill, the
   whole field in one fresh array.
 """
 
@@ -336,7 +338,8 @@ def _owned(v: TFArray | TFModulus) -> bool:
 #: of a complex field into out, a complex128 C-contiguous block of whole
 #: rows, every node of it, and returns it (tfu.stft._stft_rows is one). Each
 #: row is computed on its own, so any split of the rows gives the bits of
-#: one call over all of them. Sources are split only by _row_blocks and _fill.
+#: one call over all of them. Sources are split only by _row_blocks,
+#: _mirrored_blocks and _fill.
 Rows = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -352,6 +355,39 @@ def _row_blocks(grid: TFGrid, sources: Sequence[Rows], spares: int = 0) -> Itera
     for start in range(0, n, block):
         parts = [buffer[: min(block, n - start)] for buffer in buffers]
         yield start, [rows(part, start) for rows, part in zip(sources, parts)] + parts[len(sources) :]
+
+
+def _mirrored_blocks(
+    grid: TFGrid, rows: Rows, spares: int, out: np.ndarray | None = None
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """One pass over blocks of whole rows of the field that rows gives on
+    grid, paired as the point reflection (-x, -xi) pairs them (row j with
+    row -j mod N): (start, blocks) with blocks [upper, lower] holding rows
+    start ... stop - 1 within [1, N/2) and their reflections' rows
+    N - stop + 1 ... N - start, in ascending start, then spares more blocks
+    of upper's shape for the caller to write. Rows 0 and N/2, their own
+    reflections, come first and last, alone: blocks [row] and the spares.
+    The rows go into out, a field, if given, or else into buffers; the
+    buffers share about _FFT_BLOCK_BYTES and are reused, each block valid
+    until the next."""
+    n, m = grid.shape
+    h = n // 2
+    block = max(1, min(h - 1, _FFT_BLOCK_BYTES // (16 * m * (2 + spares))))
+    buffers = [np.empty((block, m), dtype=np.complex128) for _ in range((2 if out is None else 0) + spares)]
+    spare = buffers[len(buffers) - spares :]
+
+    def blocks(*spans: tuple[int, int]) -> list[np.ndarray]:
+        if out is None:
+            held = [buf[: b - a] for buf, (a, b) in zip(buffers, spans)]
+        else:
+            held = [out[a:b] for a, b in spans]
+        return [rows(part, a) for part, (a, _) in zip(held, spans)] + [buf[: len(held[0])] for buf in spare]
+
+    yield 0, blocks((0, 1))
+    for start in range(1, h, block):
+        stop = min(start + block, h)
+        yield start, blocks((start, stop), (n - stop + 1, n - start + 1))
+    yield h, blocks((h, h + 1))
 
 
 def _fill(grid: TFGrid, rows: Rows) -> np.ndarray:

@@ -18,19 +18,26 @@ On the half-open lattice the boundary row/column has no reflected partner
 and wraps to itself; all admitted fields have decayed to rounding level
 there.
 
-No rotated or reflected copy is made. The plane transform is taken with its
+No rotated copy of a field is made. The plane transform is taken with its
 axes swapped (tfu.core._fourier_2d_swapped), so its row k holds the values
 at xi-node k; the rotated field at (x_j, xi_k) is row -k mod N of the field
 at x-node j, and the two are compared row by row through views. F_Z's point
-reflection is read through views as well.
+reflection pairs row j with row -j mod N: F_Z is formed in place of V one
+mirrored pair of row blocks at a time (tfu.core._mirrored_blocks), each
+block reflected into a spare block.
 
-The product identity holds one field: the left product, which the plane
-transform needs whole. The right product is formed one block of rows at a
-time in a second pass and compared with the transform block by block. Each
-side computes the STFT rows of each of its distinct (signal, window) pairs
-once, matching signals by object identity (the command line passes one
-SampledSignal per function spec, so a repeated spec is one object); a pair
-that both sides use is computed once per side.
+Each check holds one field, the one the plane transform needs whole, and
+about one block. The product identity's is its left product; the right
+product is formed one block of rows at a time in a second pass and
+compared with the transform block by block. Each side computes the STFT
+rows of each of its distinct (signal, window) pairs once, matching
+signals by object identity (the command line passes one SampledSignal per
+function spec, so a repeated spec is one object); a pair that both sides
+use is computed once per side. The rotation check's field is F_Z; its
+second pass computes V's rows again and forms F_Z's rows again, with the
+same bits, to compare them with the transform (_rotation_defect).
+build_auxiliary gives F_Z as a TFArray, and rotation_invariance_defect
+transforms a caller's read-only F_Z in one fresh array.
 """
 
 from __future__ import annotations
@@ -47,16 +54,16 @@ from tfu.core import (
     TFArray,
     TFGrid,
     _chirp_rows,
-    _fill,
     _finite_peak,
     _fourier_2d_swapped,
     _max_abs,
+    _mirrored_blocks,
     _require_finite,
     _row_blocks,
     require_plane,
 )
 from tfu.reference import translate_modulate
-from tfu.stft import _stft_rows, compute_stft
+from tfu.stft import _stft_rows
 
 
 def _require_rotatable(grid: TFGrid) -> None:
@@ -72,48 +79,93 @@ def point_reflection(values: np.ndarray, axes: int | tuple[int, ...] = (0, 1)) -
     return np.roll(np.flip(values, axes), 1, axes)
 
 
+def _reflected(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows point-reflected into out, a block of rows' shape whose rows,
+    in reverse order, are the reflections of rows' rows: out[i, k] is
+    rows[-1 - i, -k mod N]. The values are only moved."""
+    out[:, 0] = rows[::-1, 0]
+    out[:, 1:] = rows[::-1, :0:-1]
+    return out
+
+
+def _auxiliary_rows(
+    grid: TFGrid, f: SampledSignal, g: SampledSignal, z: float, zeta: float, out: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks (start, rows) of F_Z for the shift Z = (z, zeta) on grid, a
+    rotatable plane: row 0, then each upper block and its mirrored lower
+    block, then row N/2, in the order of tfu.core._mirrored_blocks. The
+    rows go into out[start:], a field, if given, or else into a reused
+    block of the pass, valid until the next.
+
+    V = V_g(M_zeta T_z f) comes from tfu.stft._stft_rows, each row computed
+    once, and each mirrored pair of its blocks becomes F_Z in place: the
+    chirp exp(2 pi i x xi) (tfu.core._chirp_rows), times V, times V at
+    (-x, -xi), in that order and each product over whole contiguous blocks,
+    which gives the bits of the whole-plane products. The chirp takes the
+    same value at (x, xi) and (-x, -xi), one table entry, so the lower
+    block's chirp is the upper's, point-reflected, and is not gathered.
+    """
+    chirp = _chirp_rows(grid, 1)
+    source = _stft_rows(translate_modulate(f, z, zeta), g, grid)
+    for start, (*v, a, b, c) in _mirrored_blocks(grid, source, 3, out):
+        chirp(a, start)
+        if len(v) == 1:  # row 0 or N/2, its own reflection
+            (row,) = v
+            np.multiply(a, row, out=a)
+            np.multiply(a, _reflected(row, c), out=row)
+            yield start, row
+            continue
+        upper, lower = v
+        _reflected(a, b)  # the lower block's chirp
+        np.multiply(a, upper, out=a)
+        np.multiply(b, lower, out=b)
+        _reflected(lower, c)  # V at (-x, -xi) on the upper rows
+        _reflected(upper, lower)  # and on the lower rows, over V, which b and c now hold
+        np.multiply(a, c, out=upper)
+        np.multiply(b, lower, out=lower)
+        yield start, upper
+        yield grid.x_count - start - len(upper) + 1, lower
+
+
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
-    """F_Z for the shift Z = (z, zeta), from a single STFT evaluation
-    (compute_stft) and its point reflection, read through views. The grid
-    must be the plane of a self-dual layout (other grids raise ValueError
-    before the STFT is computed); the phase exp(2 pi i x xi) is filled
-    from a table of roots of unity (tfu.core._chirp_rows), and the STFT is
-    then multiplied into it in place."""
+    """F_Z for the shift Z = (z, zeta), in one fresh field: V is filled
+    into it one mirrored pair of row blocks at a time and F_Z formed there
+    in place (_auxiliary_rows), so no other field is held. The grid must be
+    the plane of a self-dual layout (other grids raise ValueError before
+    the STFT is computed). A non-finite node of F_Z, as a non-finite V
+    gives, is named at the first such node in row-major order."""
     _require_rotatable(grid)
-    field = _fill(grid, _chirp_rows(grid, 1))
-    v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
-    field *= v
-    # v(-x, -xi) at node (j, k) is v[-j mod N, -k mod N]: index 0 maps to
-    # itself and 1 ... N-1 to N-1 ... 1, so rows 1 ... N-1 are read through
-    # views. Row 0 takes a reflected copy, which keeps node (0, 0) in a
-    # vector product: numpy rounds a lone complex product differently.
-    field[0] *= point_reflection(v[0], 0)
-    field[1:, 0] *= v[:0:-1, 0]
-    field[1:, 1:] *= v[:0:-1, :0:-1]
+    field = np.empty(grid.shape, dtype=np.complex128)
+    for _ in _auxiliary_rows(grid, f, g, z, zeta, field):
+        pass
     return TFArray._fresh(grid, field)
 
 
 def _rotation_gap(swapped: np.ndarray, blocks: Iterable[tuple[int, np.ndarray]]) -> float:
     """max |FT(w) - v((-xi, x))| for swapped = core._fourier_2d_swapped(w),
     whose row k holds FT(w) at xi-node k, and v given as blocks (start,
-    rows) of its rows in ascending order, together all of them. Rotated, v
-    at (x_j, xi_k) is v[-k mod N, j], so row r of v is compared with row
+    rows) of its rows in any order, together all of them. Rotated, v at
+    (x_j, xi_k) is v[-k mod N, j], so row r of v is compared with row
     -r mod N of swapped: row 0 with row 0, and rows r >= 1 with rows N - r,
     through a reversed view of the block. Each block is subtracted from its
     rows of swapped as it arrives, and the moduli of the difference are
     taken there, in swapped's own row order; row 0's difference is taken
-    with the last block, whose rows of swapped it adjoins."""
+    with the block's other rows if they end at row N - 1, whose rows of
+    swapped it then adjoins, and alone otherwise."""
     n = len(swapped)
     gap = 0.0
     for start, rows in blocks:
-        stop = start + len(rows)
+        first, stop = max(start, 1), start + len(rows)
+        lo, hi = n - stop + 1, n - first + 1  # the rows of swapped that rows first ... stop - 1 meet
+        np.subtract(swapped[lo:hi], rows[first - start :][::-1], out=swapped[lo:hi])
         if start == 0:
             np.subtract(swapped[0], rows[0], out=swapped[0])
-        first = max(start, 1)
-        part = swapped[n - stop + 1 : n - first + 1]
-        np.subtract(part, rows[first - start :][::-1], out=part)
-        if stop > first:  # else the block is row 0 alone, whose difference the last block takes
-            gap = max(gap, _max_abs(swapped[0 if stop == n else n - stop + 1 : n - first + 1]))
+            if lo == 1:
+                lo = 0
+            else:
+                gap = max(gap, _max_abs(swapped[0]))
+        if hi > lo:
+            gap = max(gap, _max_abs(swapped[lo:hi]))
     return gap
 
 
@@ -128,6 +180,41 @@ def rotation_invariance_defect(a: TFArray) -> float:
     swapped = _fourier_2d_swapped(a.grid, a.values, scale)
     _require_finite(swapped.T, "field")
     return _rotation_gap(swapped, [(0, a.values)]) / scale
+
+
+def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> float:
+    """rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta)),
+    bit for bit, holding one field and about one block.
+
+    The first pass of _auxiliary_rows forms F_Z in a fresh field, taking
+    its peak, the scale, block by block; the field is transformed in
+    place. The second pass computes V's rows again, in the same mirrored
+    pairs of blocks, forms F_Z's rows again with the same bits, and
+    compares each block with the transform's rows as it comes
+    (_rotation_gap). The first pass is kept whole, as the plane transform
+    needs it; the second holds only its blocks.
+
+    The checks therefore run in this order: the grid (_require_rotatable),
+    the shift's lattice rule (translate_modulate), the layouts of f and g;
+    then F_Z's finiteness, block by block in the first pass's order, a
+    non-finite node named in F_Z's coordinates (the point-symmetric faults
+    that a non-finite V gives are named at their first node in row-major
+    order); a zero F_Z ("field is identically zero"); its decay; the
+    transform's finiteness.
+    """
+    _require_rotatable(grid)
+    field = np.empty(grid.shape, dtype=np.complex128)
+    scale = 0.0
+    for start, rows in _auxiliary_rows(grid, f, g, z, zeta, field):
+        peak = _max_abs(rows)
+        if not math.isfinite(peak):
+            _require_finite(rows, "field", (start, 0))
+        scale = max(scale, peak)
+    if scale == 0.0:
+        raise ValueError("field is identically zero")
+    swapped = _fourier_2d_swapped(grid, field, scale)
+    _require_finite(swapped.T, "field")
+    return _rotation_gap(swapped, _auxiliary_rows(grid, f, g, z, zeta)) / scale
 
 
 Pair = tuple[SampledSignal, SampledSignal]

@@ -557,6 +557,18 @@ def test_run_time_refusals_name_their_check(tmp_path, capsys, body, message):
     assert read_json(out / "summary.json")["errors"][0].startswith(f"[s] {message}")
 
 
+def test_a_zero_rotation_field_keeps_the_other_reports(tmp_path, capsys):
+    # F_Z underflows to 0 everywhere at count 1024: the first pass finds a
+    # zero peak, and the scenario after it still runs and reports
+    config = "[s]\ncount = 1024\nstep = 0.03125\nchecks = rotation\nrotation_z = 20 0\n\n[t]\nchecks = isometry\n"
+    out = tmp_path / "out"
+    assert cli.main(["run", write_config(tmp_path, config), "--out", str(out), "--no-timestamp"]) == 1
+    message = "[s] rotation: rotation_z (20.0, 0.0): field is identically zero"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert read_json(out / "summary.json")["errors"] == [message]
+    assert read_json(out / "t.json")["passed"]
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
 @pytest.mark.parametrize(
     "key, template",

@@ -11,9 +11,11 @@ step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
 checks compare the transform, axes swapped, with row reflections read
 through views; the product identity forms its left product in one pass
 over row blocks of the STFTs and streams its right product against the
-transform in a second, each side computing a distinct pair's rows once:
-their defects must equal those of the formulas with full rotated copies,
-and a non-finite product is named at its node. The other fast
+transform in a second, each side computing a distinct pair's rows once;
+the rotation check forms F_Z in place of V, one mirrored pair of row
+blocks at a time, and streams it again in those pairs against its
+transform: their defects must equal those of the formulas with full
+rotated copies, and a non-finite product is named at its node. The other fast
 paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
 read from a table of roots of unity instead of an exp at every node. Every
@@ -212,8 +214,9 @@ def large_grid_scenarios():
         ("overflow-radial-full", 0.7),
         # each tuple alone, as test_identity_defect_peak_memory
         ("identity", 1.2),
-        # F_Z and its transform, as test_rotation_defect_peak_memory_is_one_copy
-        ("rotation", 2.1),
+        # F_Z, transformed in place, and about one block, as
+        # test_rotation_check_peak_memory_is_one_field
+        ("rotation", 1.2),
     ],
 )
 def test_scenario_peak_memory(large_grid_scenarios, name, fields):
@@ -281,6 +284,19 @@ def test_rotation_defect_peak_memory_is_one_copy(large):
     grid, G, _ = large
     aux = build_auxiliary(G, G, grid, 1.0, 0.441)
     assert traced_peak(lambda: rotation_invariance_defect(aux)) <= 1.2 * aux.values.nbytes
+
+
+def test_rotation_check_peak_memory_is_one_field(large):
+    # F_Z, formed in place of V and transformed in place, and about one
+    # block of rows, in both passes; the field's build is included
+    grid, G, _ = large
+    assert traced_peak(lambda: identity._rotation_defect(G, G, grid, 1.0, 0.441)) <= 1.15 * 16 * 2**20
+
+
+def test_auxiliary_peak_memory_is_the_field(large):
+    # F_Z, formed in place of V, and a mirrored pair of blocks of temporaries
+    grid, G, _ = large
+    assert traced_peak(lambda: build_auxiliary(G, G, grid, 1.0, 0.441)) <= 1.1 * 16 * 2**20
 
 
 def test_rotation_defect_takes_the_peak_once(monkeypatch):
@@ -486,6 +502,83 @@ def test_auxiliary_equals_the_copying_formula_at_any_count(count):
     assert same_bits(build_auxiliary(f, g, grid, z, zeta).values, expected)
 
 
+def outcome(call):
+    """call()'s value, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@derandomized
+@given(f=signals(DEFAULT_LAYOUT), g=signals(DEFAULT_LAYOUT), z=eighths, zeta=eighths)
+def test_rotation_check_equals_the_defect_of_the_built_field(f, g, z, zeta):
+    grid = TFGrid.from_layout(DEFAULT_LAYOUT)
+    expected = rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta))
+    assert identity._rotation_defect(f, g, grid, z, zeta) == expected
+
+
+@pytest.mark.parametrize(
+    "count, rows, uppers",
+    [
+        # rows per block, if set through the block size, and the upper
+        # blocks of rows 1 ... count/2 - 1 that the passes give
+        (16, None, [7]),
+        (16, 3, [3, 3, 1]),
+        (64, None, [31]),
+        (64, 5, [5] * 6 + [1]),
+        (1024, None, [6] * 85 + [1]),
+    ],
+)
+def test_rotation_check_in_mirrored_blocks_at_any_count(monkeypatch, count, rows, uppers):
+    # each pass gives row 0, each upper block and then its mirrored lower
+    # block, and row count/2; the last pair of blocks is short but at 16
+    # and 64 by default. At count 16 F_Z has not decayed at the window's
+    # edge: both paths refuse it with the same message
+    if rows:
+        monkeypatch.setattr(core, "_FFT_BLOCK_BYTES", 16 * count * 5 * rows)
+    layout = SignalLayout(count, count**-0.5)
+    grid = TFGrid.from_layout(layout)
+    f, g = tfu.sample(tfu.hermite(1), layout), tfu.sample(tfu.gaussian(1.5, 1 - 0.5j), layout)
+    z = zeta = 2 * layout.step
+    v = compute_stft(translate_modulate(f, z, zeta), g, grid).values
+    expected = chirp(grid, 1) * v * point_reflection(v)
+    streamed, sizes = np.full(grid.shape, np.nan, dtype=np.complex128), []
+    for start, block in identity._auxiliary_rows(grid, f, g, z, zeta):
+        streamed[start : start + len(block)] = block
+        sizes.append(len(block))
+    assert sizes == [1, *(size for size in uppers for _ in "ul"), 1]
+    assert same_bits(streamed, expected)
+    aux = build_auxiliary(f, g, grid, z, zeta)
+    assert same_bits(aux.values, expected)
+    assert outcome(lambda: identity._rotation_defect(f, g, grid, z, zeta)) == outcome(lambda: rotation_invariance_defect(aux))
+
+
+def test_rotation_check_names_a_non_finite_node_in_f_z(monkeypatch):
+    # a nan at node (200, 7) of V, in its lower half, is at (200, 7) of F_Z
+    # and at the reflection (56, 249), the first in row-major order, which
+    # the first pass meets in an upper block, before the lower
+    grid = TFGrid.from_layout(DEFAULT_LAYOUT)
+    G = default_bank()[0]
+    stft_rows = identity._stft_rows
+
+    def poisoned(f, g, grid):
+        rows = stft_rows(f, g, grid)
+
+        def poisoned_rows(out, start):
+            out = rows(out, start)
+            if start <= 200 < start + len(out):
+                out[200 - start, 7] = np.nan
+            return out
+
+        return poisoned_rows
+
+    monkeypatch.setattr(identity, "_stft_rows", poisoned)
+    for check in (identity._rotation_defect, build_auxiliary):
+        with pytest.raises(ValueError, match=r"^non-finite field value at node \(56, 249\)$"):
+            check(G, G, grid, 0.5, 0.25)
+
+
 def default_bank():
     """G, h1, h2, a wider Gaussian, and three copies of G: equal to it, but
     other objects. On the default layout the 256 rows go in blocks of 128
@@ -496,15 +589,20 @@ def default_bank():
 
 
 @derandomized
-@given(n=even_counts, seed=seeds, first=st.booleans())
-def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed, first):
-    # the compared rows come in blocks, one row 0 alone if first; row k of
-    # swapped meets row -k mod n of v
+@given(n=even_counts, seed=seeds, alone=st.booleans(), place=st.sampled_from([0, 0.5, 1]))
+def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed, alone, place):
+    # the compared rows come in blocks, in ascending and in shuffled order,
+    # the block of row 0 (row 0 alone if alone) put first, in the middle or
+    # last; row k of swapped meets row -k mod n of v
     swapped, v = random_complex(seed, (n, n)), random_complex(seed + 1, (n, n))
     expected = float(np.max(np.abs(swapped - point_reflection(v, 0))))
-    cuts = sorted({*np.random.default_rng(seed).integers(1, n, size=3), *([1] if first else [])})
+    rng = np.random.default_rng(seed)
+    cuts = sorted({*rng.integers(1, n, size=3), *([1] if alone else [])})
     blocks = [(start, v[start:stop]) for start, stop in itertools.pairwise([0, *cuts, n])]
+    shuffled = [blocks[i] for i in 1 + rng.permutation(len(blocks) - 1)]
+    shuffled.insert(round(place * len(shuffled)), blocks[0])
     assert identity._rotation_gap(swapped.copy(), blocks) == expected
+    assert identity._rotation_gap(swapped.copy(), shuffled) == expected
     assert identity._rotation_gap(swapped.copy(), [(0, v)]) == expected
 
 
