@@ -169,17 +169,26 @@ def _rotation_gap(swapped: np.ndarray, blocks: Iterable[tuple[int, np.ndarray]])
     return gap
 
 
+def _scaled_rotation_gap(
+    grid: TFGrid, field: np.ndarray, scale: float, blocks: Iterable[tuple[int, np.ndarray]]
+) -> float:
+    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for field = F_Z, whose
+    peak modulus is scale and whose rows the blocks give (_rotation_gap),
+    after the checks that F_Z is not zero, that it has decayed, and that
+    its transform (in place if field is writable) is finite."""
+    if scale == 0.0:
+        raise ValueError("field is identically zero")
+    swapped = _fourier_2d_swapped(grid, field, scale)
+    _require_finite(swapped.T, "field")
+    return _rotation_gap(swapped, blocks) / scale
+
+
 def rotation_invariance_defect(a: TFArray) -> float:
     """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z,
     transformed in one fresh array, as its values are read-only; the decay
     check before the transform takes max |F_Z| from here."""
     _require_rotatable(a.grid)
-    scale = _max_abs(a.values)
-    if scale == 0.0:
-        raise ValueError("field is identically zero")
-    swapped = _fourier_2d_swapped(a.grid, a.values, scale)
-    _require_finite(swapped.T, "field")
-    return _rotation_gap(swapped, [(0, a.values)]) / scale
+    return _scaled_rotation_gap(a.grid, a.values, _max_abs(a.values), [(0, a.values)])
 
 
 def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> float:
@@ -210,11 +219,7 @@ def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float,
         if not math.isfinite(peak):
             _require_finite(rows, "field", (start, 0))
         scale = max(scale, peak)
-    if scale == 0.0:
-        raise ValueError("field is identically zero")
-    swapped = _fourier_2d_swapped(grid, field, scale)
-    _require_finite(swapped.T, "field")
-    return _rotation_gap(swapped, _auxiliary_rows(grid, f, g, z, zeta)) / scale
+    return _scaled_rotation_gap(grid, field, scale, _auxiliary_rows(grid, f, g, z, zeta))
 
 
 Pair = tuple[SampledSignal, SampledSignal]

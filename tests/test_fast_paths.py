@@ -15,8 +15,8 @@ transform in a second, each side computing a distinct pair's rows once;
 the rotation check forms F_Z in place of V, one mirrored pair of row
 blocks at a time, and streams it again in those pairs against its
 transform: their defects must equal those of the formulas with full
-rotated copies, and a non-finite product is named at its node. The other fast
-paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
+rotated copies, and a non-finite product is named at its node. The other
+fast paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
 read from a table of roots of unity instead of an exp at every node. Every
 row source writes every node of the block it is given: any split of its
@@ -532,9 +532,10 @@ def test_rotation_check_equals_the_defect_of_the_built_field(f, g, z, zeta):
 )
 def test_rotation_check_in_mirrored_blocks_at_any_count(monkeypatch, count, rows, uppers):
     # each pass gives row 0, each upper block and then its mirrored lower
-    # block, and row count/2; the last pair of blocks is short but at 16
-    # and 64 by default. At count 16 F_Z has not decayed at the window's
-    # edge: both paths refuse it with the same message
+    # block, and row count/2. By default counts 16 and 64 take one pair of
+    # blocks and 1024 ends in a short pair; a smaller block size gives 16
+    # and 64 a short last pair too. At count 16 F_Z has not decayed at the
+    # window's edge: both paths refuse it with the same message
     if rows:
         monkeypatch.setattr(core, "_FFT_BLOCK_BYTES", 16 * count * 5 * rows)
     layout = SignalLayout(count, count**-0.5)
