@@ -358,36 +358,45 @@ def _row_blocks(grid: TFGrid, sources: Sequence[Rows], spares: int = 0) -> Itera
 
 
 def _mirrored_blocks(
-    grid: TFGrid, rows: Rows, spares: int, out: np.ndarray | None = None
+    grid: TFGrid,
+    rows: Rows,
+    spares: int,
+    out: np.ndarray | None = None,
+    wanted: Callable[..., bool] | None = None,
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
     """One pass over blocks of whole rows of the field that rows gives on
     grid, paired as the point reflection (-x, -xi) pairs them (row j with
-    row -j mod N): (start, blocks) with blocks [upper, lower] holding rows
-    start ... stop - 1 within [1, N/2) and their reflections' rows
-    N - stop + 1 ... N - start, in ascending start, then spares more blocks
-    of upper's shape for the caller to write. Rows 0 and N/2, their own
-    reflections, come first and last, alone: blocks [row] and the spares.
-    The rows go into out, a field, if given, or else into buffers; the
-    buffers share about _FFT_BLOCK_BYTES and are reused, each block valid
-    until the next."""
+    row -j mod N), from the centre out: row N/2 alone; then, in descending
+    start, blocks [upper, lower] holding rows start ... stop - 1 within
+    [1, N/2) and their reflections' rows N - stop + 1 ... N - start; then
+    row 0 alone. Each comes as (start, blocks), blocks followed by spares
+    more blocks of upper's shape for the caller to write. If wanted is
+    given, it is asked first with the spans (start, stop) of the rows, and
+    a pair it refuses is skipped: its rows are not computed. The rows go
+    into out, a field, if given, or else into buffers. A block takes about
+    half _FFT_BLOCK_BYTES, so a pair takes about one (16 rows at N = 1024):
+    fewer, larger blocks keep the pass from handing the interpreter lock
+    to other threads at every small numpy call. The buffers are reused,
+    each block valid until the next."""
     n, m = grid.shape
     h = n // 2
-    block = max(1, min(h - 1, _FFT_BLOCK_BYTES // (16 * m * (2 + spares))))
+    block = max(1, min(h - 1, _FFT_BLOCK_BYTES // (32 * m)))
     buffers = [np.empty((block, m), dtype=np.complex128) for _ in range((2 if out is None else 0) + spares)]
     spare = buffers[len(buffers) - spares :]
-
-    def blocks(*spans: tuple[int, int]) -> list[np.ndarray]:
+    pairs = [((h, h + 1),)]
+    for stop in range(h, 1, -block):
+        start = max(1, stop - block)
+        pairs.append(((start, stop), (n - stop + 1, n - start + 1)))
+    pairs.append(((0, 1),))
+    for spans in pairs:
+        if wanted is not None and not wanted(*spans):
+            continue
         if out is None:
             held = [buf[: b - a] for buf, (a, b) in zip(buffers, spans)]
         else:
             held = [out[a:b] for a, b in spans]
-        return [rows(part, a) for part, (a, _) in zip(held, spans)] + [buf[: len(held[0])] for buf in spare]
-
-    yield 0, blocks((0, 1))
-    for start in range(1, h, block):
-        stop = min(start + block, h)
-        yield start, blocks((start, stop), (n - stop + 1, n - start + 1))
-    yield h, blocks((h, h + 1))
+        computed = [rows(part, a) for part, (a, _) in zip(held, spans)]
+        yield spans[0][0], computed + [buf[: len(held[0])] for buf in spare]
 
 
 def _fill(grid: TFGrid, rows: Rows) -> np.ndarray:

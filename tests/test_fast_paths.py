@@ -522,22 +522,23 @@ def test_rotation_check_equals_the_defect_of_the_built_field(f, g, z, zeta):
     "count, rows, uppers",
     [
         # rows per block, if set through the block size, and the upper
-        # blocks of rows 1 ... count/2 - 1 that the passes give
+        # blocks of rows count/2 - 1 ... 1 that the passes give, in order
         (16, None, [7]),
         (16, 3, [3, 3, 1]),
         (64, None, [31]),
         (64, 5, [5] * 6 + [1]),
-        (1024, None, [6] * 85 + [1]),
+        (1024, None, [16] * 31 + [15]),
     ],
 )
 def test_rotation_check_in_mirrored_blocks_at_any_count(monkeypatch, count, rows, uppers):
-    # each pass gives row 0, each upper block and then its mirrored lower
-    # block, and row count/2. By default counts 16 and 64 take one pair of
-    # blocks and 1024 ends in a short pair; a smaller block size gives 16
-    # and 64 a short last pair too. At count 16 F_Z has not decayed at the
-    # window's edge: both paths refuse it with the same message
+    # each pass gives row count/2, each upper block and then its mirrored
+    # lower block, from the centre out, and row 0. By default counts 16 and
+    # 64 take one pair of blocks and 1024 ends in a short pair; a smaller
+    # block size gives 16 and 64 a short last pair too. At count 16 F_Z has
+    # not decayed at the window's edge: both paths refuse it with the same
+    # message
     if rows:
-        monkeypatch.setattr(core, "_FFT_BLOCK_BYTES", 16 * count * 5 * rows)
+        monkeypatch.setattr(core, "_FFT_BLOCK_BYTES", 32 * count * rows)
     layout = SignalLayout(count, count**-0.5)
     grid = TFGrid.from_layout(layout)
     f, g = tfu.sample(tfu.hermite(1), layout), tfu.sample(tfu.gaussian(1.5, 1 - 0.5j), layout)
@@ -553,6 +554,50 @@ def test_rotation_check_in_mirrored_blocks_at_any_count(monkeypatch, count, rows
     aux = build_auxiliary(f, g, grid, z, zeta)
     assert same_bits(aux.values, expected)
     assert outcome(lambda: identity._rotation_defect(f, g, grid, z, zeta)) == outcome(lambda: rotation_invariance_defect(aux))
+
+
+def test_rotation_check_skips_the_pairs_that_cannot_reach_the_gap(monkeypatch, large):
+    # F_Z of the unit Gaussian, and its largest gap, lie near the centre:
+    # the second pass computes the rows of few pairs, with the same defect
+    grid, G, _ = large
+    expected = rotation_invariance_defect(build_auxiliary(G, G, grid, 1.0, 0.441))
+    rows_per_pass = []
+    stft_rows = identity._stft_rows
+
+    def counted(f, g, grid):
+        rows = stft_rows(f, g, grid)
+        rows_per_pass.append(0)
+
+        def counting(out, start):
+            rows_per_pass[-1] += len(out)
+            return rows(out, start)
+
+        return counting
+
+    monkeypatch.setattr(identity, "_stft_rows", counted)
+    assert identity._rotation_defect(G, G, grid, 1.0, 0.441) == expected
+    assert rows_per_pass[0] == 1024 and rows_per_pass[1] <= 1024 // 4, rows_per_pass
+
+
+@pytest.mark.parametrize("row", [0, 3, 1020])
+def test_rotation_check_keeps_a_gap_far_from_the_centre(monkeypatch, large, row):
+    # the transform, perturbed at one node of an outer row by 1.5 times the
+    # gap, must be compared there, on either side of the centre and at row 0
+    # alone; the perturbation is then the largest gap, on both paths
+    grid, G, _ = large
+    aux = build_auxiliary(G, G, grid, 1.0, 0.441)
+    plain = rotation_invariance_defect(aux)
+    transform = core._fourier_2d_swapped
+
+    def perturbed(grid, values, peak=None):
+        swapped = transform(grid, values, peak)
+        swapped[row, 7] += 1.5 * plain * peak
+        return swapped
+
+    monkeypatch.setattr(identity, "_fourier_2d_swapped", perturbed)
+    expected = rotation_invariance_defect(aux)
+    assert expected > plain
+    assert identity._rotation_defect(G, G, grid, 1.0, 0.441) == expected
 
 
 def test_rotation_check_names_a_non_finite_node_in_f_z(monkeypatch):
