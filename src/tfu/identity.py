@@ -27,7 +27,7 @@ mirrored pair of row blocks at a time (tfu.core._mirrored_blocks), each
 block reflected into a spare block.
 
 Each check holds one field, the one the plane transform needs whole, and
-about one block. The product identity's is its left product; the right
+a few blocks of rows. The product identity's is its left product; the right
 product is formed one block of rows at a time in a second pass and
 compared with the transform block by block. Each side computes the STFT
 rows of each of its distinct (signal, window) pairs once, matching
@@ -35,7 +35,10 @@ signals by object identity (the command line passes one SampledSignal per
 function spec, so a repeated spec is one object); a pair that both sides
 use is computed once per side. The rotation check's field is F_Z; its
 second pass computes V's rows again and forms F_Z's rows again, with the
-same bits, to compare them with the transform (_rotation_defect).
+same bits, to compare them with the transform, from the centre out, and
+skips the pairs of blocks that cannot reach the largest gap found so far
+(_streamed_rotation_defect); a field of the default layout's size is held
+twice instead (_rotation_defect).
 build_auxiliary gives F_Z as a TFArray, and rotation_invariance_defect
 transforms a caller's read-only F_Z in one fresh array.
 """
@@ -198,7 +201,25 @@ def rotation_invariance_defect(a: TFArray) -> float:
     return _rotation_gap(_nonzero_transform(a.grid, a.values, scale), [(0, a.values)]) / scale
 
 
+#: F_Z of at most this many bytes, count <= 256 (the default layout's
+#: plane), is checked by rotation_invariance_defect(build_auxiliary(...)):
+#: two fields and no second pass. Streaming so small a field saves 1 MiB,
+#: and under tfu run's thread pool the second pass's many small numpy calls
+#: cost paper-suite about a tenth of its in-process time.
+_COPIED_FIELD_BYTES = 1 << 20
+
+
 def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> float:
+    """rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta)),
+    bit for bit: computed so for F_Z of at most _COPIED_FIELD_BYTES, and
+    otherwise in one field (_streamed_rotation_defect)."""
+    _require_rotatable(grid)
+    if 16 * grid.x_count * grid.xi_count <= _COPIED_FIELD_BYTES:
+        return rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta))
+    return _streamed_rotation_defect(f, g, grid, z, zeta)
+
+
+def _streamed_rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> float:
     """rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta)),
     bit for bit, holding one field and a few blocks of rows.
 

@@ -14,9 +14,10 @@ over row blocks of the STFTs and streams its right product against the
 transform in a second, each side computing a distinct pair's rows once;
 the rotation check forms F_Z in place of V, one mirrored pair of row
 blocks at a time, and streams it again in those pairs against its
-transform: their defects must equal those of the formulas with full
-rotated copies, and a non-finite product is named at its node. The other
-fast paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
+transform, skipping the pairs that cannot reach the gap (a field of the
+default layout's size is held twice instead): their defects must equal
+those of the formulas with full rotated copies, and a non-finite product
+is named at its node. The other fast paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
 read from a table of roots of unity instead of an exp at every node. Every
 row source writes every node of the block it is given: any split of its
@@ -515,7 +516,7 @@ def outcome(call):
 def test_rotation_check_equals_the_defect_of_the_built_field(f, g, z, zeta):
     grid = TFGrid.from_layout(DEFAULT_LAYOUT)
     expected = rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta))
-    assert identity._rotation_defect(f, g, grid, z, zeta) == expected
+    assert identity._streamed_rotation_defect(f, g, grid, z, zeta) == expected
 
 
 @pytest.mark.parametrize(
@@ -553,7 +554,8 @@ def test_rotation_check_in_mirrored_blocks_at_any_count(monkeypatch, count, rows
     assert same_bits(streamed, expected)
     aux = build_auxiliary(f, g, grid, z, zeta)
     assert same_bits(aux.values, expected)
-    assert outcome(lambda: identity._rotation_defect(f, g, grid, z, zeta)) == outcome(lambda: rotation_invariance_defect(aux))
+    streamed = outcome(lambda: identity._streamed_rotation_defect(f, g, grid, z, zeta))
+    assert streamed == outcome(lambda: rotation_invariance_defect(aux))
 
 
 def test_rotation_check_skips_the_pairs_that_cannot_reach_the_gap(monkeypatch, large):
@@ -575,7 +577,7 @@ def test_rotation_check_skips_the_pairs_that_cannot_reach_the_gap(monkeypatch, l
         return counting
 
     monkeypatch.setattr(identity, "_stft_rows", counted)
-    assert identity._rotation_defect(G, G, grid, 1.0, 0.441) == expected
+    assert identity._streamed_rotation_defect(G, G, grid, 1.0, 0.441) == expected
     assert rows_per_pass[0] == 1024 and rows_per_pass[1] <= 1024 // 4, rows_per_pass
 
 
@@ -597,7 +599,19 @@ def test_rotation_check_keeps_a_gap_far_from_the_centre(monkeypatch, large, row)
     monkeypatch.setattr(identity, "_fourier_2d_swapped", perturbed)
     expected = rotation_invariance_defect(aux)
     assert expected > plain
-    assert identity._rotation_defect(G, G, grid, 1.0, 0.441) == expected
+    assert identity._streamed_rotation_defect(G, G, grid, 1.0, 0.441) == expected
+
+
+@pytest.mark.parametrize("layout, copied", [(DEFAULT_LAYOUT, True), (LARGE, False)])
+def test_rotation_check_holds_two_fields_only_for_a_small_field(monkeypatch, layout, copied):
+    # F_Z of 1 MiB (count 256) is built and transformed in a copy; of 16 MiB, streamed
+    grid = TFGrid.from_layout(layout)
+    G = tfu.sample(tfu.unit_gaussian(), layout)
+    built = []
+    monkeypatch.setattr(identity, "build_auxiliary", lambda *args: built.append(args) or build_auxiliary(*args))
+    expected = rotation_invariance_defect(build_auxiliary(G, G, grid, 0.5, 0.25))
+    assert identity._rotation_defect(G, G, grid, 0.5, 0.25) == expected
+    assert len(built) == copied
 
 
 def test_rotation_check_names_a_non_finite_node_in_f_z(monkeypatch):
@@ -620,7 +634,7 @@ def test_rotation_check_names_a_non_finite_node_in_f_z(monkeypatch):
         return poisoned_rows
 
     monkeypatch.setattr(identity, "_stft_rows", poisoned)
-    for check in (identity._rotation_defect, build_auxiliary):
+    for check in (identity._streamed_rotation_defect, build_auxiliary):
         with pytest.raises(ValueError, match=r"^non-finite field value at node \(56, 249\)$"):
             check(G, G, grid, 0.5, 0.25)
 
