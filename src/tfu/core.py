@@ -22,8 +22,8 @@ Conventions used throughout the package:
   blocks: _row_blocks, one pass over reused buffers (a field read only
   through |V| is held as a TFModulus filled this way); _mirrored_blocks,
   one pass over the pairs of blocks that the point reflection (-x, -xi)
-  maps onto each other, into reused buffers or a field; and _fill, the
-  whole field in one fresh array.
+  maps onto each other (_mirrored_spans), into reused buffers or a field;
+  and _fill, the whole field in one fresh array.
 """
 
 from __future__ import annotations
@@ -338,8 +338,8 @@ def _owned(v: TFArray | TFModulus) -> bool:
 #: of a complex field into out, a complex128 C-contiguous block of whole
 #: rows, every node of it, and returns it (tfu.stft._stft_rows is one). Each
 #: row is computed on its own, so any split of the rows gives the bits of
-#: one call over all of them. Sources are split only by _row_blocks,
-#: _mirrored_blocks and _fill.
+#: one call over all of them. Sources are split by _row_blocks,
+#: _mirrored_blocks and _fill, and in the spans of _mirrored_spans.
 Rows = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -357,37 +357,45 @@ def _row_blocks(grid: TFGrid, sources: Sequence[Rows], spares: int = 0) -> Itera
         yield start, [rows(part, start) for rows, part in zip(sources, parts)] + parts[len(sources) :]
 
 
+def _mirrored_spans(grid: TFGrid) -> list[tuple[tuple[int, int], ...]]:
+    """The spans (start, stop) of whole rows on grid, paired as the point
+    reflection (-x, -xi) pairs them (row j with row -j mod N), from the
+    centre out: row N/2 alone; then, in descending start, rows start ...
+    stop - 1 within [1, N/2) with their reflections' rows N - stop + 1 ...
+    N - start; then row 0 alone. A span of a pair takes about half
+    _FFT_BLOCK_BYTES, so the pair about one (16 rows a span at N = 1024):
+    fewer, larger blocks keep a pass from handing the interpreter lock to
+    other threads at every small numpy call."""
+    n, m = grid.shape
+    h = n // 2
+    block = max(1, min(h - 1, _FFT_BLOCK_BYTES // (32 * m)))
+    pairs = [((h, h + 1),)]
+    for stop in range(h, 1, -block):
+        start = max(1, stop - block)
+        pairs.append(((start, stop), (n - stop + 1, n - start + 1)))
+    pairs.append(((0, 1),))
+    return pairs
+
+
 def _mirrored_blocks(
     grid: TFGrid,
     rows: Rows,
     spares: int,
     out: np.ndarray | None = None,
     wanted: Callable[..., bool] | None = None,
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """One pass over blocks of whole rows of the field that rows gives on
-    grid, paired as the point reflection (-x, -xi) pairs them (row j with
-    row -j mod N), from the centre out: row N/2 alone; then, in descending
-    start, blocks [upper, lower] holding rows start ... stop - 1 within
-    [1, N/2) and their reflections' rows N - stop + 1 ... N - start; then
-    row 0 alone. Each comes as (start, blocks), blocks followed by spares
-    more blocks of upper's shape for the caller to write. If wanted is
-    given, it is asked first with the spans (start, stop) of the rows, and
+) -> Iterator[tuple[list[int], list[np.ndarray]]]:
+    """One pass over the blocks of whole rows of the field that rows gives
+    on grid, in the pairs of spans of _mirrored_spans. Each pair comes as
+    (starts, blocks), the first row of each block and the blocks, followed
+    by spares more blocks of the first block's shape for the caller to
+    write. If wanted is given, it is asked first with the pair's spans, and
     a pair it refuses is skipped: its rows are not computed. The rows go
-    into out, a field, if given, or else into buffers. A block takes about
-    half _FFT_BLOCK_BYTES, so a pair takes about one (16 rows at N = 1024):
-    fewer, larger blocks keep the pass from handing the interpreter lock
-    to other threads at every small numpy call. The buffers are reused,
+    into out, a field, if given, or else into buffers, which are reused,
     each block valid until the next."""
-    n, m = grid.shape
-    h = n // 2
-    block = max(1, min(h - 1, _FFT_BLOCK_BYTES // (32 * m)))
-    buffers = [np.empty((block, m), dtype=np.complex128) for _ in range((2 if out is None else 0) + spares)]
+    pairs = _mirrored_spans(grid)
+    block = max(b - a for spans in pairs for a, b in spans)
+    buffers = [np.empty((block, grid.xi_count), dtype=np.complex128) for _ in range((2 if out is None else 0) + spares)]
     spare = buffers[len(buffers) - spares :]
-    pairs = [((h, h + 1),)]
-    for stop in range(h, 1, -block):
-        start = max(1, stop - block)
-        pairs.append(((start, stop), (n - stop + 1, n - start + 1)))
-    pairs.append(((0, 1),))
     for spans in pairs:
         if wanted is not None and not wanted(*spans):
             continue
@@ -396,14 +404,16 @@ def _mirrored_blocks(
         else:
             held = [out[a:b] for a, b in spans]
         computed = [rows(part, a) for part, (a, _) in zip(held, spans)]
-        yield spans[0][0], computed + [buf[: len(held[0])] for buf in spare]
+        yield [a for a, _ in spans], computed + [buf[: len(held[0])] for buf in spare]
 
 
-def _fill(grid: TFGrid, rows: Rows) -> np.ndarray:
-    """The field that rows gives on grid, written one block of about
-    _FFT_BLOCK_BYTES of whole rows at a time into one fresh, writable array."""
+def _fill(grid: TFGrid, rows: Rows, held: int = 1) -> np.ndarray:
+    """The field that rows gives on grid, written one block of whole rows
+    at a time into one fresh, writable array. A block takes about
+    _FFT_BLOCK_BYTES / held: a source that holds held - 1 blocks of its
+    own while it writes one keeps the pass at about _FFT_BLOCK_BYTES."""
     field = np.empty(grid.shape, dtype=np.complex128)
-    block = max(1, _FFT_BLOCK_BYTES // (16 * grid.xi_count))
+    block = max(1, _FFT_BLOCK_BYTES // (16 * held * grid.xi_count))
     for start in range(0, grid.x_count, block):
         rows(field[start : start + block], start)
     return field
@@ -691,15 +701,20 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
     return _centered_fft(_transposed(inner), grid.x_step)
 
 
-def _finite_peak(swapped: np.ndarray) -> float:
-    """max |.| of a transform from _fourier_2d_swapped, checked finite in the
-    same pass: a non-finite value makes the maximum non-finite, and only
-    then is the first non-finite node searched and named, in the field's
-    (x, xi) coordinates."""
-    peak = _max_abs(swapped)
-    if not math.isfinite(peak):
+def _finite_peak(swapped: np.ndarray) -> np.ndarray:
+    """max |.| of each row of a transform from _fourier_2d_swapped, taken one
+    block of about _FFT_BLOCK_BYTES of rows at a time and checked finite in
+    the same pass: a non-finite value makes its row's maximum non-finite,
+    and only then is the first non-finite node searched and named, in the
+    field's (x, xi) coordinates. A maximum is exact, so the largest row
+    peak is _max_abs(swapped)."""
+    peaks = np.empty(len(swapped))
+    block = max(1, _FFT_BLOCK_BYTES // swapped[0].nbytes)
+    for i in range(0, len(swapped), block):
+        np.max(np.abs(swapped[i : i + block]), axis=1, out=peaks[i : i + block])
+    if not np.isfinite(peaks).all():
         _require_finite(swapped.T, "field")
-    return peak
+    return peaks
 
 
 def fourier_2d(a: TFArray) -> TFArray:

@@ -27,18 +27,23 @@ mirrored pair of row blocks at a time (tfu.core._mirrored_blocks), each
 block reflected into a spare block.
 
 Each check holds one field, the one the plane transform needs whole, and
-a few blocks of rows. The product identity's is its left product; the right
-product is formed one block of rows at a time in a second pass and
-compared with the transform block by block. Each side computes the STFT
-rows of each of its distinct (signal, window) pairs once, matching
-signals by object identity (the command line passes one SampledSignal per
-function spec, so a repeated spec is one object); a pair that both sides
-use is computed once per side. The rotation check's field is F_Z; its
-second pass computes V's rows again and forms F_Z's rows again, with the
-same bits, to compare them with the transform, from the centre out, and
-skips the pairs of blocks that cannot reach the largest gap found so far
-(_streamed_rotation_defect); a field of the default layout's size is held
-twice instead (_rotation_defect).
+a few blocks of rows. The product identity's is its left product; a
+second pass forms the right product one block of rows at a time and
+compares it with the transform as it goes. Each side computes each row of
+each of its distinct (signal, window) pairs at most once, matching signals by
+object identity (the command line passes one SampledSignal per function
+spec, so a repeated spec is one object); a pair that both sides use is
+computed once per side. The rotation check's field is F_Z; its second
+pass computes V's rows again and forms F_Z's rows again, with the same
+bits, to compare them with the transform; a field of the default layout's
+size is held twice instead (_rotation_defect). Both second passes go from
+the centre out in mirrored pairs of blocks and skip each pair that cannot
+reach the largest gap found so far: one rule, in _centre_out_gap. A
+pair's bound comes from the rotation check's first pass, and for the
+product identity, which has no first pass over its right product, from
+the samples (tfu.stft._stft_row_bounds): a skipped pair provably could
+not have changed the gap or the scale, and its rows are provably finite,
+so the defect keeps every bit and the order of the checks is unchanged.
 build_auxiliary gives F_Z as a TFArray, and rotation_invariance_defect
 transforms a caller's read-only F_Z in one fresh array.
 """
@@ -46,27 +51,31 @@ transforms a caller's read-only F_Z in one fresh array.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from tfu.core import (
     _STEP_RTOL,
+    Rows,
     SampledSignal,
     SignalLayout,
     TFArray,
     TFGrid,
     _chirp_rows,
+    _fill,
     _finite_peak,
     _fourier_2d_swapped,
     _max_abs,
     _mirrored_blocks,
+    _mirrored_spans,
     _require_finite,
     _row_blocks,
     require_plane,
 )
 from tfu.reference import translate_modulate
-from tfu.stft import _stft_rows
+from tfu.stft import _stft_row_bounds, _stft_rows
 
 
 def _require_rotatable(grid: TFGrid) -> None:
@@ -119,13 +128,13 @@ def _auxiliary_rows(
     """
     chirp = _chirp_rows(grid, 1)
     source = _stft_rows(translate_modulate(f, z, zeta), g, grid)
-    for start, (*v, a, b, c) in _mirrored_blocks(grid, source, 3, out, wanted):
-        chirp(a, start)
+    for starts, (*v, a, b, c) in _mirrored_blocks(grid, source, 3, out, wanted):
+        chirp(a, starts[0])
         if len(v) == 1:  # row N/2 or 0, its own reflection
             (row,) = v
             np.multiply(a, row, out=a)
             np.multiply(a, _reflected(row, c), out=row)
-            yield start, row
+            yield starts[0], row
             continue
         upper, lower = v
         _reflected(a, b)  # the lower block's chirp
@@ -135,8 +144,7 @@ def _auxiliary_rows(
         _reflected(upper, lower)  # and on the lower rows, over V, which b and c now hold
         np.multiply(a, c, out=upper)
         np.multiply(b, lower, out=lower)
-        yield start, upper
-        yield grid.x_count - start - len(upper) + 1, lower
+        yield from zip(starts, (upper, lower))
 
 
 def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> TFArray:
@@ -181,15 +189,15 @@ def _rotation_gap(swapped: np.ndarray, blocks: Iterable[tuple[int, np.ndarray]])
     return gap
 
 
-def _nonzero_transform(grid: TFGrid, field: np.ndarray, scale: float) -> np.ndarray:
+def _nonzero_transform(grid: TFGrid, field: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """_fourier_2d_swapped of field = F_Z, whose peak modulus is scale, in
     place if field is writable, after the checks that F_Z is not zero and
-    has decayed; the transform is then checked finite."""
+    has decayed, and the peak of each of its rows, taken in the pass that
+    checks it finite (_finite_peak)."""
     if scale == 0.0:
         raise ValueError("field is identically zero")
     swapped = _fourier_2d_swapped(grid, field, scale)
-    _require_finite(swapped.T, "field")
-    return swapped
+    return swapped, _finite_peak(swapped)
 
 
 def rotation_invariance_defect(a: TFArray) -> float:
@@ -198,14 +206,18 @@ def rotation_invariance_defect(a: TFArray) -> float:
     check before the transform takes max |F_Z| from here."""
     _require_rotatable(a.grid)
     scale = _max_abs(a.values)
-    return _rotation_gap(_nonzero_transform(a.grid, a.values, scale), [(0, a.values)]) / scale
+    swapped, _ = _nonzero_transform(a.grid, a.values, scale)
+    return _rotation_gap(swapped, [(0, a.values)]) / scale
 
 
 #: F_Z of at most this many bytes, count <= 256 (the default layout's
 #: plane), is checked by rotation_invariance_defect(build_auxiliary(...)):
 #: two fields and no second pass. Streaming so small a field saves 1 MiB,
 #: and under tfu run's thread pool the second pass's many small numpy calls
-#: cost paper-suite about a tenth of its in-process time.
+#: cost paper-suite about a tenth of its in-process time. The product
+#: identity compares every row of a right side this small: at count 256
+#: skipping rows saved no time that timing could resolve, and the full
+#: comparison checks every row finite without relying on the bound.
 _COPIED_FIELD_BYTES = 1 << 20
 
 
@@ -219,23 +231,57 @@ def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float,
     return _streamed_rotation_defect(f, g, grid, z, zeta)
 
 
+def _centre_out_gap(
+    swapped: np.ndarray,
+    row_peaks: np.ndarray,
+    bounds: np.ndarray,
+    blocks: Callable[[Callable[..., bool]], Iterable[tuple[int, np.ndarray, float]]],
+    scale: float,
+) -> tuple[float, float]:
+    """The largest gap |FT(w) - v((-xi, x))| (_rotation_gap) between
+    swapped = tfu.core._fourier_2d_swapped(w), whose rows peak at
+    row_peaks (tfu.core._finite_peak), and a field v; and the larger of
+    scale, at least max |FT(w)|, and v's peak modulus.
+
+    blocks(wanted) gives v's blocks (start, rows, peak), peak being the
+    rows' finite peak modulus, in the mirrored pairs of spans of
+    tfu.core._mirrored_spans, from the centre out, and skips each pair
+    that wanted refuses without computing its rows. bounds[j] bounds every modulus of v's row
+    j as computed. The pair is refused when its bound is at most the
+    running scale and its bound plus the peak of the rows of swapped that
+    it meets (those of its spans: row r meets row -r mod N), times
+    1 + 2^-40 and plus 2^-1000, is below the largest gap found so far. A
+    node's |FT - v|, as computed, is at most (|FT| + |v|)(1 + 8u),
+    u = 2^-53, plus a few ulps of the smallest subnormal, so a refused pair
+    could not have changed the gap; its rows are at most the scale, so
+    they could not have raised it; and a bound at most a finite scale is
+    finite, so its rows are finite too. Fields that decay have their
+    largest gap near the centre, and most pairs far from it are skipped.
+    """
+    gap = 0.0
+
+    def wanted(*spans: tuple[int, int]) -> bool:
+        bound = max(bounds[a:b].max() for a, b in spans)
+        near = max(row_peaks[a:b].max() for a, b in spans)
+        return not (bound <= scale and (bound + near) * (1 + 2**-40) + 2**-1000 < gap)
+
+    for start, rows, peak in blocks(wanted):
+        scale = max(scale, peak)
+        gap = max(gap, _rotation_gap(swapped, [(start, rows)]))
+    return gap, scale
+
+
 def _streamed_rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> float:
     """rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta)),
     bit for bit, holding one field and a few blocks of rows.
 
     The first pass of _auxiliary_rows forms F_Z in a fresh field and takes
-    the peak modulus of each block; the field is transformed in place. The
-    second pass, from the centre out, computes V's rows again, forms F_Z's
-    rows again with the same bits, and compares each block with the
-    transform's rows as it comes (_rotation_gap). It skips a mirrored pair
-    of blocks, without computing its rows, when no node of it can reach
-    the largest gap found so far. A node's |FT - F_Z|, as computed, is at
-    most (|FT| + |F_Z|)(1 + 8u), u = 2^-53, plus a few ulps of the
-    smallest subnormal; the pair is skipped when the sum of its peaks,
-    times 1 + 2^-40 and plus 2^-1000, is below the gap, so it could not
-    have changed the maximum. Fields that decay, as every admitted field
-    does, have their largest gap near the centre, and most pairs far from
-    it are skipped (three in four at N = 1024 for the unit Gaussian).
+    the peak modulus of each block, which bounds its rows; the field is
+    transformed in place. The second pass computes V's rows again, forms
+    F_Z's rows again with the same bits, and compares them with the
+    transform's rows from the centre out, skipping the mirrored pairs of
+    blocks that cannot reach the largest gap found so far
+    (_centre_out_gap): three in four at N = 1024 for the unit Gaussian.
 
     The checks run in this order: the grid (_require_rotatable), the
     shift's lattice rule (translate_modulate), the layouts of f and g;
@@ -245,45 +291,44 @@ def _streamed_rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, 
     """
     _require_rotatable(grid)
     field = np.empty(grid.shape, dtype=np.complex128)
-    peaks = {start: _max_abs(rows) for start, rows in _auxiliary_rows(grid, f, g, z, zeta, field)}
-    if not all(map(math.isfinite, peaks.values())):
+    bounds = np.empty(grid.x_count)
+    for start, rows in _auxiliary_rows(grid, f, g, z, zeta, field):
+        bounds[start : start + len(rows)] = _max_abs(rows)
+    if not np.isfinite(bounds).all():
         _require_finite(field, "field")
-    scale = max(peaks.values())
-    swapped = _nonzero_transform(grid, field, scale)
-    gap = 0.0
+    scale = float(bounds.max())
+    swapped, row_peaks = _nonzero_transform(grid, field, scale)
 
-    def wanted(*spans: tuple[int, int]) -> bool:
-        # the pair's rows of swapped are those of its spans (row r meets row -r)
-        bound = max(peaks[a] for a, _ in spans) + max(_max_abs(swapped[a:b]) for a, b in spans)
-        return not bound * (1 + 2**-40) + 2**-1000 < gap
+    def blocks(wanted: Callable[..., bool]) -> Iterator[tuple[int, np.ndarray, float]]:
+        for start, rows in _auxiliary_rows(grid, f, g, z, zeta, wanted=wanted):
+            yield start, rows, bounds[start]
 
-    for start, rows in _auxiliary_rows(grid, f, g, z, zeta, wanted=wanted):
-        gap = max(gap, _rotation_gap(swapped, [(start, rows)]))
-    return gap / scale
+    return _centre_out_gap(swapped, row_peaks, bounds, blocks, scale)[0] / scale
 
 
 Pair = tuple[SampledSignal, SampledSignal]
 
 
-def _product_rows(grid: TFGrid, b: Pair, a: Pair, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Blocks (start, rows) of the product conj(V_b) * V_a of the STFTs of
-    the (signal, window) pairs b and a, in ascending order, each checked
-    finite (a non-finite node is named in the field's coordinates). The
-    rows go into out[start:], a field, if given, or else into a spare block
-    of the pass, valid until the next block is made.
+def _product_rows(grid: TFGrid, b: Pair, a: Pair) -> Rows:
+    """The row source (tfu.core.Rows) of the product conj(V_b) * V_a of the
+    STFTs of the (signal, window) pairs b and a on grid.
 
-    The rows of each distinct pair (matched by identity) are computed by
-    tfu.stft._stft_rows in one pass of tfu.core._row_blocks. The product
-    takes conj(b), then is multiplied by a in place, in that fixed order,
-    as the complex multiply rounds a * b and b * a differently.
+    Each block's rows of V_a are computed (tfu.stft._stft_rows) into a
+    fresh block, and those of V_b into out, once if b and a are one pair
+    (matched by identity); out is conjugated in place and multiplied by
+    V_a in place, in that fixed order, as the complex multiply rounds
+    a * b and b * a differently.
     """
-    distinct = {pair: i for i, pair in enumerate(dict.fromkeys((b, a)))}
-    sources = [_stft_rows(*pair, grid) for pair in distinct]
-    for start, rows in _row_blocks(grid, sources, spares=out is None):
-        product = rows[-1] if out is None else out[start : start + len(rows[0])]
-        np.multiply(np.conjugate(rows[distinct[b]], out=product), rows[distinct[a]], out=product)
-        _require_finite(product, "field", (start, 0))
-        yield start, product
+    shared = all(map(operator.is_, b, a))
+    stft_b = _stft_rows(*b, grid)
+    stft_a = stft_b if shared else _stft_rows(*a, grid)
+
+    def rows(out: np.ndarray, start: int) -> np.ndarray:
+        va = stft_a(np.empty_like(out), start)
+        np.conjugate(va if shared else stft_b(out, start), out=out)
+        return np.multiply(out, va, out=out)
+
+    return rows
 
 
 def fundamental_identity_defect(
@@ -296,32 +341,68 @@ def fundamental_identity_defect(
     """Normalized max-abs gap between the two sides of the product identity.
 
     Each side is a product conj(b) * a of the STFTs of two (signal, window)
-    pairs, formed in a pass over blocks of whole rows (_product_rows). The
-    left side is formed whole, its peak taken block by block for the decay
-    check, and transformed in place; one pass over the transform takes its
-    peak, the scale, and checks it finite (_finite_peak). The right side is
-    only compared, row by row, with the transform's rows, so its second
-    pass streams it: each block's peak joins the scale and its gap is taken
-    while the block is in cache (_rotation_gap). One field and about one block are held; a
-    pair that both sides use is computed once per side.
+    pairs, whose rows _product_rows computes. The left side is filled into
+    one field (tfu.core._fill), each block checked finite and its peak
+    taken for the decay check, and transformed in place; one pass over the
+    transform takes the peak of each of its rows and checks it finite
+    (_finite_peak), and their maximum starts the scale. The right side is
+    only compared with the transform's rows, so a second pass streams it
+    one block at a time from the centre out, in the mirrored pairs of
+    tfu.core._mirrored_spans: each block's peak joins the scale, and its
+    gap is taken while it is in cache. One field and about one block are
+    held.
 
-    The checks therefore run in this order: the left product's finiteness,
-    its decay, the transform's, then the right product's finiteness. An
-    input whose left product is not decayed and whose right product is not
-    finite is refused as unsound truncation.
+    The second pass skips each pair that cannot reach the largest gap
+    found so far, by the rule that the rotation check shares
+    (_centre_out_gap), with a bound taken from the samples:
+    tfu.stft._stft_row_bounds bounds every computed modulus of row j of
+    each of the right side's two STFTs, by R_j and R'_j, and the product's
+    row j is bounded by R_j R'_j times 1 + 2^-20, plus 2^-1000. A computed
+    product of two entries is at most the product of their moduli times
+    1 + sqrt(5) u, u = 2^-53, plus a few ulps of the smallest subnormal,
+    and the rounded R_j R'_j is low by at most a relative u and half such
+    an ulp: the factor and the floor cover both. The bound falls off away
+    from the centre as the signals decay: for (h1, G, h1, h1) at count
+    1024 the pass computes 257 of the 1024 rows of each of its STFTs. A
+    right side of at most _COPIED_FIELD_BYTES (count 256 or less) has every
+    row compared.
+
+    The checks run in this order: the left product's finiteness, its
+    decay, the transform's finiteness, then the right product's
+    finiteness, naming its first non-finite node in row-major order. A
+    skipped pair leaves none unchecked: its bound is at most the finite
+    scale, so its rows are finite. An input whose left product is not
+    decayed and whose right product is not finite is refused as unsound
+    truncation.
     """
     _require_rotatable(grid)
     # FT(V_{g1}f1 conj V_{g2}f2) against (V_{f2}f1 conj V_{g2}g1)(-xi, x)
-    lhs = np.empty(grid.shape, dtype=np.complex128)
-    peak = max(_max_abs(rows) for _, rows in _product_rows(grid, (f2, g2), (f1, g1), out=lhs))
-    swapped = _fourier_2d_swapped(grid, lhs, peak)
-    scale = _finite_peak(swapped)
+    left, peaks = _product_rows(grid, (f2, g2), (f1, g1)), []
 
-    def compared() -> Iterator[tuple[int, np.ndarray]]:
-        nonlocal scale
-        for start, rows in _product_rows(grid, (g1, g2), (f1, f2)):
-            scale = max(scale, _max_abs(rows))
-            yield start, rows
+    def checked(out: np.ndarray, start: int) -> np.ndarray:
+        _require_finite(left(out, start), "field", (start, 0))
+        peaks.append(_max_abs(out))
+        return out
 
-    gap = _rotation_gap(swapped, compared())
+    swapped = _fourier_2d_swapped(grid, _fill(grid, checked, held=2), max(peaks))
+    row_peaks = _finite_peak(swapped)
+    pairs = (g1, g2), (f1, f2)
+    right = _product_rows(grid, *pairs)
+    if 16 * grid.x_count * grid.xi_count <= _COPIED_FIELD_BYTES:
+        bounds = np.full(grid.x_count, math.inf)  # every row is compared
+    else:
+        bounds = np.multiply(*(_stft_row_bounds(*pair) for pair in pairs)) * (1 + 2**-20) + 2**-1000
+
+    def blocks(wanted: Callable[..., bool]) -> Iterator[tuple[int, np.ndarray, float]]:
+        mirrored = _mirrored_spans(grid)
+        buffer = np.empty((max(b - a for spans in mirrored for a, b in spans), grid.xi_count), dtype=np.complex128)
+        for start, stop in (span for spans in mirrored if wanted(*spans) for span in spans):
+            rows = right(buffer[: stop - start], start)
+            peak = _max_abs(rows)
+            if not math.isfinite(peak):  # name the first non-finite node in row-major order
+                for first, (ascending,) in _row_blocks(grid, [right]):
+                    _require_finite(ascending, "field", (first, 0))
+            yield start, rows, peak
+
+    gap, scale = _centre_out_gap(swapped, row_peaks, bounds, blocks, float(row_peaks.max()))
     return 0.0 if scale == 0.0 else gap / scale

@@ -58,6 +58,33 @@ def _stft_rows(f: SampledSignal, g: SampledSignal, grid: TFGrid) -> Rows:
     return rows
 
 
+def _stft_row_bounds(f: SampledSignal, g: SampledSignal) -> np.ndarray:
+    """For each row j of the sampled V_g f, a bound on the modulus of every
+    entry of it that _stft_rows computes: R_j = step * sum_i |f_i|_1
+    |g_{i - s_j}|_1, s_j = j - n/2, times 1 + 2^-20, plus 2^-1000, where
+    |z|_1 = |Re z| + |Im z| >= |z|. All n sums are one np.convolve of |f|_1
+    with |g|_1 reversed.
+
+    In exact arithmetic the row is the Fourier transform of the column
+    products, so no entry exceeds step times their l1 norm, which the sum
+    bounds. |z|_1 is used, not np.abs, as a sum of subnormals is exact:
+    np.abs of a subnormal sample may round down by half the smallest
+    subnormal, a relative error that a large sample of the other signal
+    carries into a normal column product. As computed, with u = 2^-53 and
+    n < 2^26: |z|_1 and the sum, of n nonnegative rounded terms, are low
+    by at most a factor (1 - u)^(n + 4); the column products, the FFT and
+    the scaling by step raise an entry by at most a relative
+    c sqrt(n) log2(n) u of the l1 norm (the FFT's normwise error bound,
+    with room for any constant c up to 100); together below 2^-25, which
+    the factor covers many times over. Products and butterflies that
+    underflow add at most a few ulps of the smallest subnormal each, under
+    n^2 log2(n) 2^-1070 in all, which 2^-1000 covers."""
+    n = f.count
+    moduli = [np.abs(s.samples.real) + np.abs(s.samples.imag) for s in (f, g)]
+    sums = np.convolve(moduli[0], moduli[1][::-1])[n // 2 - 1 : n // 2 - 1 + n]
+    return f.step * sums * (1 + 2**-20) + 2**-1000
+
+
 def energy_defect(v: TFArray | TFModulus, fn: float, gn: float) -> float:
     """Relative gap between the plane energy of a computed field V_g f and
     fn^2 gn^2, with fn = |f|_2 and gn = |g|_2.

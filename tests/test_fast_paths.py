@@ -11,13 +11,15 @@ step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
 checks compare the transform, axes swapped, with row reflections read
 through views; the product identity forms its left product in one pass
 over row blocks of the STFTs and streams its right product against the
-transform in a second, each side computing a distinct pair's rows once;
-the rotation check forms F_Z in place of V, one mirrored pair of row
-blocks at a time, and streams it again in those pairs against its
-transform, skipping the pairs that cannot reach the gap (a field of the
-default layout's size is held twice instead): their defects must equal
-those of the formulas with full rotated copies, and a non-finite product
-is named at its node. The other fast paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
+transform in a second, each side computing a distinct pair's rows at
+most once; the rotation check forms F_Z in place of V, one mirrored pair
+of row blocks at a time, and streams it again in those pairs against its
+transform (a field of the default layout's size is held twice instead).
+Both second passes skip the pairs of blocks that cannot reach the gap,
+the identity's by row bounds from the samples, which every computed
+modulus must respect: their defects must equal those of the formulas
+with full rotated copies, a gap planted far from the centre must still
+be found, and a non-finite product is named at its node. The other fast paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
 taken over without a copy, the finiteness check they keep, and the chirp
 read from a table of roots of unity instead of an exp at every node. Every
 row source writes every node of the block it is given: any split of its
@@ -40,7 +42,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfu
-from tfu import cli, core, identity, support
+from tfu import cli, core, identity, stft, support
 from tfu.core import (
     DEFAULT_LAYOUT,
     SampledSignal,
@@ -341,7 +343,10 @@ def test_finite_peak_names_the_first_non_finite_node(bad):
     swapped[9, 5] = swapped[40, 3] = complex(bad, 0)
     with pytest.raises(ValueError, match=r"^non-finite field value at node \(3, 40\)$"):
         _finite_peak(swapped)
-    assert _finite_peak(swapped[:9]) == float(np.max(np.abs(swapped[:9])))
+    # each row's peak, 40 rows over two blocks of 32 at this width
+    assert same_bits(_finite_peak(swapped[:9]), np.max(np.abs(swapped[:9]), axis=1))
+    wide = random_complex(5, (40, 8192))
+    assert same_bits(_finite_peak(wide), np.max(np.abs(wide), axis=1))
 
 
 @pytest.mark.parametrize("n", [16, 600])
@@ -678,14 +683,18 @@ def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed,
     ],
 )
 def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
-    """Once per side: a pair that both sides use is computed in each pass."""
-    counted = collections.Counter()
+    """The left pass computes every row of each of its distinct pairs once,
+    the right pass each row at most once: a pair that both sides use is
+    computed in each pass."""
+    made = []  # [pair, rows computed] for each row source, in the order made
 
     def counting(f, g, grid):
         rows = _stft_rows(f, g, grid)
+        made.append([(id(f), id(g)), 0])
+        count = made[-1]
 
         def counted_rows(out, start):
-            counted[id(f), id(g)] += len(out)
+            count[1] += len(out)
             return rows(out, start)
 
         return counted_rows
@@ -697,8 +706,110 @@ def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
     monkeypatch.setattr(identity, "_stft_rows", counting)
     assert fundamental_identity_defect(f1, f2, g1, g2, grid) == expected
     sides = [{(id(f2), id(g2)), (id(f1), id(g1))}, {(id(g1), id(g2)), (id(f1), id(f2))}]
-    assert len(counted) == pairs
-    assert counted == {pair: DEFAULT_LAYOUT.count * sum(pair in side for side in sides) for pair in counted}
+    left, right = made[: len(sides[0])], made[len(sides[0]) :]
+    assert [len({pair for pair, _ in side}) for side in (left, right)] == [len(left), len(right)]
+    assert [{pair for pair, _ in side} for side in (left, right)] == sides
+    assert len({pair for pair, _ in made}) == pairs
+    assert all(rows == DEFAULT_LAYOUT.count for _, rows in left)
+    assert all(rows <= DEFAULT_LAYOUT.count for _, rows in right)
+
+
+def right_rows_per_pair(monkeypatch, call):
+    """call()'s value, and the rows that each row source made after the
+    first transform computed: the identity's right pass."""
+    counts, transformed = [], []
+    transform, stft_rows = identity._fourier_2d_swapped, identity._stft_rows
+
+    def counting(f, g, grid):
+        rows = stft_rows(f, g, grid)
+        counts.append(0)
+        index = len(counts) - 1
+
+        def counted_rows(out, start):
+            counts[index] += len(out)
+            return rows(out, start)
+
+        return counted_rows if transformed else rows
+
+    monkeypatch.setattr(identity, "_fourier_2d_swapped", lambda *args: transformed.append(1) or transform(*args))
+    monkeypatch.setattr(identity, "_stft_rows", counting)
+    return call(), [n for n in counts if n]
+
+
+def test_identity_skips_the_right_blocks_that_cannot_reach_the_gap(monkeypatch, large):
+    # at N = 1024 the right product of (h1, G, h1, h1), and its largest gap,
+    # lie near the centre: the right pass computes the rows of its two
+    # distinct pairs in row N/2 and the eight mirrored pairs of 16-row blocks
+    # nearest it, 257 of 1024, with the same defect
+    grid, G, h1 = large
+    expected = copying_identity_defect(h1, G, h1, h1, grid)
+    defect, rows = right_rows_per_pair(monkeypatch, lambda: fundamental_identity_defect(h1, G, h1, h1, grid))
+    assert defect == expected
+    assert len(rows) == 2 and max(rows) <= 1024 // 4 + 1, rows
+
+
+@pytest.mark.parametrize("row", [0, 3, 1020])
+def test_identity_keeps_a_gap_far_from_the_centre(monkeypatch, large, row):
+    # the transform, perturbed at one node of an outer row by 1.5 times the
+    # gap, must be compared there, on either side of the centre and at row 0
+    # alone; the perturbation is then the largest gap, in both formulas
+    grid, G, h1 = large
+    plain = fundamental_identity_defect(h1, G, h1, h1, grid)
+    transform = core._fourier_2d_swapped
+
+    def perturbed(grid, values, peak=None):
+        swapped = transform(grid, values, peak)
+        swapped[row, 7] += 1.5 * plain * _max_abs(swapped)
+        return swapped
+
+    monkeypatch.setattr(core, "_fourier_2d_swapped", perturbed)
+    monkeypatch.setattr(identity, "_fourier_2d_swapped", perturbed)
+    expected = copying_identity_defect(h1, G, h1, h1, grid)
+    assert expected > plain
+    assert fundamental_identity_defect(h1, G, h1, h1, grid) == expected
+
+
+def bank_signals(layout, scales):
+    """signals(layout), the complex window gaussian(1.5, 1 - 0.5j) among
+    them, each scaled by one of the powers of two scales."""
+    window = st.just(tfu.sample(tfu.gaussian(1.5, 1 - 0.5j), layout))
+    rescaled = lambda s, k: SampledSignal(s.samples * k, s.step)  # noqa: E731
+    return st.builds(rescaled, st.one_of(signals(layout), window), st.sampled_from(scales))
+
+
+@pytest.mark.parametrize("layout, examples", [(DEFAULT_LAYOUT, 40), (LARGE, 12)])
+def test_stft_row_bounds_hold(layout, examples):
+    # every computed modulus of row j of V_g f is at most the row bound,
+    # also where the column products and the transform reach the
+    # subnormals (2^-500 and 2^-537 squared), or come near overflow
+    grid = TFGrid.from_layout(layout)
+    scaled = bank_signals(layout, [1.0, 2.0**-500, 2.0**-537, 2.0**500])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=examples)
+    @given(f=scaled, g=scaled)
+    def check(f, g):
+        moduli = np.abs(compute_stft(f, g, grid).values)
+        assert (np.max(moduli, axis=1) <= stft._stft_row_bounds(f, g)).all()
+
+    check()
+
+
+@pytest.mark.parametrize("layout, examples", [(DEFAULT_LAYOUT, 20), (LARGE, 10)])
+def test_identity_keeps_its_bits_over_the_bank(layout, examples):
+    # at count 1024 the right pass skips rows by the product of two row
+    # bounds; at 256 it compares every row. Either way the defect has the
+    # copying formula's bits, and a refusal its message
+    grid = TFGrid.from_layout(layout)
+    scaled = bank_signals(layout, [1.0, 1.0, 2.0**-200, 2.0**200])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=examples)
+    @given(bank=st.lists(scaled, min_size=2, max_size=3), picks=st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    def check(bank, picks):
+        picked = [bank[i % len(bank)] for i in picks]
+        expected = outcome(lambda: copying_identity_defect(*picked, grid))
+        assert outcome(lambda: fundamental_identity_defect(*picked, grid)) == expected
+
+    check()
 
 
 def poison_rows(monkeypatch, poisons):
