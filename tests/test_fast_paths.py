@@ -19,8 +19,11 @@ Both second passes skip the pairs of blocks that cannot reach the gap,
 the identity's by row bounds from the samples, which every computed
 modulus must respect: their defects must equal those of the formulas
 with full rotated copies, a gap planted far from the centre must still
-be found, and a non-finite product is named at its node. The other fast paths: the underflow-gated |V|^p, max |.| taken in row blocks, fields
-taken over without a copy, the finiteness check they keep, and the chirp
+be found, the shared rule must keep a pair whose sides differ by more
+than the gap or whose rows would raise the scale, and a non-finite
+product is named at its node. The other fast paths: the underflow-gated
+|V|^p, max |.| taken in row blocks, fields taken over without a copy,
+the finiteness check they keep, and the chirp
 read from a table of roots of unity instead of an exp at every node. Every
 row source writes every node of the block it is given: any split of its
 rows, into blocks filled with nan, gives the bits of _fill's whole field.
@@ -31,7 +34,6 @@ scenarios' and whole-plane fills' traced peaks are bounded in units of one
 field's bytes, at N = 1024 and, for the product identity, at N = 256 too.
 """
 
-import collections
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -671,6 +673,27 @@ def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed,
     assert identity._rotation_gap(swapped.copy(), [(0, v)]) == expected
 
 
+def count_rows(monkeypatch):
+    """Make identity's row sources count the rows they compute: the list
+    returned gets [(id(f), id(g)), rows] for each source, in the order
+    made, so the left product's sources come first."""
+    made = []
+
+    def counting(f, g, grid):
+        rows = _stft_rows(f, g, grid)
+        made.append([(id(f), id(g)), 0])
+        count = made[-1]
+
+        def counted_rows(out, start):
+            count[1] += len(out)
+            return rows(out, start)
+
+        return counted_rows
+
+    monkeypatch.setattr(identity, "_stft_rows", counting)
+    return made
+
+
 @pytest.mark.parametrize(
     "picks, pairs",
     [
@@ -686,66 +709,32 @@ def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
     """The left pass computes every row of each of its distinct pairs once,
     the right pass each row at most once: a pair that both sides use is
     computed in each pass."""
-    made = []  # [pair, rows computed] for each row source, in the order made
-
-    def counting(f, g, grid):
-        rows = _stft_rows(f, g, grid)
-        made.append([(id(f), id(g)), 0])
-        count = made[-1]
-
-        def counted_rows(out, start):
-            count[1] += len(out)
-            return rows(out, start)
-
-        return counted_rows
-
     bank = default_bank()
     grid = TFGrid.from_layout(DEFAULT_LAYOUT)
     f1, f2, g1, g2 = (bank[i] for i in picks)
     expected = copying_identity_defect(f1, f2, g1, g2, grid)
-    monkeypatch.setattr(identity, "_stft_rows", counting)
+    made = count_rows(monkeypatch)
     assert fundamental_identity_defect(f1, f2, g1, g2, grid) == expected
     sides = [{(id(f2), id(g2)), (id(f1), id(g1))}, {(id(g1), id(g2)), (id(f1), id(f2))}]
     left, right = made[: len(sides[0])], made[len(sides[0]) :]
-    assert [len({pair for pair, _ in side}) for side in (left, right)] == [len(left), len(right)]
     assert [{pair for pair, _ in side} for side in (left, right)] == sides
+    assert len(right) == len(sides[1])
     assert len({pair for pair, _ in made}) == pairs
     assert all(rows == DEFAULT_LAYOUT.count for _, rows in left)
     assert all(rows <= DEFAULT_LAYOUT.count for _, rows in right)
-
-
-def right_rows_per_pair(monkeypatch, call):
-    """call()'s value, and the rows that each row source made after the
-    first transform computed: the identity's right pass."""
-    counts, transformed = [], []
-    transform, stft_rows = identity._fourier_2d_swapped, identity._stft_rows
-
-    def counting(f, g, grid):
-        rows = stft_rows(f, g, grid)
-        counts.append(0)
-        index = len(counts) - 1
-
-        def counted_rows(out, start):
-            counts[index] += len(out)
-            return rows(out, start)
-
-        return counted_rows if transformed else rows
-
-    monkeypatch.setattr(identity, "_fourier_2d_swapped", lambda *args: transformed.append(1) or transform(*args))
-    monkeypatch.setattr(identity, "_stft_rows", counting)
-    return call(), [n for n in counts if n]
 
 
 def test_identity_skips_the_right_blocks_that_cannot_reach_the_gap(monkeypatch, large):
     # at N = 1024 the right product of (h1, G, h1, h1), and its largest gap,
     # lie near the centre: the right pass computes the rows of its two
     # distinct pairs in row N/2 and the eight mirrored pairs of 16-row blocks
-    # nearest it, 257 of 1024, with the same defect
+    # nearest it, 257 of 1024, with the same defect; the left pass, all 1024
     grid, G, h1 = large
     expected = copying_identity_defect(h1, G, h1, h1, grid)
-    defect, rows = right_rows_per_pair(monkeypatch, lambda: fundamental_identity_defect(h1, G, h1, h1, grid))
-    assert defect == expected
-    assert len(rows) == 2 and max(rows) <= 1024 // 4 + 1, rows
+    made = count_rows(monkeypatch)
+    assert fundamental_identity_defect(h1, G, h1, h1, grid) == expected
+    assert [rows for _, rows in made[:2]] == [1024, 1024]
+    assert len(made) == 4 and max(rows for _, rows in made[2:]) <= 1024 // 4 + 1, made
 
 
 @pytest.mark.parametrize("row", [0, 3, 1020])
@@ -767,6 +756,49 @@ def test_identity_keeps_a_gap_far_from_the_centre(monkeypatch, large, row):
     expected = copying_identity_defect(h1, G, h1, h1, grid)
     assert expected > plain
     assert fundamental_identity_defect(h1, G, h1, h1, grid) == expected
+
+
+def test_identity_keeps_a_right_row_far_from_the_centre(monkeypatch):
+    # the transform, zeroed on its rows more than 64 from the centre, leaves
+    # the right product's own rows there as the largest gap: its bound must
+    # hold them, though the right pairs (V_G4 G4, V_G.25 G.25) decay at very
+    # different rates, so neither pair's bound alone does
+    grid = TFGrid.from_layout(LARGE)
+    narrow, wide = (tfu.sample(tfu.unit_gaussian(a), LARGE) for a in (4, 0.25))
+    plain = fundamental_identity_defect(narrow, narrow, wide, wide, grid)
+    transform = core._fourier_2d_swapped
+
+    def zeroed(grid, values, peak=None):
+        swapped = transform(grid, values, peak)
+        swapped[: 512 - 64], swapped[512 + 65 :] = 0, 0
+        return swapped
+
+    monkeypatch.setattr(core, "_fourier_2d_swapped", zeroed)
+    monkeypatch.setattr(identity, "_fourier_2d_swapped", zeroed)
+    expected = copying_identity_defect(narrow, narrow, wide, wide, grid)
+    assert expected > 1000 * plain
+    assert fundamental_identity_defect(narrow, narrow, wide, wide, grid) == expected
+
+
+def test_centre_out_gap_keeps_what_a_skipped_pair_could_change(large):
+    # the centre gives gap 1.9; a pair whose two sides are each below it but
+    # whose difference is 2 must be compared, and so must a pair whose row
+    # peaks above the scale, 1.2; the gap and scale are then the full pass's
+    grid = large[0]
+    swapped, v = (np.zeros(grid.shape, dtype=np.complex128) for _ in range(2))
+    swapped[512, 5], v[512, 5] = 1.0, -0.9  # row r of v meets row -r mod N of swapped
+    swapped[24, 9], v[1000, 9] = 1.0, -1.0
+    v[100, 3] = 1.2
+    bounds = np.max(np.abs(v), axis=1)
+
+    def blocks(wanted):
+        for spans in core._mirrored_spans(grid):
+            if wanted(*spans):
+                yield from ((a, v[a:b], bounds[a:b].max()) for a, b in spans)
+
+    expected = identity._rotation_gap(swapped.copy(), [(0, v)]), 1.2
+    assert expected == (2.0, 1.2)
+    assert identity._centre_out_gap(swapped, core._finite_peak(swapped), bounds, blocks, 1.0) == expected
 
 
 def bank_signals(layout, scales):
