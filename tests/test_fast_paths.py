@@ -345,7 +345,7 @@ def test_finite_peak_names_the_first_non_finite_node(bad):
     swapped[9, 5] = swapped[40, 3] = complex(bad, 0)
     with pytest.raises(ValueError, match=r"^non-finite field value at node \(3, 40\)$"):
         _finite_peak(swapped)
-    # each row's peak, 40 rows over two blocks of 32 at this width
+    # each row's peak, in one block and, at 8192 nodes a row, in ten blocks of 4
     assert same_bits(_finite_peak(swapped[:9]), np.max(np.abs(swapped[:9]), axis=1))
     wide = random_complex(5, (40, 8192))
     assert same_bits(_finite_peak(wide), np.max(np.abs(wide), axis=1))
