@@ -343,18 +343,17 @@ def _owned(v: TFArray | TFModulus) -> bool:
 Rows = Callable[[np.ndarray, int], np.ndarray]
 
 
-def _row_blocks(grid: TFGrid, sources: Sequence[Rows], spares: int = 0) -> Iterator[tuple[int, list[np.ndarray]]]:
+def _row_blocks(grid: TFGrid, sources: Sequence[Rows]) -> Iterator[tuple[int, list[np.ndarray]]]:
     """One pass over blocks of whole rows of the fields the sources give on
     grid: (start, blocks) in ascending start, blocks holding each source's
-    rows start ... start + len - 1, then spares more blocks of that shape
-    for the caller to write. The blocks are views of buffers that share
-    about _FFT_BLOCK_BYTES and are reused: each is valid until the next."""
+    rows start ... start + len - 1. The blocks are views of buffers that
+    share about _FFT_BLOCK_BYTES and are reused: each is valid until the
+    next."""
     n, m = grid.shape
-    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * m * (len(sources) + spares))))
-    buffers = [np.empty((block, m), dtype=np.complex128) for _ in range(len(sources) + spares)]
+    block = min(n, max(1, _FFT_BLOCK_BYTES // (16 * m * len(sources))))
+    buffers = [np.empty((block, m), dtype=np.complex128) for _ in sources]
     for start in range(0, n, block):
-        parts = [buffer[: min(block, n - start)] for buffer in buffers]
-        yield start, [rows(part, start) for rows, part in zip(sources, parts)] + parts[len(sources) :]
+        yield start, [rows(buffer[: min(block, n - start)], start) for rows, buffer in zip(sources, buffers)]
 
 
 def _mirrored_spans(grid: TFGrid) -> list[tuple[tuple[int, int], ...]]:

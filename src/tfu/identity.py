@@ -212,14 +212,11 @@ def rotation_invariance_defect(a: TFArray) -> float:
 
 #: F_Z of at most this many bytes, count <= 256 (the default layout's
 #: plane), is checked by rotation_invariance_defect(build_auxiliary(...)):
-#: two fields and no second pass. Streaming so small a field saves 1 MiB,
-#: and under tfu run's thread pool the second pass's many small numpy calls
-#: cost paper-suite about a tenth of its in-process time. The product
-#: identity compares every row of a right side this small, so each row is
-#: checked finite as its row source computes it, not through the samples'
-#: bound. Skipping rows there would save about a quarter of the check
-#: (24 → 18 ms serially for paper-suite's identity-tuples), below what
-#: paper-suite's end-to-end timing resolves.
+#: two fields and no second pass. At count 256 the streamed second pass
+#: computes 129 of the 256 rows of V again, 385 STFT rows a shift against
+#: 256, and took 5.0-5.3 ms a shift against 4.1-4.5 ms (2 vCPUs);
+#: streaming every rotation made paper-suite about 5% slower in process,
+#: serially. Streaming so small a field would save only 1 MiB.
 _COPIED_FIELD_BYTES = 1 << 20
 
 
@@ -227,7 +224,6 @@ def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float,
     """rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta)),
     bit for bit: computed so for F_Z of at most _COPIED_FIELD_BYTES, and
     otherwise in one field (_streamed_rotation_defect)."""
-    _require_rotatable(grid)
     if 16 * grid.x_count * grid.xi_count <= _COPIED_FIELD_BYTES:
         return rotation_invariance_defect(build_auxiliary(f, g, grid, z, zeta))
     return _streamed_rotation_defect(f, g, grid, z, zeta)
@@ -364,10 +360,9 @@ def fundamental_identity_defect(
     1 + sqrt(5) u, u = 2^-53, plus a few ulps of the smallest subnormal,
     and the rounded R_j R'_j is low by at most a relative u and half such
     an ulp: the factor and the floor cover both. The bound falls off away
-    from the centre as the signals decay: for (h1, G, h1, h1) at count
-    1024 the pass computes 257 of the 1024 rows of each of its STFTs. A
-    right side of at most _COPIED_FIELD_BYTES (count 256 or less) has every
-    row compared.
+    from the centre as the signals decay: for (h1, G, h1, h1) the pass
+    computes 257 of the 1024 rows of each of its STFTs at count 1024, and
+    129 of the 256 at count 256.
 
     The checks run in this order: the left product's finiteness, its
     decay, the transform's finiteness, then the right product's
@@ -390,10 +385,7 @@ def fundamental_identity_defect(
     row_peaks = _finite_peak(swapped)
     pairs = (g1, g2), (f1, f2)
     right = _product_rows(grid, *pairs)
-    if 16 * grid.x_count * grid.xi_count <= _COPIED_FIELD_BYTES:
-        bounds = np.full(grid.x_count, math.inf)  # every row is compared
-    else:
-        bounds = np.multiply(*(_stft_row_bounds(*pair) for pair in pairs)) * (1 + 2**-20) + 2**-1000
+    bounds = np.multiply(*(_stft_row_bounds(*pair) for pair in pairs)) * (1 + 2**-20) + 2**-1000
 
     def blocks(wanted: Callable[..., bool]) -> Iterator[tuple[int, np.ndarray, float]]:
         mirrored = _mirrored_spans(grid)

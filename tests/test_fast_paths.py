@@ -725,16 +725,19 @@ def test_identity_computes_each_distinct_pair_once(monkeypatch, picks, pairs):
 
 
 def test_identity_skips_the_right_blocks_that_cannot_reach_the_gap(monkeypatch, large):
-    # at N = 1024 the right product of (h1, G, h1, h1), and its largest gap,
-    # lie near the centre: the right pass computes the rows of its two
-    # distinct pairs in row N/2 and the eight mirrored pairs of 16-row blocks
-    # nearest it, 257 of 1024, with the same defect; the left pass, all 1024
-    grid, G, h1 = large
-    expected = copying_identity_defect(h1, G, h1, h1, grid)
-    made = count_rows(monkeypatch)
-    assert fundamental_identity_defect(h1, G, h1, h1, grid) == expected
-    assert [rows for _, rows in made[:2]] == [1024, 1024]
-    assert len(made) == 4 and max(rows for _, rows in made[2:]) <= 1024 // 4 + 1, made
+    # the right product of (h1, G, h1, h1), and its largest gap, lie near
+    # the centre: the right pass computes the rows of its two distinct pairs
+    # in row N/2 and the mirrored pairs of blocks nearest it, with the same
+    # defect; the left pass, every row. At N = 1024 that is eight pairs of
+    # 16-row blocks, 257 of 1024 rows; at N = 256, the first pair of 64-row
+    # blocks, 129 of 256
+    default = TFGrid.from_layout(DEFAULT_LAYOUT), *default_bank()[:2]
+    for (grid, G, h1), computed in [(large, 257), (default, 129)]:
+        expected = copying_identity_defect(h1, G, h1, h1, grid)
+        made = count_rows(monkeypatch)
+        assert fundamental_identity_defect(h1, G, h1, h1, grid) == expected
+        n = grid.x_count
+        assert [rows for _, rows in made] == [n, n, computed, computed], made
 
 
 @pytest.mark.parametrize("row", [0, 3, 1020])
@@ -864,16 +867,23 @@ def poison_rows(monkeypatch, poisons):
     monkeypatch.setattr(identity, "_stft_rows", poisoned)
 
 
-@pytest.mark.parametrize("pair", [(0, 0), (2, 0)], ids=["right", "left"])
-def test_identity_names_a_non_finite_product_at_its_node(monkeypatch, pair):
+@pytest.mark.parametrize(
+    "layout, pair, node",
+    [(DEFAULT_LAYOUT, (0, 0), (128, 7)), (DEFAULT_LAYOUT, (2, 0), (200, 7)), (LARGE, (0, 0), (512, 7))],
+    ids=["right", "left", "right-1024"],
+)
+def test_identity_names_a_non_finite_product_at_its_node(monkeypatch, layout, pair, node):
     # (h1, h2, G, G): the sides share no pair; (G, G) is the right side's,
     # streamed against the transform, and (h2, G) the left side's. Were a
     # nan in the left product let through, the decay check would pass it
     # and the transform's check would name a node of the transform instead.
-    G, h1, h2 = bank = default_bank()[:3]
-    poison_rows(monkeypatch, {tuple(bank[i] for i in pair): ((200, 7), np.nan)})
-    with pytest.raises(ValueError, match=r"^non-finite field value at node \(200, 7\)$"):
-        fundamental_identity_defect(h1, h2, G, G, TFGrid.from_layout(DEFAULT_LAYOUT))
+    # The right nan is planted in row N/2, which the right pass computes
+    # first: a row it skips has a finite bound from the samples, so only a
+    # patched row source can put a nan there
+    G, h1, h2 = bank = [tfu.sample(fn, layout) for fn in (tfu.unit_gaussian(), tfu.hermite(1), tfu.hermite(2))]
+    poison_rows(monkeypatch, {tuple(bank[i] for i in pair): (node, np.nan)})
+    with pytest.raises(ValueError, match=r"^non-finite field value at node \(%d, %d\)$" % node):
+        fundamental_identity_defect(h1, h2, G, G, TFGrid.from_layout(layout))
 
 
 def test_identity_checks_the_left_decay_before_the_right_finiteness(monkeypatch):
