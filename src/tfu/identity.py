@@ -214,9 +214,10 @@ def rotation_invariance_defect(a: TFArray) -> float:
 #: plane), is checked by rotation_invariance_defect(build_auxiliary(...)):
 #: two fields and no second pass. At count 256 the streamed second pass
 #: computes 129 of the 256 rows of V again, 385 STFT rows a shift against
-#: 256, and took 5.0-5.3 ms a shift against 4.1-4.5 ms (2 vCPUs);
-#: streaming every rotation made paper-suite about 5% slower in process,
-#: serially. Streaming so small a field would save only 1 MiB.
+#: 256, and took about 6 ms a shift against 5 (medians of 41 calls, one
+#: thread, 2 vCPUs); streaming every rotation made paper-suite about 4-5%
+#: slower in process, serially. Streaming so small a field would save only
+#: 1 MiB.
 _COPIED_FIELD_BYTES = 1 << 20
 
 

@@ -831,9 +831,9 @@ def test_stft_row_bounds_hold(layout, examples):
 
 @pytest.mark.parametrize("layout, examples", [(DEFAULT_LAYOUT, 20), (LARGE, 10)])
 def test_identity_keeps_its_bits_over_the_bank(layout, examples):
-    # at count 1024 the right pass skips rows by the product of two row
-    # bounds; at 256 it compares every row. Either way the defect has the
-    # copying formula's bits, and a refusal its message
+    # at both counts the right pass skips rows by the product of two row
+    # bounds; the defect keeps the copying formula's bits, and a refusal its
+    # message
     grid = TFGrid.from_layout(layout)
     scaled = bank_signals(layout, [1.0, 1.0, 2.0**-200, 2.0**200])
 
