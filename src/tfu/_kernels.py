@@ -11,17 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def cascade_sum(values: np.ndarray) -> float:
-    buf = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    n = buf.size
+def cascade_sum(values: np.ndarray, rows: bool = False) -> float | np.ndarray:
+    """The cascade sum of values (any shape); with rows, of each row of a
+    2-D values on its own, as an array: each the bits of cascade_sum(row)."""
+    buf = np.ascontiguousarray(values, dtype=np.float64)
+    count = len(buf) if rows else 1
+    buf = buf.reshape(count, -1)
+    n = buf.shape[1]
     if n == 0:
-        return 0.0
+        return np.zeros(count) if rows else 0.0
     m = 1 << (n - 1).bit_length()
     if m != n:
-        buf = np.concatenate([buf, np.zeros(m - n)])
-    while buf.size > 1:
+        buf = np.concatenate([buf, np.zeros((count, m - n))], axis=1)
+    buf = buf.ravel()  # the rows' trees are aligned subtrees of the flat array's
+    while buf.size > count:
         buf = buf[0::2] + buf[1::2]
-    return float(buf[0])
+    return buf if rows else float(buf[0])
 
 
 def prefix_count(masses: np.ndarray, threshold: float, carried: float = 0.0) -> int:

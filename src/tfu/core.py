@@ -17,6 +17,15 @@ Conventions used throughout the package:
   pairwise cascade (see tfu._kernels): results reproduce bit for bit. Plane
   integrands are formed in aligned blocks of _SUM_BLOCK row-major nodes,
   each a subtree of that same cascade, so no N^2 integrand array is held.
+* Work that cannot change a reported bit is skipped, by bounds widened to
+  cover every rounding. A sum of |V| or of its scaled powers skips
+  each subtree whose sum is below half an ulp of its sibling's, as adding
+  it could not change the sibling's bits: the field's peak |V| per run of
+  _RUN nodes bounds each subtree's sum from above and, by its largest
+  leaf, from below (_live_runs). The 2-D transform's second pass computes
+  a row only when asked for (_transform_rows), and bounds each row by the
+  l1 norm of what it transforms, so that a caller can skip the rows that
+  cannot change its result (tfu.identity's checks).
 * A field is computed by its row source (Rows), which writes every node of
   the block of whole rows it is given. Three functions split sources into
   blocks: _row_blocks, one pass over reused buffers (a field read only
@@ -53,6 +62,9 @@ _FFT_BLOCK_BYTES = 1 << 19
 #: Leaves per _plane_sum block: 2^16, a power of two, so that each block is
 #: an aligned subtree of the cascade's tree.
 _SUM_BLOCK = _FFT_BLOCK_BYTES // 8
+#: Leaves per run whose peak plans a pruned _plane_sum: 2^8, a power of
+#: two, so that each run is an aligned subtree of a block.
+_RUN = 256
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -237,9 +249,19 @@ def _descending(magnitude: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.negative(desc, out=desc)
 
 
+def _run_peaks(flat: np.ndarray) -> np.ndarray:
+    """max of each run of _RUN consecutive values of flat (the last run may
+    be short)."""
+    whole = flat.size - flat.size % _RUN
+    peaks = np.max(flat[:whole].reshape(-1, _RUN), axis=1)
+    return np.append(peaks, np.max(flat[whole:])) if whole < flat.size else peaks
+
+
 class _Sorted:
-    """The descending sort of a field's |V| (its magnitude), computed once,
-    on first use, and shared by the greedy support of every mode."""
+    """What the functionals of a field's |V| (its magnitude) share, each
+    computed once, on first use: the descending sort, which the greedy
+    support of every mode reads, and the run peaks, which plan every pruned
+    plane sum of the field (_plane_sum)."""
 
     @_cached
     def descending(self) -> np.ndarray:
@@ -249,15 +271,21 @@ class _Sorted:
         desc.setflags(write=False)
         return desc
 
+    @_cached
+    def peaks(self) -> np.ndarray:
+        """max |V| over each run of _RUN row-major nodes (_run_peaks)."""
+        return _run_peaks(self.magnitude.reshape(-1))
+
 
 @dataclass(frozen=True, eq=False)
 class TFArray(_Sorted):
     """Complex field sampled on a TFGrid; entries are validated finite.
 
     The constructor copies values into C order, so later changes to the
-    caller's array change nothing. |V| and its descending sort are computed
-    once per field, on first use, and shared by the functionals that read
-    every |V|: Lp sums, weighted masses and greedy support. Maxima of |V|
+    caller's array change nothing. |V|, its descending sort and its run
+    peaks are computed once per field, on first use, and shared by the
+    functionals that read every |V|: Lp sums, weighted masses and greedy
+    support. Maxima of |V|
     (_max_abs) and the 2-D transform take |.| one row block at a time and
     cache nothing.
     """
@@ -325,6 +353,7 @@ class TFModulus(_Sorted):
         """descending, for an owned modulus: |V| sorted in values' own array
         (_descending), which no longer holds |V| in row-major order."""
         flat = self.values.reshape(-1)
+        self.__dict__.pop("peaks", None)  # of the row-major |V|, now gone
         desc = self.__dict__["descending"] = _descending(flat, out=flat)
         return desc
 
@@ -481,7 +510,10 @@ def _chirp_rows(grid: TFGrid, sign: int, half: bool = False) -> Rows:
     magnitude, every entry is within a few ulps, whatever the size of x xi.
     Each block's int64 index is gathered straight into the block
     (mode="clip", which the index never needs, lets np.take write out
-    without a buffer).
+    without a buffer). A table of 2^m entries, as on every plane (P is the
+    count, or twice it), reduces the index by a mask, which gives the
+    residue of the modulo, negative indices included, at a tenth of its
+    cost.
     """
     ratio = 1.0 / grid.x_step / grid.xi_step  # inf if it overflows
     if not 0.5 <= ratio < math.inf or abs(ratio - round(ratio)) > _STEP_RTOL * ratio:
@@ -495,11 +527,16 @@ def _chirp_rows(grid: TFGrid, sign: int, half: bool = False) -> Rows:
     size = min(period, 2 * reach + 1)
     table = np.exp((sign * 2j * np.pi / period) * (np.arange(size) - offset))
     k = np.arange(grid.xi_count, dtype=np.int64) - grid.xi_count // 2
+    mask = size - 1 if size & (size - 1) == 0 else None
 
     def rows(out: np.ndarray, start: int) -> np.ndarray:
         index = np.multiply.outer(np.arange(start, start + len(out), dtype=np.int64) - grid.x_count // 2, k)
         index += offset
-        index %= size  # the residue mod P; when P > 2Q, index is already below size
+        # the residue mod P; when P > 2Q, index is already below size
+        if mask is None:
+            index %= size
+        else:
+            index &= mask
         return np.take(table, index, out=out, mode="clip")
 
     return rows
@@ -520,8 +557,76 @@ def _abs_power(a: np.ndarray, p: float) -> np.ndarray:
     return np.power(a, p, out=out, where=a >= 2.0 ** (-1080 / p))
 
 
+def _live_runs(size: int, peaks: np.ndarray, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Which runs of _RUN leaves can change the cascade sum of leaf(a), for
+    a nonnegative a of size values whose runs peak at peaks (_run_peaks)
+    and a leaf that is nondecreasing with leaf(+0) = +0.
+
+    In the cascade's tree fl(s + t) = s when 0 <= t < ulp(s)/2, so a
+    subtree is skipped when an upper bound on its computed sum is below
+    2^-54 times a lower bound on its sibling's, which is under half the
+    sibling's ulp. A run's bounds come from leaf(peak), which the computed
+    leaf of a node at most the peak exceeds by no more than 2^-40 relative
+    or 2^-1000 (a leaf that rounds in the subnormals). The upper bound is
+    the run's leaf count times that; a parent's is the sum of its
+    children's, summed directly, bottom up, so that no bound cancels, and
+    widened by 1 + 2^-39 a level where it is compared. The lower bound is
+    the largest leaf, which a cascade of nonnegative leaves never falls
+    below. Of two siblings at most one is skipped, and a run is live when
+    no subtree it lies in is. A peak whose leaf is not finite gives bounds
+    that skip nothing but a finite sibling of an inf, whose sum stays inf.
+    """
+    runs = peaks.size
+    width = 1 << (runs - 1).bit_length()
+    upper, lower = np.zeros(width), np.zeros(width)
+    dead = np.zeros(width, dtype=bool)
+    with np.errstate(over="ignore"):  # a bound that overflows skips nothing
+        top = leaf(peaks)
+        np.multiply(top, 1 - 2**-40, out=lower[:runs])
+        np.multiply(top * (1 + 2**-40) + 2**-1000, _RUN, out=upper[:runs])
+        upper[runs - 1] *= (size - (runs - 1) * _RUN) / _RUN  # the last run may be short
+        span = 1
+        while upper.size > 1:
+            pairs, floors = upper.reshape(-1, 2), lower.reshape(-1, 2)
+            # a bound is the computed sum of its children's: span levels of
+            # sums each round up by at most (1 + 2^-53)^2 < 1 + 2^-40
+            skip = pairs < floors[:, ::-1] * (2**-54 / (1 + 2**-39) ** span.bit_length())  # (left, right)
+            if skip.any():
+                dead.reshape(-1, span)[...] |= skip.reshape(-1, 1)
+            upper, lower = np.add(pairs[:, 0], pairs[:, 1]), np.maximum(floors[:, 0], floors[:, 1])
+            span *= 2
+    return ~dead[:runs]
+
+
+def _pruned_sum(flat: np.ndarray, leaf: Callable[[np.ndarray], np.ndarray], live: np.ndarray) -> float:
+    """The cascade sum of leaf(flat), live marking the runs of _RUN leaves
+    that can change it (_live_runs): the cascade of the runs' sums, which a
+    run that is not live adds as +0, and leaf is taken on live runs only,
+    _SUM_BLOCK leaves at a time, each run reduced by the cascade on its own.
+
+    Every run lies in a subtree that was skipped beside a sibling it cannot
+    change, or in none, and a subtree whose runs all lie in skipped ones was
+    itself skipped (of two siblings at most one is): so each maximal subtree
+    of dead runs adds +0 beside a sibling whose sum keeps its bits, and the
+    total keeps every bit of the full cascade."""
+    sums = np.zeros(live.size)
+    whole = flat.size // _RUN
+    kept = np.flatnonzero(live[:whole])
+    runs = flat[: whole * _RUN].reshape(whole, _RUN)
+    chunk = _SUM_BLOCK // _RUN
+    for i in range(0, kept.size, chunk):
+        part = kept[i : i + chunk]
+        sums[part] = _kernels.cascade_sum(leaf(runs[part]), rows=True)
+    if whole < live.size and live[whole]:  # the short last run
+        sums[whole] = _kernels.cascade_sum(leaf(flat[whole * _RUN :]))
+    return _kernels.cascade_sum(sums)
+
+
 def _plane_sum(
-    grid: TFGrid, real_field: np.ndarray, leaf: Callable[[np.ndarray], np.ndarray] | None = None
+    grid: TFGrid,
+    real_field: np.ndarray,
+    leaf: Callable[[np.ndarray], np.ndarray] | None = None,
+    peaks: np.ndarray | None = None,
 ) -> float:
     """cell_measure * the cascade sum of leaf(real_field) on the grid, for an
     elementwise leaf (default: real_field itself): the one plane quadrature.
@@ -534,16 +639,27 @@ def _plane_sum(
     makes repeated sums bit-identical. A non-finite leaf aborts naming its
     node; as any inf or nan leaf makes the total inf or nan, the leaves are
     searched only when the total is not finite.
+
+    peaks, if given, are the run peaks (_run_peaks) of a nonnegative
+    real_field, for a leaf that is nondecreasing with leaf(+0) = +0, as |V|
+    and its scaled powers are. The runs that cannot change the sum are then
+    planned first (_live_runs), and if there are any, only the others are
+    summed (_pruned_sum), with the same bits. A non-finite leaf lies in a
+    run whose bound is not finite, which is kept.
     """
     flat = np.asarray(real_field).reshape(-1)
     blocks = range(0, flat.size, _SUM_BLOCK)
+    form = leaf or np.asarray
 
     def leaves(i: int) -> np.ndarray:
-        part = flat[i : i + _SUM_BLOCK]
-        return part if leaf is None else leaf(part)
+        return form(flat[i : i + _SUM_BLOCK])
 
-    sums = [_kernels.cascade_sum(leaves(i)) for i in blocks]
-    total = sums[0] if len(sums) == 1 else _kernels.cascade_sum(np.array(sums))
+    live = None if peaks is None else _live_runs(flat.size, peaks, form)
+    if live is None or live.all():
+        sums = [_kernels.cascade_sum(leaves(i)) for i in blocks]
+        total = sums[0] if len(sums) == 1 else _kernels.cascade_sum(np.array(sums))
+    else:
+        total = _pruned_sum(flat, form, live)
     if not math.isfinite(total):
         for i in blocks:
             bad = np.flatnonzero(~np.isfinite(leaves(i)))
@@ -577,7 +693,7 @@ def _scaled_power_sum(v: TFArray | TFModulus, p: float, fn: float, gn: float) ->
     """cell_measure * sum of (|V| 2^-k)^p and (fn gn 2^-k)^p, with k from
     _norm_scale: the two sides of an Lp comparison, in range."""
     k, norm = _norm_scale(fn, gn)
-    return _plane_sum(v.grid, v.magnitude, lambda m: _abs_power(_scaled(m, k), p)), norm**p
+    return _plane_sum(v.grid, v.magnitude, lambda m: _abs_power(_scaled(m, k), p), v.peaks), norm**p
 
 
 def _max_abs(a: np.ndarray, b: np.ndarray | None = None) -> float:
@@ -685,7 +801,7 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
     on grid, with its axes swapped: row k holds the transform at the dual
     xi-node k. peak, if given, is _max_abs(values), which the decay check
     then does not take again. The transform is not checked finite: the
-    caller checks it, by _require_finite(swapped.T, ...) or _finite_peak.
+    caller checks it, by _require_finite(swapped.T, ...).
 
     values must be C-contiguous. Writable values are transformed in place
     and returned; read-only ones, as a TFArray's, into one fresh array. The
@@ -700,20 +816,53 @@ def _fourier_2d_swapped(grid: TFGrid, values: np.ndarray, peak: float | None = N
     return _centered_fft(_transposed(inner), grid.x_step)
 
 
-def _finite_peak(swapped: np.ndarray) -> np.ndarray:
-    """max |.| of each row of a transform from _fourier_2d_swapped, taken one
-    block of about _FFT_BLOCK_BYTES of rows at a time and checked finite in
-    the same pass: a non-finite value makes its row's maximum non-finite,
-    and only then is the first non-finite node searched and named, in the
-    field's (x, xi) coordinates. A maximum is exact, so the largest row
-    peak is _max_abs(swapped)."""
-    peaks = np.empty(len(swapped))
-    block = max(1, _FFT_BLOCK_BYTES // swapped[0].nbytes)
-    for i in range(0, len(swapped), block):
-        np.max(np.abs(swapped[i : i + block]), axis=1, out=peaks[i : i + block])
-    if not np.isfinite(peaks).all():
-        _require_finite(swapped.T, "field")
-    return peaks
+def _transform_rows(grid: TFGrid, values: np.ndarray, peak: float | None = None) -> tuple[Rows, np.ndarray]:
+    """The rows of the transform that _fourier_2d_swapped gives of the
+    finite complex128 field values on grid, on demand: a row source (Rows)
+    whose row k is the transform at the dual xi-node k, and a bound on the
+    modulus of every entry of each row. peak, if given, is _max_abs(values),
+    which the decay check then does not take again.
+
+    The first, axis-1 pass runs here, in place if values is writable and
+    into one fresh array if not, one block of rows at a time; row k of the
+    second pass is then the centered transform of column k of the first
+    pass's result, read through a transposed view, and computed only when
+    asked for, with the bits of _fourier_2d_swapped's row k. Its bound is
+    x_step times the l1 norm of that column, |z|_1 = |Re z| + |Im z| summed
+    in the first pass while each block is in cache, widened as
+    tfu.stft._stft_row_bounds widens its sums: no entry of a Fourier
+    transform exceeds the l1 norm of what it transforms, and the factor
+    1 + 2^-20 and the floor 2^-1000 cover the rounding of the FFT, the
+    scaling and the sum. A row whose bound is finite is finite. Rows whose
+    bound is not are computed here, and the first non-finite node among
+    them, which is the transform's first, is named in the field's (x, xi)
+    coordinates, as _require_finite(swapped.T, "field") names it.
+    """
+    _require_decayed(values, BOUNDARY_DECAY_TOL_2D, peak)
+    inner = values if values.flags.writeable else np.empty_like(values)
+    n, m = grid.shape
+    l1 = np.zeros(2 * m)
+    block = max(1, _FFT_BLOCK_BYTES // (32 * m))  # _centered_fft's block: its moduli take a quarter
+    for i in range(0, n, block):
+        part = _centered_fft(values[i : i + block], grid.xi_step, inner[i : i + block])
+        with np.errstate(over="ignore"):  # a bound that overflows is inf, and its row computed here
+            l1 += np.abs(part.view(np.float64)).sum(axis=0)
+    with np.errstate(over="ignore"):
+        bounds = grid.x_step * ((l1[0::2] + l1[1::2]) * (1 + 2**-20)) + 2**-1000
+
+    def rows(out: np.ndarray, start: int) -> np.ndarray:
+        return _centered_fft(inner[:, start : start + len(out)].T, grid.x_step, out)
+
+    unbounded, first = np.flatnonzero(~np.isfinite(bounds)), None
+    for i in range(0, unbounded.size, block):
+        ks = unbounded[i : i + block]
+        bad = np.argwhere(~np.isfinite(_centered_fft(inner[:, ks].T, grid.x_step, np.empty((len(ks), n), np.complex128)).T))
+        if bad.size:
+            node = (int(bad[0][0]), int(ks[bad[0][1]]))
+            first = node if first is None else min(first, node)
+    if first is not None:
+        raise ValueError(f"non-finite field value at node {first}")
+    return rows, bounds
 
 
 def fourier_2d(a: TFArray) -> TFArray:

@@ -10,42 +10,28 @@ First: the plane Fourier transform of V_{g1}f1 * conj(V_{g2}f2) equals
 is invariant under the plane Fourier transform composed with that same
 rotation, for every shift Z = (z, zeta).
 
-Both checks realize the rotation as an exact index permutation that lands on
-the lattice of the plane transform, which requires the grid to be the plane
-of a self-dual layout (count * step^2 == 1). The one home of that rule is
-_require_rotatable, which every function here applies, and tfu.cli at load.
-On the half-open lattice the boundary row/column has no reflected partner
-and wraps to itself; all admitted fields have decayed to rounding level
-there.
+The rotation is an exact index permutation, which needs the plane of a
+self-dual layout (count * step^2 == 1; _require_rotatable, also applied by
+tfu.cli at load). The boundary row/column has no reflected partner and
+wraps to itself; admitted fields have decayed to rounding level there.
 
-No rotated copy of a field is made. The plane transform is taken with its
-axes swapped (tfu.core._fourier_2d_swapped), so its row k holds the values
-at xi-node k; the rotated field at (x_j, xi_k) is row -k mod N of the field
-at x-node j, and the two are compared row by row through views. F_Z's point
-reflection pairs row j with row -j mod N: F_Z is formed in place of V one
-mirrored pair of row blocks at a time (tfu.core._mirrored_blocks), each
-block reflected into a spare block.
-
-Each check holds one field, the one the plane transform needs whole, and
-a few blocks of rows. The product identity's is its left product; a
-second pass forms the right product one block of rows at a time and
-compares it with the transform as it goes. Each side computes each row of
-each of its distinct (signal, window) pairs at most once, matching signals by
-object identity (the command line passes one SampledSignal per function
-spec, so a repeated spec is one object); a pair that both sides use is
-computed once per side. The rotation check's field is F_Z; its second
-pass computes V's rows again and forms F_Z's rows again, with the same
-bits, to compare them with the transform; a field of the default layout's
-size is held twice instead (_rotation_defect). Both second passes go from
-the centre out in mirrored pairs of blocks and skip each pair that cannot
-reach the largest gap found so far: one rule, in _centre_out_gap. A
-pair's bound comes from the rotation check's first pass, and for the
-product identity, which has no first pass over its right product, from
-the samples (tfu.stft._stft_row_bounds): a skipped pair provably could
-not have changed the gap or the scale, and its rows are provably finite,
-so the defect keeps every bit and the order of the checks is unchanged.
-build_auxiliary gives F_Z as a TFArray, and rotation_invariance_defect
-transforms a caller's read-only F_Z in one fresh array.
+Each check holds one field, the one it transforms (the product identity's
+left product, or F_Z), and a few blocks of rows. The transform's first
+pass runs over that field; its rows are then computed only on demand
+(tfu.core._transform_rows), each with a bound from the first pass. The
+compared field, the right product or F_Z's rows again, is streamed from
+the centre out in mirrored pairs of row blocks (tfu.core._mirrored_spans),
+and row r is compared with the transform's row -r mod N, in the same pair.
+A pair is skipped, neither side computed, when the bounds of both sides
+are at most the running scale and their sum is below the largest gap found
+so far (_centre_out_gap): its rows could change neither the gap nor the
+scale and are finite, so the defect keeps every bit and the checks' order
+is unchanged. Right-product rows are bounded from the samples
+(tfu.stft._stft_row_bounds), F_Z's by its first pass. At the default
+layout's size F_Z is instead built whole and compared from that field,
+held twice, without computing V again (_rotation_defect). Each side of
+the product identity computes each row of each of its distinct (signal,
+window) pairs at most once, matching signals by object identity.
 """
 
 from __future__ import annotations
@@ -65,13 +51,12 @@ from tfu.core import (
     TFGrid,
     _chirp_rows,
     _fill,
-    _finite_peak,
-    _fourier_2d_swapped,
     _max_abs,
     _mirrored_blocks,
     _mirrored_spans,
     _require_finite,
     _row_blocks,
+    _transform_rows,
     require_plane,
 )
 from tfu.reference import translate_modulate
@@ -161,53 +146,32 @@ def build_auxiliary(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, 
     return TFArray._fresh(grid, field)
 
 
-def _rotation_gap(swapped: np.ndarray, blocks: Iterable[tuple[int, np.ndarray]]) -> float:
-    """max |FT(w) - v((-xi, x))| for swapped = core._fourier_2d_swapped(w),
-    whose row k holds FT(w) at xi-node k, and v given as blocks (start,
-    rows) of its rows in any order, together all of them. Rotated, v at
-    (x_j, xi_k) is v[-k mod N, j], so row r of v is compared with row
-    -r mod N of swapped: row 0 with row 0, and rows r >= 1 with rows N - r,
-    through a reversed view of the block. Each block is subtracted from its
-    rows of swapped as it arrives, and the moduli of the difference are
-    taken there, in swapped's own row order; row 0's difference is taken
-    with the block's other rows if they end at row N - 1, whose rows of
-    swapped it then adjoins, and alone otherwise."""
-    n = len(swapped)
-    gap = 0.0
-    for start, rows in blocks:
-        first, stop = max(start, 1), start + len(rows)
-        lo, hi = n - stop + 1, n - first + 1  # the rows of swapped that rows first ... stop - 1 meet
-        np.subtract(swapped[lo:hi], rows[first - start :][::-1], out=swapped[lo:hi])
-        if start == 0:
-            np.subtract(swapped[0], rows[0], out=swapped[0])
-            if lo == 1:
-                lo = 0
-            else:
-                gap = max(gap, _max_abs(swapped[0]))
-        if hi > lo:
-            gap = max(gap, _max_abs(swapped[lo:hi]))
-    return gap
+def rotation_invariance_defect(a: TFArray) -> float:
+    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z.
 
-
-def _nonzero_transform(grid: TFGrid, field: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """_fourier_2d_swapped of field = F_Z, whose peak modulus is scale, in
-    place if field is writable, after the checks that F_Z is not zero and
-    has decayed, and the peak of each of its rows, taken in the pass that
-    checks it finite (_finite_peak)."""
+    The peak modulus of each mirrored pair of blocks of F_Z's rows
+    (tfu.core._mirrored_spans) bounds their rows, and the largest is the
+    scale, which the decay check is given. The transform's first pass goes
+    into one fresh array, as a's values are read-only, and its rows are
+    compared with F_Z's from the centre out, each pair of blocks that cannot
+    reach the largest gap skipped (_centre_out_gap)."""
+    _require_rotatable(a.grid)
+    bounds = np.empty(a.grid.x_count)
+    for spans in _mirrored_spans(a.grid):
+        peak = max(_max_abs(a.values[start:stop]) for start, stop in spans)
+        for start, stop in spans:
+            bounds[start:stop] = peak
+    scale = float(bounds.max())
     if scale == 0.0:
         raise ValueError("field is identically zero")
-    swapped = _fourier_2d_swapped(grid, field, scale)
-    return swapped, _finite_peak(swapped)
+    transform, near = _transform_rows(a.grid, a.values, scale)
 
+    def blocks(wanted: Callable[..., bool]) -> Iterator[tuple[int, np.ndarray, float]]:
+        for spans in _mirrored_spans(a.grid):
+            if wanted(*spans):
+                yield from ((start, a.values[start:stop], bounds[start]) for start, stop in spans)
 
-def rotation_invariance_defect(a: TFArray) -> float:
-    """max |FT(F_Z) - F_Z((-xi, x))| / max |F_Z| for the field a = F_Z,
-    transformed in one fresh array, as its values are read-only; the decay
-    check before the transform takes max |F_Z| from here."""
-    _require_rotatable(a.grid)
-    scale = _max_abs(a.values)
-    swapped, _ = _nonzero_transform(a.grid, a.values, scale)
-    return _rotation_gap(swapped, [(0, a.values)]) / scale
+    return _centre_out_gap(transform, near, bounds, blocks, scale)[0] / scale
 
 
 #: F_Z of at most this many bytes, count <= 256 (the default layout's
@@ -231,43 +195,59 @@ def _rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float,
 
 
 def _centre_out_gap(
-    swapped: np.ndarray,
-    row_peaks: np.ndarray,
+    transform: Rows,
+    near: np.ndarray,
     bounds: np.ndarray,
     blocks: Callable[[Callable[..., bool]], Iterable[tuple[int, np.ndarray, float]]],
     scale: float,
 ) -> tuple[float, float]:
-    """The largest gap |FT(w) - v((-xi, x))| (_rotation_gap) between
-    swapped = tfu.core._fourier_2d_swapped(w), whose rows peak at
-    row_peaks (tfu.core._finite_peak), and a field v; and the larger of
-    scale, at least max |FT(w)|, and v's peak modulus.
+    """The largest gap |FT(w) - v((-xi, x))| between the
+    transform of a field w, whose rows transform gives on demand, each row
+    k's moduli at most near[k] (tfu.core._transform_rows), and a field v;
+    and the larger of scale and the peak moduli of FT(w) and of v.
 
     blocks(wanted) gives v's blocks (start, rows, peak), peak being the
     rows' finite peak modulus, in the mirrored pairs of spans of
-    tfu.core._mirrored_spans, from the centre out, and skips each pair
-    that wanted refuses without computing its rows. bounds[j] bounds every modulus of v's row
-    j as computed. The pair is refused when its bound is at most the
-    running scale and its bound plus the peak of the rows of swapped that
-    it meets (those of its spans: row r meets row -r mod N), times
-    1 + 2^-40 and plus 2^-1000, is below the largest gap found so far. A
-    node's |FT - v|, as computed, is at most (|FT| + |v|)(1 + 8u),
-    u = 2^-53, plus a few ulps of the smallest subnormal, so a refused pair
-    could not have changed the gap; its rows are at most the scale, so
-    they could not have raised it; and a bound at most a finite scale is
-    finite, so its rows are finite too. Fields that decay have their
-    largest gap near the centre, and most pairs far from it are skipped.
+    tfu.core._mirrored_spans, from the centre out, and skips each pair that
+    wanted refuses without computing its rows; bounds[j] bounds every
+    modulus of v's row j as computed. Row r of v meets row -r mod N of the
+    transform, so a pair's spans meet the transform's rows in those same
+    spans, which are computed only for a pair that is not refused. The pair
+    is refused when its bounds on both fields are at most the running scale
+    and their sum, times 1 + 2^-40 and plus 2^-1000, is below the largest
+    gap found so far. A node's |FT - v|, as computed, is at most
+    (|FT| + |v|)(1 + 8u), u = 2^-53, plus a few ulps of the smallest
+    subnormal, so a refused pair could not have changed the gap; its rows
+    are at most the scale, so they could not have raised it; and a bound at
+    most a finite scale is finite, so its rows are finite too. Fields that
+    decay have their largest gap near the centre, and most pairs far from
+    it are skipped.
     """
     gap = 0.0
 
     def wanted(*spans: tuple[int, int]) -> bool:
         bound = max(bounds[a:b].max() for a, b in spans)
-        near = max(row_peaks[a:b].max() for a, b in spans)
-        return not (bound <= scale and (bound + near) * (1 + 2**-40) + 2**-1000 < gap)
+        bound_ft = max(near[a:b].max() for a, b in spans)
+        return not (max(bound, bound_ft) <= scale and (bound + bound_ft) * (1 + 2**-40) + 2**-1000 < gap)
 
     for start, rows, peak in blocks(wanted):
-        scale = max(scale, peak)
-        gap = max(gap, _rotation_gap(swapped, [(start, rows)]))
+        ft_peak, block_gap = _block_gap(transform, start, rows, len(bounds))
+        scale, gap = max(scale, peak, ft_peak), max(gap, block_gap)
     return gap, scale
+
+
+def _block_gap(transform: Rows, start: int, rows: np.ndarray, n: int) -> tuple[float, float]:
+    """The peak modulus of the rows of a transform of n rows that the block
+    of v's rows starting at row start meets, and the largest gap between
+    them. Rotated, v at (x_j, xi_k) is v[-k mod n, j], so row r of v meets
+    row -r mod n of the transform: a block that is row 0 alone meets row 0,
+    and one within rows 1 ... n - 1 meets the rows n - stop + 1 ... n - start
+    in reverse order, which are computed into a fresh block and compared
+    with a reversed view of the block. The fresh block is freed before the
+    next block of v's rows is computed."""
+    ft = transform(np.empty_like(rows), (n - start - len(rows) + 1) % n)
+    peak = _max_abs(ft)
+    return peak, _max_abs(np.subtract(ft, rows[::-1], out=ft))
 
 
 def _streamed_rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, z: float, zeta: float) -> float:
@@ -275,12 +255,13 @@ def _streamed_rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, 
     bit for bit, holding one field and a few blocks of rows.
 
     The first pass of _auxiliary_rows forms F_Z in a fresh field and takes
-    the peak modulus of each block, which bounds its rows; the field is
-    transformed in place. The second pass computes V's rows again, forms
-    F_Z's rows again with the same bits, and compares them with the
-    transform's rows from the centre out, skipping the mirrored pairs of
-    blocks that cannot reach the largest gap found so far
-    (_centre_out_gap): three in four at N = 1024 for the unit Gaussian.
+    the peak modulus of each block, which bounds its rows; the transform's
+    first pass runs over the field in place (tfu.core._transform_rows). The
+    second pass computes V's rows again, forms F_Z's rows again with the
+    same bits, and compares them with the transform's rows from the centre
+    out, skipping the mirrored pairs of blocks that cannot reach the
+    largest gap found so far (_centre_out_gap): 225 of the 1024 rows of
+    both at N = 1024 for the unit Gaussian are computed.
 
     The checks run in this order: the grid (_require_rotatable), the
     shift's lattice rule (translate_modulate), the layouts of f and g;
@@ -296,13 +277,15 @@ def _streamed_rotation_defect(f: SampledSignal, g: SampledSignal, grid: TFGrid, 
     if not np.isfinite(bounds).all():
         _require_finite(field, "field")
     scale = float(bounds.max())
-    swapped, row_peaks = _nonzero_transform(grid, field, scale)
+    if scale == 0.0:
+        raise ValueError("field is identically zero")
+    transform, near = _transform_rows(grid, field, scale)
 
     def blocks(wanted: Callable[..., bool]) -> Iterator[tuple[int, np.ndarray, float]]:
         for start, rows in _auxiliary_rows(grid, f, g, z, zeta, wanted=wanted):
             yield start, rows, bounds[start]
 
-    return _centre_out_gap(swapped, row_peaks, bounds, blocks, scale)[0] / scale
+    return _centre_out_gap(transform, near, bounds, blocks, scale)[0] / scale
 
 
 Pair = tuple[SampledSignal, SampledSignal]
@@ -342,18 +325,18 @@ def fundamental_identity_defect(
     Each side is a product conj(b) * a of the STFTs of two (signal, window)
     pairs, whose rows _product_rows computes. The left side is filled into
     one field (tfu.core._fill), each block checked finite and its peak
-    taken for the decay check, and transformed in place; one pass over the
-    transform takes the peak of each of its rows and checks it finite
-    (_finite_peak), and their maximum starts the scale. The right side is
-    only compared with the transform's rows, so a second pass streams it
-    one block at a time from the centre out, in the mirrored pairs of
-    tfu.core._mirrored_spans: each block's peak joins the scale, and its
-    gap is taken while it is in cache. One field and about one block are
-    held.
+    taken for the decay check, and the transform's first pass runs over it
+    in place (tfu.core._transform_rows). The right side is only compared
+    with the transform's rows, so a second pass streams it one block at a
+    time from the centre out, in the mirrored pairs of
+    tfu.core._mirrored_spans, and computes the transform's rows that each
+    block meets: each block's peak and theirs join the scale, and its gap
+    is taken while it is in cache. One field and about one block are held.
 
     The second pass skips each pair that cannot reach the largest gap
     found so far, by the rule that the rotation check shares
-    (_centre_out_gap), with a bound taken from the samples:
+    (_centre_out_gap), with the transform's row bounds from its first pass
+    and the right side's taken from the samples:
     tfu.stft._stft_row_bounds bounds every computed modulus of row j of
     each of the right side's two STFTs, by R_j and R'_j, and the product's
     row j is bounded by R_j R'_j times 1 + 2^-20, plus 2^-1000. A computed
@@ -362,8 +345,8 @@ def fundamental_identity_defect(
     and the rounded R_j R'_j is low by at most a relative u and half such
     an ulp: the factor and the floor cover both. The bound falls off away
     from the centre as the signals decay: for (h1, G, h1, h1) the pass
-    computes 257 of the 1024 rows of each of its STFTs at count 1024, and
-    129 of the 256 at count 256.
+    computes 257 of the 1024 rows of each of its STFTs and of the
+    transform at count 1024, and 129 of the 256 at count 256.
 
     The checks run in this order: the left product's finiteness, its
     decay, the transform's finiteness, then the right product's
@@ -382,8 +365,7 @@ def fundamental_identity_defect(
         peaks.append(_max_abs(out))
         return out
 
-    swapped = _fourier_2d_swapped(grid, _fill(grid, checked, held=2), max(peaks))
-    row_peaks = _finite_peak(swapped)
+    transform, near = _transform_rows(grid, _fill(grid, checked, held=2), max(peaks))
     pairs = (g1, g2), (f1, f2)
     right = _product_rows(grid, *pairs)
     bounds = np.multiply(*(_stft_row_bounds(*pair) for pair in pairs)) * (1 + 2**-20) + 2**-1000
@@ -399,5 +381,5 @@ def fundamental_identity_defect(
                     _require_finite(ascending, "field", (first, 0))
             yield start, rows, peak
 
-    gap, scale = _centre_out_gap(swapped, row_peaks, bounds, blocks, float(row_peaks.max()))
+    gap, scale = _centre_out_gap(transform, near, bounds, blocks, 0.0)
     return 0.0 if scale == 0.0 else gap / scale

@@ -12,7 +12,7 @@ along that order, the greedy prefix has minimal area among all cell sets
 meeting the threshold. The measured area is compared against the
 closed-form lower bound of the matching mode; a threshold that even the
 full grid cannot meet yields an explicit satisfiable=False report rather
-than an error.
+than an error, found as soon as no running sum can reach the threshold.
 """
 
 from __future__ import annotations
@@ -159,13 +159,28 @@ def _prefix_cells(v: TFArray | TFModulus, p: float, k: int, threshold: float) ->
     block of sorted_cell_masses at a time. Each block is given the running
     sum of the blocks before it, which prefix_count leaves as the block's
     last entry, so the sums have the bits of one np.cumsum over all cells;
-    the scan stops at the first block that reaches threshold."""
+    the scan stops at the first block that reaches threshold.
+
+    It also stops, at -1, before a block that no running sum can reach
+    threshold from: with c carried and n masses left, each at most the mass
+    b of the next cell (the cells come by |V| descending), times 1 + 2^-40
+    for a power that rounds them apart and plus 2^-1000 cell_measure for
+    one that rounds in the subnormals, every sum stays c if b is below
+    half an ulp of c, c 2^-54, and otherwise stays below (c + n b)
+    (1 + n 2^-52 + 2^-40), which covers n roundings up by u = 2^-53 and
+    those of the bound itself."""
+    desc, measure = v.descending, v.grid.cell_measure
     scanned, carried = 0, 0.0
     for masses in sorted_cell_masses(v, p, k):
         count = _kernels.prefix_count(masses, threshold, carried)
         if count >= 0:
             return scanned + count
         scanned, carried = scanned + masses.size, masses[-1]
+        left = desc.size - scanned
+        if left:
+            bound = measure * (_abs_power(_scaled(desc[scanned : scanned + 1], k), p)[0] * (1 + 2**-40) + 2**-1000)
+            if bound < carried * 2**-54 or (carried + left * bound) * (1 + left * 2**-52 + 2**-40) < threshold:
+                return -1
     return -1
 
 
@@ -195,7 +210,7 @@ def _greedy_supports(
     k, norm = _norm_scale(fn, gn)
     l1 = None  # the plane L1 norm of 2^-k V, the lp_vs_l1p reference
     if any(mode.variant is SupportVariant.LP_VS_L1P for mode in modes):
-        l1 = _plane_sum(v.grid, v.magnitude, lambda m: _scaled(m, k))
+        l1 = _plane_sum(v.grid, v.magnitude, lambda m: _scaled(m, k), v.peaks)
     desc = v._sort_in_place() if _owned(v) else v.descending
     if desc[0] == 0:  # |z| = 0 only for z = 0
         raise ValueError("field is identically zero")

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tfu
-from tfu import _kernels
-from tfu.core import _SUM_BLOCK, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
+from tfu import _kernels, core, support
+from tfu.core import _RUN, _SUM_BLOCK, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
+from tfu.support import SupportMode, SupportVariant, _greedy_supports
 from tfu.identity import _require_rotatable
 from tfu.weights import require_inside
 
@@ -81,6 +84,78 @@ def test_blockwise_power_sum_is_one_cascade_bit_for_bit(n, p):
         assert total.hex() == (grid.cell_measure * whole).hex()
         assert norm_p == norm**p
     assert (n * n > _SUM_BLOCK) == (n >= 300)
+
+
+def one_cascade(v, p, k):
+    """The plane sum of (2^-k |V|)^p as one cascade over every node, and of
+    2^-k |V|, support's L1 reference: what the pruned sums must equal."""
+    measure = v.grid.cell_measure
+    return (
+        measure * _kernels.cascade_sum(_abs_power(_scaled(v.magnitude, k), p)),
+        measure * _kernels.cascade_sum(_scaled(v.magnitude, k)),
+    )
+
+
+def decaying_field(n, seed, width, spike):
+    """binade_field noise, scaled to moduli of at most 2^5, under a
+    Gaussian envelope of the given width (in nodes), which decays to far
+    below the noise's smallest binade at the edges; with spike, one node in
+    the far corner sub-block of the plane's last run is set to the peak."""
+    j = np.arange(n) - n // 2
+    envelope = np.exp(-np.pi * (j[:, None] ** 2 + j[None, :] ** 2) / width**2)
+    v = binade_field(n, seed) * 2.0**-55 * envelope
+    if spike:
+        v[-1, -3] = 2.0**5
+    return v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.sampled_from([16, 96, 256, 300, 512]),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([2.0, 8.0, 40.0]),
+    spike=st.booleans(),
+    p=st.one_of(st.sampled_from([1.0, 2.0, 64.0]), st.floats(1.0, 64.0)),
+    e=st.sampled_from([0, 40, -10]),
+)
+@example(n=512, seed=1, width=8.0, spike=True, p=2.538, e=40)
+def test_pruned_plane_sums_are_one_cascade_bit_for_bit(n, seed, width, spike, p, e):
+    # the fields decay far below the rounding of their sums, so the pruned
+    # sums skip most runs; counts 96 and 300 leave a short last run, 300
+    # and 512 span several blocks; e != 0 scales by 2^-k, k != 0, and the
+    # scaled moduli stay below 2^15, so no power overflows at p <= 64
+    grid = TFGrid(x_step=1 / 8, xi_step=1 / 16, x_count=n, xi_count=n)
+    v = TFArray(grid=grid, values=decaying_field(n, seed, width, spike))
+    fn, gn = 2.0**e, 1.0
+    k, _ = _norm_scale(fn, gn)
+    powers, l1 = one_cascade(v, p, k)
+    assert _scaled_power_sum(v, p, fn, gn)[0].hex() == powers.hex()
+    sums = []
+    plane_sum = support._plane_sum
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(support, "_plane_sum", lambda *args: sums.append(plane_sum(*args)) or sums[-1])
+        _greedy_supports(v, [SupportMode(SupportVariant.LP_VS_L1P, 1.5, 0.1)], fn, gn)
+    assert [total.hex() for total in sums] == [l1.hex()]
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_pruned_sum_at_the_edge_of_half_an_ulp(below):
+    # run 200 (row 200) holds 256 equal leaves whose bound sits just below,
+    # or just above, the planner's threshold beside its sibling, row 201,
+    # which peaks at 2 - 2^-52, whose half ulp is 2^-53: the skipped run's
+    # sum, 256 x, is then just below half an ulp, and lost in rounding
+    grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=256, xi_count=256)
+    y = 2 - 2**-52
+    threshold = y * (1 - 2**-40) * 2**-54 / (1 + 2**-39)  # run level: (1 + 2^-39)^1
+    x = (threshold * (1 - 2**-45 if below else 1 + 2**-45) / 256 - 2**-1000) / (1 + 2**-40)
+    field = np.zeros(grid.shape)
+    field[200], field[201, 17] = x, y
+    v = TFArray(grid=grid, values=field)
+    live = core._live_runs(field.size, v.peaks, lambda m: m)
+    assert live[200] != below and live[201] and live.sum() == 2 - below
+    assert 256 * x < 2**-53
+    powers, l1 = one_cascade(v, 1.0, 0)
+    assert _scaled_power_sum(v, 1.0, 1.0, 1.0)[0].hex() == powers.hex() == y.hex()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -6,36 +6,42 @@ writes the transform in place or into a given array; compute_stft forms
 its column products with one masked multiply, and the 2-D transform runs
 in place on a writable input (a read-only one is read into one fresh
 array) and takes its second pass along rows after an in-place tiled
-transpose. Each must give the bits of the plain formula
-step * fftshift(fft(ifftshift(v))), signed zeros included. The identity
-checks compare the transform, axes swapped, with row reflections read
-through views; the product identity forms its left product in one pass
+transpose, or computes a row of that pass only when asked for, each with
+a bound that its moduli must respect. Each must give the bits of the plain
+formula step * fftshift(fft(ifftshift(v))), signed zeros included. The
+identity checks compare the transform, axes swapped, with row reflections
+read through views; the product identity forms its left product in one pass
 over row blocks of the STFTs and streams its right product against the
 transform in a second, each side computing a distinct pair's rows at
 most once; the rotation check forms F_Z in place of V, one mirrored pair
 of row blocks at a time, and streams it again in those pairs against its
 transform (a field of the default layout's size is held twice instead).
 Both second passes skip the pairs of blocks that cannot reach the gap,
-the identity's by row bounds from the samples, which every computed
-modulus must respect: their defects must equal those of the formulas
+computing neither the transform's rows nor the compared ones, the
+identity's by row bounds from the samples, which every computed modulus
+must respect: their defects must equal those of the formulas
 with full rotated copies, a gap planted far from the centre must still
 be found, the shared rule must keep a pair whose sides differ by more
 than the gap or whose rows would raise the scale, and a non-finite
 product is named at its node. The other fast paths: the underflow-gated
 |V|^p, max |.| taken in row blocks, fields taken over without a copy,
-the finiteness check they keep, and the chirp
-read from a table of roots of unity instead of an exp at every node. Every
+the finiteness check they keep, and the chirp read from a table of roots
+of unity instead of an exp at every node, its index reduced by a mask
+where the table has 2^m entries. Every
 row source writes every node of the block it is given: any split of its
 rows, into blocks filled with nan, gives the bits of _fill's whole field.
 The scenario context's moduli, filled one block of rows at a time, must
 have the bits of |.| of the whole fields; a modulus that its last reader
 owns, and overwrites, must give the results of a shared one. The checks',
 scenarios' and whole-plane fills' traced peaks are bounded in units of one
-field's bytes, at N = 1024 and, for the product identity, at N = 256 too.
+field's bytes, at N = 1024 and, for the product identity, at N = 256 too,
+and a scenario's fields are freed by reference counting alone.
 """
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +61,10 @@ from tfu.core import (
     _centered_fft,
     _chirp_rows,
     _fill,
-    _finite_peak,
     _fourier_2d_swapped,
     _max_abs,
+    _mirrored_spans,
+    _transform_rows,
     fourier_2d,
 )
 from tfu.cli import Scenario, ScenarioContext
@@ -229,6 +236,31 @@ def test_scenario_peak_memory(large_grid_scenarios, name, fields):
     assert traced_peak(lambda: cli.run_scenario(scn)) <= fields * 16 * 2**20
 
 
+@pytest.mark.parametrize("name", ["bank", "unit-pair"])
+def test_a_dropped_field_is_freed_by_reference_counting(monkeypatch, large_grid_scenarios, name):
+    # with the collector off, every modulus the scenario made, with its
+    # cached sort and run peaks, is freed when run_scenario returns: no
+    # reference cycle keeps an N = 1024 field alive until a collection
+    made = []
+    for maker in ("_modulus", "_moduli"):
+        original = getattr(cli, maker)
+
+        def recording(*args, original=original):
+            result = original(*args)
+            moduli = result[0] if isinstance(result, tuple) else [result]
+            made.extend(weakref.ref(m) for m in moduli)
+            made.extend(weakref.ref(m.values) for m in moduli)
+            return result
+
+        monkeypatch.setattr(cli, maker, recording)
+    gc.disable()
+    try:
+        cli.run_scenario(large_grid_scenarios[name])
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
 def test_bound_sweep_peak_memory_is_the_modulus(large):
     # |V|, F/2, sorted in place, and a block of rows or masses
     grid, G, h1 = large
@@ -305,26 +337,31 @@ def test_auxiliary_peak_memory_is_the_field(large):
 
 
 def test_rotation_defect_takes_the_peak_once(monkeypatch):
+    # max |F_Z| is the largest of the blocks' peaks, which the decay check
+    # is given; no pass takes the modulus of the whole field or transform
     grid = TFGrid.from_layout(DEFAULT_LAYOUT)
     G = tfu.sample(tfu.unit_gaussian(), DEFAULT_LAYOUT)
     aux = build_auxiliary(G, G, grid, 0.5, 0.25)
     expected = rotation_invariance_defect(aux)
-    calls = []
-    max_abs = core._max_abs
+    shapes, given = [], []
+    max_abs, require_decayed = core._max_abs, core._require_decayed
 
     def counting(a, b=None):
-        calls.append(b)
+        shapes.append(a.shape)
         return max_abs(a, b)
 
     monkeypatch.setattr(core, "_max_abs", counting)
     monkeypatch.setattr(identity, "_max_abs", counting)
+    monkeypatch.setattr(core, "_require_decayed", lambda values, tol, peak=None: given.append(peak) or require_decayed(values, tol, peak))
     assert rotation_invariance_defect(aux) == expected
-    assert len(calls) == 2  # max |F_Z|, which the decay check is given, and the gap
+    assert given == [float(np.max(aux.magnitude))]
+    assert shapes and grid.shape not in shapes
 
 
 def test_identity_checks_the_transform_in_its_peak_pass(monkeypatch):
-    # the transform's maximum is the scale and its finiteness check: no
-    # other pass tests the whole transform (a product block is 128 rows or fewer)
+    # the transform is never tested whole: a row whose bound is finite is
+    # finite, and only the rows asked for are computed (a product block is
+    # 128 rows or fewer)
     G = default_bank()[0]
     shapes = []
     require = core._require_finite
@@ -339,16 +376,46 @@ def test_identity_checks_the_transform_in_its_peak_pass(monkeypatch):
     assert shapes and (256, 256) not in shapes
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_finite_peak_names_the_first_non_finite_node(bad):
-    swapped = random_complex(4, (64, 64))
-    swapped[9, 5] = swapped[40, 3] = complex(bad, 0)
-    with pytest.raises(ValueError, match=r"^non-finite field value at node \(3, 40\)$"):
-        _finite_peak(swapped)
-    # each row's peak, in one block and, at 8192 nodes a row, in ten blocks of 4
-    assert same_bits(_finite_peak(swapped[:9]), np.max(np.abs(swapped[:9]), axis=1))
-    wide = random_complex(5, (40, 8192))
-    assert same_bits(_finite_peak(wide), np.max(np.abs(wide), axis=1))
+def test_transform_rows_name_the_first_non_finite_node():
+    # two rows of 1e308 in one column overflow the second pass, whose rows
+    # have no finite bound: they are computed before any is asked for, and
+    # the first non-finite node named as the whole transform's check names it
+    values = np.zeros((64, 64), dtype=np.complex128)
+    values[20, 30] = values[41, 30] = 1e308
+    values[25, 9] = 1.0
+    grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=64, xi_count=64)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as whole:
+        core._require_finite(_fourier_2d_swapped(grid, values.copy()).T, "field")
+    assert str(whole.value).startswith("non-finite field value at node")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as rows:
+        _transform_rows(grid, values)
+    assert str(rows.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("count", [256, 1024])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-537, 2.0**500])
+def test_transform_rows_equal_the_swapped_transform(count, scale):
+    # any split of the rows, asked for in any order, gives the bits of
+    # _fourier_2d_swapped's rows, and every computed modulus is within its
+    # row's bound, also where the transform reaches the subnormals
+    layout = SignalLayout(count, count**-0.5)
+    grid = TFGrid.from_layout(layout)
+    values = random_complex(count, grid.shape) * scale
+    values[[0, -1], :] = 0
+    values[:, [0, -1]] = 0
+    expected = _fourier_2d_swapped(grid, values.copy())
+    given = values.copy()
+    given.setflags(write=False)
+    rows, bounds = _transform_rows(grid, given)
+    assert same_bits(given, values)  # a read-only field is transformed in a copy
+    spans = [span for pair in _mirrored_spans(grid)[::-1] for span in pair] + [(0, count)]
+    for a, b in spans:
+        got = rows(np.full((b - a, count), np.nan, dtype=np.complex128), a)
+        assert same_bits(got, expected[a:b])
+    assert (np.max(np.abs(expected), axis=1) <= bounds).all()
+    in_place = values.copy()
+    rows, _ = _transform_rows(grid, in_place)
+    assert same_bits(rows(np.empty((3, count), dtype=np.complex128), 7), expected[7:10])
 
 
 @pytest.mark.parametrize("n", [16, 600])
@@ -588,25 +655,51 @@ def test_rotation_check_skips_the_pairs_that_cannot_reach_the_gap(monkeypatch, l
     assert rows_per_pass[0] == 1024 and rows_per_pass[1] <= 1024 // 4, rows_per_pass
 
 
+def perturbed_rows(monkeypatch, delta):
+    """Make identity's transform rows (tfu.core._transform_rows) give the
+    rows that delta(grid, values) maps to a perturbation: (row, col, dz),
+    with dz added at that node, and that row's bound raised by |dz|, so
+    that it still bounds the row. delta sees the field before the first
+    pass. Returns the list of perturbations made."""
+    made = []
+
+    def perturbed(grid, values, peak=None):
+        row, col, dz = delta(grid, values)
+        made.append((row, col, dz))
+        rows, bounds = core._transform_rows(grid, values, peak)
+
+        def perturbed_rows(out, start):
+            out = rows(out, start)
+            if start <= row < start + len(out):
+                out[row - start, col] += dz
+            return out
+
+        bounds[row] += abs(dz)
+        return perturbed_rows, bounds
+
+    monkeypatch.setattr(identity, "_transform_rows", perturbed)
+    return made
+
+
 @pytest.mark.parametrize("row", [0, 3, 1020])
 def test_rotation_check_keeps_a_gap_far_from_the_centre(monkeypatch, large, row):
     # the transform, perturbed at one node of an outer row by 1.5 times the
     # gap, must be compared there, on either side of the centre and at row 0
-    # alone; the perturbation is then the largest gap, on both paths
+    # alone; the perturbation is then the largest gap, of the copying
+    # formula and of both checks, the built field's and the streamed one
     grid, G, _ = large
     aux = build_auxiliary(G, G, grid, 1.0, 0.441)
     plain = rotation_invariance_defect(aux)
-    transform = core._fourier_2d_swapped
-
-    def perturbed(grid, values, peak=None):
-        swapped = transform(grid, values, peak)
-        swapped[row, 7] += 1.5 * plain * peak
-        return swapped
-
-    monkeypatch.setattr(identity, "_fourier_2d_swapped", perturbed)
-    expected = rotation_invariance_defect(aux)
+    scale = float(np.max(aux.magnitude))
+    dz = 1.5 * plain * scale
+    transform = fourier_2d(aux).values.copy()
+    transform[7, row] += dz  # row k of the swapped transform is its column k
+    expected = float(np.max(np.abs(transform - point_reflection(aux.values, 0).T))) / scale
     assert expected > plain
+    made = perturbed_rows(monkeypatch, lambda grid, values: (row, 7, dz))
+    assert rotation_invariance_defect(aux) == expected
     assert identity._streamed_rotation_defect(G, G, grid, 1.0, 0.441) == expected
+    assert len(made) == 2
 
 
 @pytest.mark.parametrize("layout, copied", [(DEFAULT_LAYOUT, True), (LARGE, False)])
@@ -656,21 +749,27 @@ def default_bank():
 
 
 @derandomized
-@given(n=even_counts, seed=seeds, alone=st.booleans(), place=st.sampled_from([0, 0.5, 1]))
-def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed, alone, place):
-    # the compared rows come in blocks, in ascending and in shuffled order,
-    # the block of row 0 (row 0 alone if alone) put first, in the middle or
-    # last; row k of swapped meets row -k mod n of v
+@given(n=even_counts, seed=seeds, place=st.sampled_from([0, 0.5, 1]))
+def test_rotation_gap_in_any_split_of_rows_equals_the_reflected_formula(n, seed, place):
+    # the compared rows come in blocks, row 0 alone and the others split
+    # anywhere, in ascending and in shuffled order, row 0 put first, in the
+    # middle or last; row k of the transform meets row -k mod n of v, and
+    # each block's transform rows are asked for on demand
     swapped, v = random_complex(seed, (n, n)), random_complex(seed + 1, (n, n))
-    expected = float(np.max(np.abs(swapped - point_reflection(v, 0))))
+    expected = float(np.max(np.abs(swapped - point_reflection(v, 0)))), float(np.max(np.abs(swapped)))
     rng = np.random.default_rng(seed)
-    cuts = sorted({*rng.integers(1, n, size=3), *([1] if alone else [])})
+    cuts = sorted({1, *rng.integers(1, n, size=3)})
     blocks = [(start, v[start:stop]) for start, stop in itertools.pairwise([0, *cuts, n])]
     shuffled = [blocks[i] for i in 1 + rng.permutation(len(blocks) - 1)]
     shuffled.insert(round(place * len(shuffled)), blocks[0])
-    assert identity._rotation_gap(swapped.copy(), blocks) == expected
-    assert identity._rotation_gap(swapped.copy(), shuffled) == expected
-    assert identity._rotation_gap(swapped.copy(), [(0, v)]) == expected
+
+    def transform(out, start):
+        out[...] = swapped[start : start + len(out)]
+        return out
+
+    for order in (blocks, shuffled):
+        gaps = [identity._block_gap(transform, start, rows, n) for start, rows in order]
+        assert (max(gap for _, gap in gaps), max(peak for peak, _ in gaps)) == expected
 
 
 def count_rows(monkeypatch):
@@ -755,10 +854,13 @@ def test_identity_keeps_a_gap_far_from_the_centre(monkeypatch, large, row):
         return swapped
 
     monkeypatch.setattr(core, "_fourier_2d_swapped", perturbed)
-    monkeypatch.setattr(identity, "_fourier_2d_swapped", perturbed)
     expected = copying_identity_defect(h1, G, h1, h1, grid)
     assert expected > plain
+    made = perturbed_rows(
+        monkeypatch, lambda grid, values: (row, 7, 1.5 * plain * _max_abs(transform(grid, values.copy())))
+    )
     assert fundamental_identity_defect(h1, G, h1, h1, grid) == expected
+    assert len(made) == 1
 
 
 def test_identity_keeps_a_right_row_far_from_the_centre(monkeypatch):
@@ -777,31 +879,54 @@ def test_identity_keeps_a_right_row_far_from_the_centre(monkeypatch):
         return swapped
 
     monkeypatch.setattr(core, "_fourier_2d_swapped", zeroed)
-    monkeypatch.setattr(identity, "_fourier_2d_swapped", zeroed)
     expected = copying_identity_defect(narrow, narrow, wide, wide, grid)
     assert expected > 1000 * plain
+    transform_rows = core._transform_rows
+
+    def zeroed_rows(grid, values, peak=None):
+        rows, bounds = transform_rows(grid, values, peak)
+
+        def outer_rows_zeroed(out, start):
+            out = rows(out, start)
+            out[: max(0, 512 - 64 - start)] = 0
+            out[max(0, 512 + 65 - start) :] = 0
+            return out
+
+        return outer_rows_zeroed, bounds  # each bound still holds a zeroed row
+
+    monkeypatch.setattr(identity, "_transform_rows", zeroed_rows)
     assert fundamental_identity_defect(narrow, narrow, wide, wide, grid) == expected
 
 
 def test_centre_out_gap_keeps_what_a_skipped_pair_could_change(large):
     # the centre gives gap 1.9; a pair whose two sides are each below it but
     # whose difference is 2 must be compared, and so must a pair whose row
-    # peaks above the scale, 1.2; the gap and scale are then the full pass's
+    # peaks above the scale, 1.2, on either field; the gap and scale are
+    # then the full pass's. The transform's rows come from swapped on
+    # demand, bounded by their exact peaks
     grid = large[0]
-    swapped, v = (np.zeros(grid.shape, dtype=np.complex128) for _ in range(2))
-    swapped[512, 5], v[512, 5] = 1.0, -0.9  # row r of v meets row -r mod N of swapped
-    swapped[24, 9], v[1000, 9] = 1.0, -1.0
-    v[100, 3] = 1.2
-    bounds = np.max(np.abs(v), axis=1)
+    for far in ("v", "transform"):
+        swapped, v = (np.zeros(grid.shape, dtype=np.complex128) for _ in range(2))
+        swapped[512, 5], v[512, 5] = 1.0, -0.9  # row r of v meets row -r mod N of swapped
+        swapped[24, 9], v[1000, 9] = 1.0, -1.0
+        (v if far == "v" else swapped)[100, 3] = 1.2
+        bounds, near = np.max(np.abs(v), axis=1), np.max(np.abs(swapped), axis=1)
+        asked = []
 
-    def blocks(wanted):
-        for spans in core._mirrored_spans(grid):
-            if wanted(*spans):
-                yield from ((a, v[a:b], bounds[a:b].max()) for a, b in spans)
+        def transform(out, start):
+            asked.append((start, len(out)))
+            out[...] = swapped[start : start + len(out)]
+            return out
 
-    expected = identity._rotation_gap(swapped.copy(), [(0, v)]), 1.2
-    assert expected == (2.0, 1.2)
-    assert identity._centre_out_gap(swapped, core._finite_peak(swapped), bounds, blocks, 1.0) == expected
+        def blocks(wanted):
+            for spans in _mirrored_spans(grid):
+                if wanted(*spans):
+                    yield from ((a, v[a:b], bounds[a:b].max()) for a, b in spans)
+
+        expected = float(np.max(np.abs(swapped - point_reflection(v, 0)))), 1.2
+        assert expected == (2.0, 1.2)
+        assert identity._centre_out_gap(transform, near, bounds, blocks, 1.0) == expected
+        assert sum(rows for _, rows in asked) < grid.x_count // 4, asked  # the pass skipped most pairs
 
 
 def bank_signals(layout, scales):
@@ -957,6 +1082,24 @@ def test_chirp_table_matches_exp(layout, sign, half):
     expected = np.exp((0.5 if half else 1.0) * sign * 2j * np.pi * x * xi)
     bound = 2.0**-50 * (1 + 2 * np.pi * np.max(np.abs(x * xi)))
     assert np.max(np.abs(chirp(grid, sign, half) - expected)) <= bound
+
+
+@pytest.mark.parametrize("count", [96, 1024])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chirp_index_by_mask_is_the_residue(count, half, sign):
+    # on a plane the table has P = count (2 count if half) entries: a power
+    # of two at 1024, reduced by a mask, and not at 96, reduced by %; both
+    # must gather the entries that the signed index's residue mod P picks
+    layout = SignalLayout(count, count**-0.5)
+    grid = TFGrid.from_layout(layout)
+    period = count * (2 if half else 1)
+    offset = period // 2
+    table = np.exp((sign * 2j * np.pi / period) * (np.arange(period) - offset))
+    j = np.arange(count) - count // 2
+    residue = np.mod(np.multiply.outer(j, j) + offset, period)
+    assert residue.min() >= 0 and residue.max() < period
+    assert same_bits(chirp(grid, sign, half), table[residue])
 
 
 def test_chirp_table_is_bounded_by_the_grid():

@@ -346,6 +346,36 @@ def test_prefix_cells_in_blocks_equal_the_whole_array_count(multi_block_field, p
     assert _prefix_cells(v, p, 0, threshold) == expected
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+def test_an_unsatisfiable_scan_stops_where_no_sum_can_reach_the_threshold(monkeypatch, p):
+    # the unit Gaussian pair at count 1024: its masses fall below half an
+    # ulp of the running sum long before the last of the 16 blocks, so a
+    # threshold just above the whole sum is refused there, and a threshold
+    # that some block reaches is counted as the whole array counts it
+    layout = tfu.SignalLayout(1024, 1 / 32)
+    grid = TFGrid.from_layout(layout)
+    G = tfu.sample(tfu.unit_gaussian(), layout)
+    v = tfu.compute_stft(G, G, grid)
+    masses = np.concatenate(list(sorted_cell_masses(v, p)))
+    assert masses.size == 16 * _SUM_BLOCK
+    total = np.cumsum(masses)[-1]
+    blocks = []
+
+    def counted(*args):
+        for block in sorted_cell_masses(*args):
+            blocks.append(block.size)
+            yield block
+
+    monkeypatch.setattr("tfu.support.sorted_cell_masses", counted)
+    for threshold in (total, np.nextafter(total, np.inf), total * (1 + 2**-30), 2 * total, math.inf, 0.5 * total):
+        blocks.clear()
+        expected = _kernels.prefix_count(masses.copy(), threshold)
+        assert _prefix_cells(v, p, 0, threshold) == expected
+        assert len(blocks) < 16 or expected >= 15 * _SUM_BLOCK
+        if threshold > total:
+            assert expected == -1 and len(blocks) <= 2, (threshold, blocks)
+
+
 def test_greedy_prefix_is_optimal_exactly():
     # any size-k cell set has at most the mass of the first k sorted cells;
     # both sides summed in the same canonical order makes this exact
