@@ -121,9 +121,10 @@ def decaying_field(n, seed, width, spike):
 @example(n=512, seed=1, width=8.0, spike=True, p=2.538, e=40)
 def test_pruned_plane_sums_are_one_cascade_bit_for_bit(n, seed, width, spike, p, e):
     # the fields decay far below the rounding of their sums, so the pruned
-    # sums skip most runs; counts 96 and 300 leave a short last run, 300
-    # and 512 span several blocks; e != 0 scales by 2^-k, k != 0, and the
-    # scaled moduli stay below 2^15, so no power overflows at p <= 64
+    # sums skip most runs; counts 300 and 512 span several blocks, which
+    # are pruned, and 300 leaves a short last run; counts up to 256 are
+    # summed whole; e != 0 scales by 2^-k, k != 0, and the scaled moduli
+    # stay below 2^15, so no power overflows at p <= 64
     grid = TFGrid(x_step=1 / 8, xi_step=1 / 16, x_count=n, xi_count=n)
     v = TFArray(grid=grid, values=decaying_field(n, seed, width, spike))
     fn, gn = 2.0**e, 1.0
@@ -140,11 +141,12 @@ def test_pruned_plane_sums_are_one_cascade_bit_for_bit(n, seed, width, spike, p,
 
 @pytest.mark.parametrize("below", [True, False])
 def test_pruned_sum_at_the_edge_of_half_an_ulp(below):
-    # run 200 (row 200) holds 256 equal leaves whose bound sits just below,
-    # or just above, the planner's threshold beside its sibling, row 201,
-    # which peaks at 2 - 2^-52, whose half ulp is 2^-53: the skipped run's
-    # sum, 256 x, is then just below half an ulp, and lost in rounding
-    grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=256, xi_count=256)
+    # on a plane of two blocks, run 200 (row 200) holds 256 equal leaves
+    # whose bound sits just below, or just above, the planner's threshold
+    # beside its sibling, row 201, which peaks at 2 - 2^-52, whose half ulp
+    # is 2^-53: the skipped run's sum, 256 x, is then just below half an
+    # ulp, and lost in rounding
+    grid = TFGrid(x_step=1.0, xi_step=1.0, x_count=512, xi_count=256)
     y = 2 - 2**-52
     threshold = y * (1 - 2**-40) * 2**-54 / (1 + 2**-39)  # run level: (1 + 2^-39)^1
     x = (threshold * (1 - 2**-45 if below else 1 + 2**-45) / 256 - 2**-1000) / (1 + 2**-40)
