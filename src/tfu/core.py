@@ -646,10 +646,10 @@ def _plane_sum(
     that cannot change the sum are then planned first (_live_runs), and if
     there are any, only the others are summed (_pruned_sum), with the same
     bits. A non-finite leaf lies in a run whose bound is not finite, which
-    is kept. A plane of one block (count <= 256) is summed whole: the plan
-    takes about a hundred small numpy calls, as many as the whole sum, and
-    under tfu run's thread pool each call can hand the interpreter lock to
-    another scenario (paper-suite read about 7% slower in process with it).
+    is kept. A plane of one block (count <= 256) is summed whole: there
+    the plan's hundred or so small numpy calls cost about what they save,
+    and under tfu run's thread pool each can hand the interpreter lock to
+    another scenario, which made paper-suite slower in process.
     """
     flat = np.asarray(real_field).reshape(-1)
     blocks = range(0, flat.size, _SUM_BLOCK)

@@ -201,10 +201,10 @@ def _centre_out_gap(
     blocks: Callable[[Callable[..., bool]], Iterable[tuple[int, np.ndarray, float]]],
     scale: float,
 ) -> tuple[float, float]:
-    """The largest gap |FT(w) - v((-xi, x))| between the
-    transform of a field w, whose rows transform gives on demand, each row
-    k's moduli at most near[k] (tfu.core._transform_rows), and a field v;
-    and the larger of scale and the peak moduli of FT(w) and of v.
+    """The largest gap |FT(w) - v((-xi, x))| between the transform of a
+    field w, whose rows transform gives on demand, each row k's moduli at
+    most near[k] (tfu.core._transform_rows), and a field v; and the larger
+    of scale and the peak moduli of FT(w) and of v.
 
     blocks(wanted) gives v's blocks (start, rows, peak), peak being the
     rows' finite peak modulus, in the mirrored pairs of spans of

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tfu
 from tfu import _kernels, core, support
-from tfu.core import _RUN, _SUM_BLOCK, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
+from tfu.core import _SUM_BLOCK, TFArray, TFGrid, _abs_power, _norm_scale, _plane_sum, _scaled, _scaled_power_sum
 from tfu.support import SupportMode, SupportVariant, _greedy_supports
 from tfu.identity import _require_rotatable
 from tfu.weights import require_inside
@@ -100,7 +100,8 @@ def decaying_field(n, seed, width, spike):
     """binade_field noise, scaled to moduli of at most 2^5, under a
     Gaussian envelope of the given width (in nodes), which decays to far
     below the noise's smallest binade at the edges; with spike, one node in
-    the far corner sub-block of the plane's last run is set to the peak."""
+    the plane's last run, in its far corner, is set to 2^5, as large as
+    the noise's largest modulus."""
     j = np.arange(n) - n // 2
     envelope = np.exp(-np.pi * (j[:, None] ** 2 + j[None, :] ** 2) / width**2)
     v = binade_field(n, seed) * 2.0**-55 * envelope
