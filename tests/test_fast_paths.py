@@ -392,6 +392,23 @@ def test_transform_rows_name_the_first_non_finite_node():
     assert str(rows.value) == str(whole.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_peak_names_the_first_non_finite_node(bad):
+    # a non-finite field value leaves no finite bound on the peak of any
+    # row of the second pass: every row is computed before any is asked
+    # for, and the node named is the one the whole transform's check names
+    values = np.zeros((64, 64), dtype=np.complex128)
+    values[9, 5] = values[40, 3] = complex(bad, 0)
+    values[25, 30] = 1.0
+    grid = TFGrid(x_step=0.1, xi_step=1 / 3, x_count=64, xi_count=64)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as whole:
+        core._require_finite(_fourier_2d_swapped(grid, values.copy()).T, "field")
+    assert str(whole.value).startswith("non-finite field value at node")
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as rows:
+        _transform_rows(grid, values)
+    assert str(rows.value) == str(whole.value)
+
+
 @pytest.mark.parametrize("count", [256, 1024])
 @pytest.mark.parametrize("scale", [1.0, 2.0**-537, 2.0**500])
 def test_transform_rows_equal_the_swapped_transform(count, scale):
